@@ -10,7 +10,9 @@ checksum to make sure the work is real.
 
 The scaling benchmark runs short transient simulations over a ladder of
 block-mesh densities and fits thermal-phase seconds per step against
-element count with a straight line.
+element count with a straight line. Each density is timed as its median
+over rounds that visit every density in turn, so a slow spell of the host
+does not bend the fit.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ from .mesh import Mesh, precompute
 DEFAULT_REPS = 100_000
 DEFAULT_BATCH = 1000
 DEFAULT_WARMUP = 2000
+
+# rounds of runs in the scaling benchmark; each density's cost is its
+# median over the rounds. A run of the memoised pullback lasts only 10-40 ms,
+# shorter than the spells in which a shared host runs slow, so it takes this
+# many rounds for the median to settle
+SCALING_RUNS = 25
 
 # measured on the machine the cost model was calibrated on
 REFERENCE_CLASSICAL_TO_DEFORMED_RATIO = 0.89
@@ -233,7 +241,8 @@ def bench_simulation(
     threads=None,
 ) -> SimulationScaling:
     """Per-step thermal cost over a ladder of block meshes, with an
-    affine fit against element count."""
+    affine fit against element count. Each density's cost is its median
+    over SCALING_RUNS rounds."""
     if len(densities) < 2:
         raise ValueError("need at least two mesh densities to fit a line")
     material = MaterialModel(
@@ -244,13 +253,11 @@ def bench_simulation(
     perfusion = PerfusionParams(w_b=0.0, c_b=3617.0, T_a=37.0, Q_met=0.0)
     bc = BoundaryConditions(dirichlet=(), fluxes=(), films=())
 
-    counts = []
-    per_step = []
+    scenes = []
     for n in densities:
         params = BlockSceneParams(nx=n, ny=n, nz=n)
         mesh = make_block_mesh(n, n, n, params.lengths)
         pre = precompute(mesh)
-        provider = ramp_trajectory(mesh, params)
         operator = ConductionOperator(mesh, pre, material, variant, threads=threads)
         estimate = stability.estimate_critical_dt(
             operator,
@@ -259,15 +266,23 @@ def bench_simulation(
         )
         dt = 0.4 * estimate.dt_critical
         schedule = Schedule(dt=dt, total_time=steps * dt, snapshot_times=(), events=())
-        record = run(
-            mesh, pre, material, perfusion, bc, provider, schedule, variant,
-            update_thermal_mass=False,
-            dt_critical=estimate.dt_critical,
-            lambda_max=estimate.lambda_max,
-            threads=threads,
-        )
-        counts.append(mesh.n_elements)
-        per_step.append(record.timings["thermal"] / record.n_steps)
+        scenes.append((mesh, pre, ramp_trajectory(mesh, params), schedule, estimate))
+
+    # rounds visit every density in turn, so a slow spell of the host lands
+    # on all densities alike instead of bending the line at one of them
+    per_run = np.empty((SCALING_RUNS, len(scenes)))
+    for row in per_run:
+        for i, (mesh, pre, provider, schedule, estimate) in enumerate(scenes):
+            record = run(
+                mesh, pre, material, perfusion, bc, provider, schedule, variant,
+                update_thermal_mass=False,
+                dt_critical=estimate.dt_critical,
+                lambda_max=estimate.lambda_max,
+                threads=threads,
+            )
+            row[i] = record.timings["thermal"] / record.n_steps
+    counts = [mesh.n_elements for mesh, *_ in scenes]
+    per_step = np.median(per_run, axis=0)
 
     counts_arr = np.asarray(counts, dtype=float)
     per_step_arr = np.asarray(per_step)

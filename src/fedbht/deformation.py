@@ -195,11 +195,12 @@ def inverse_and_det(f: np.ndarray) -> tuple[np.ndarray, float]:
     return inv[0], d
 
 
-def inv_det_3x3(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def inv_det_3x3(f: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Batched adjugate inverse and determinant of (n, 3, 3) matrices.
 
-    No singularity check here; callers own the det floor so they can
-    attach element indices to the error.
+    The inverse is written to ``out`` when given. No singularity check
+    here; callers own the det floor so they can attach element indices to
+    the error.
     """
     a = f[:, 0, 0]; b = f[:, 0, 1]; c = f[:, 0, 2]
     d = f[:, 1, 0]; e = f[:, 1, 1]; g = f[:, 1, 2]
@@ -210,7 +211,7 @@ def inv_det_3x3(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c02 = d * i - e * h
     det = a * c00 + b * c01 + c * c02
 
-    inv = np.empty_like(f)
+    inv = np.empty_like(f) if out is None else out
     inv[:, 0, 0] = c00
     inv[:, 0, 1] = c * i - b * j
     inv[:, 0, 2] = b * g - c * e

@@ -8,6 +8,7 @@ is frozen at build time:
                              reference configuration through the per-element
                              deformation gradient; anisotropic, temperature-
                              dependent conductivity evaluated every call.
+                             Runs as one kernel in two stages (below).
   classical_aniso_temp_dep   no deformation; cache volume * grad^T per
                              element, evaluate the conductivity tensor at the
                              element mean temperature every call.
@@ -26,6 +27,24 @@ update subtracts them, which makes pure conduction dissipative.
 Tet4 elements integrate exactly (constant gradients). Hex8 elements use
 one-point reduced integration at the element centre with weight
 8 * det(J0).
+
+The pullback's two stages work on component-major (component, node, element)
+arrays, so every arithmetic step is an elementwise operation over elements:
+
+  geometry     displacements -> F = I + u grad^T, its adjugate inverse F^-1
+               and weight * det F, with the det F floor checked per element.
+  temperature  reference gradient grad T, then F^-T, the scale
+               weight * det F * k(T) (a tensor D only for anisotropic
+               materials), then F^-1 and grad^T.
+
+Both stages work in the block's preallocated scratch rows, so a call makes
+no per-element temporaries beyond the property lookup and, when the
+geometry is rebuilt, F itself.
+
+The operator memoises the geometry stage: it keeps a private copy of the
+last displacement field and rebuilds F^-1 and weight * det F only when the
+field changes by value. A missing deformation is a zero displacement field
+and runs through the same kernel.
 """
 
 from __future__ import annotations
@@ -41,8 +60,6 @@ from .deformation import DET_FLOOR, DeformationState, inv_det_3x3
 from .errors import SingularDeformationError
 from .material import MaterialModel
 from .mesh import ElementPrecomp, Mesh
-
-IDENTITY_3 = np.eye(3)
 
 
 class Variant(Enum):
@@ -149,14 +166,26 @@ class _Block:
     vbt: np.ndarray | None = None       # (n, k, 3) weight * grad^T
     geo: np.ndarray | None = None       # (n, k, k) weight * grad^T grad
     stiffness: np.ndarray | None = None  # (n, k, k) frozen full stiffness
+    # pullback only: component-major copies and the geometry memo
+    conn_t: np.ndarray | None = None     # (k, n) node indices
+    grads_t: np.ndarray | None = None    # (3, k, n) reference gradients
+    finv: np.ndarray | None = None       # (3, 3, n) F^-1, [material, spatial]
+    wdet: np.ndarray | None = None       # (n,) weight * det F
+    work: np.ndarray | None = None       # (k + 8, n) scratch rows of both stages
+    loads: np.ndarray | None = None      # (n, k) pullback loads
 
 
 class ConductionOperator:
     """Matrix-free conduction operator for one mesh/material/variant.
 
     Build once per run; :meth:`apply` evaluates the global load vector
-    K(T) @ T. Results are deterministic for a fixed thread count, and the
-    threaded path stays within round-off of the serial one.
+    K(T) @ T. For the deformed variant it memoises F^-1 and weight * det F
+    against a private copy of the last displacement field, so calls with an
+    unchanged deformation run only the temperature stage. Every element's
+    loads are computed independently of the chunk it falls in, so the
+    threaded path is bitwise identical to the serial one. The memo and the
+    pullback's scratch buffers belong to the operator: one operator serves
+    one caller at a time.
     """
 
     def __init__(
@@ -177,6 +206,7 @@ class ConductionOperator:
         self.n_nodes = mesh.n_nodes
         self.threads = _resolve_threads(threads)
         self._pool: ThreadPoolExecutor | None = None
+        self._memo_disp: np.ndarray | None = None  # displacements behind the memo
 
         self._blocks: list[_Block] = []
         if mesh.tets.size:
@@ -207,6 +237,14 @@ class ConductionOperator:
                 block.stiffness = block.weights[:, None, None] * np.einsum(
                     "eka,kl,elb->eab", block.grads, d0, block.grads
                 )
+            elif variant.uses_deformation:
+                n = block.conn.shape[0]
+                block.conn_t = np.ascontiguousarray(block.conn.T)
+                block.grads_t = np.ascontiguousarray(np.transpose(block.grads, (1, 2, 0)))
+                block.finv = np.empty((3, 3, n))
+                block.wdet = np.empty(n)
+                block.work = np.empty((block.conn.shape[1] + 8, n))
+                block.loads = np.empty_like(block.conn, dtype=np.float64)
 
     # -- public API ---------------------------------------------------------
 
@@ -223,20 +261,28 @@ class ConductionOperator:
             raise ValueError(f"temperature vector must be ({self.n_nodes},)")
         prop = temps if property_temps is None else np.asarray(property_temps, dtype=np.float64)
 
-        disp = None
-        if self.variant.uses_deformation and deformation is not None:
-            disp = deformation.displacements
-            if disp.shape[0] != self.n_nodes:
-                raise ValueError(
-                    f"deformation has {disp.shape[0]} nodes, mesh has {self.n_nodes}"
-                )
+        rebuild = None  # displacements the pullback geometry must be rebuilt from
+        if self.variant.uses_deformation:
+            if deformation is None:
+                disp = np.zeros((self.n_nodes, 3))
+            else:
+                disp = deformation.displacements
+                if disp.shape[0] != self.n_nodes:
+                    raise ValueError(
+                        f"deformation has {disp.shape[0]} nodes, mesh has {self.n_nodes}"
+                    )
+            if self._memo_disp is None or not np.array_equal(disp, self._memo_disp):
+                self._memo_disp = None  # stays unset if the geometry stage raises
+                rebuild = disp
 
         out = np.zeros(self.n_nodes)
         for block in self._blocks:
-            loads = self._block_loads(block, temps, prop, disp)
+            loads = self._block_loads(block, temps, prop, rebuild)
             out += np.bincount(
                 block.conn.ravel(), weights=loads.ravel(), minlength=self.n_nodes
             )
+        if rebuild is not None:
+            self._memo_disp = rebuild.copy()
         return out
 
     def element_loads_classical(self, index: int, temps_e, kind: str = "tet4"):
@@ -266,20 +312,20 @@ class ConductionOperator:
                 return block
         raise ValueError(f"mesh has no {kind} elements")
 
-    def _block_loads(self, block: _Block, temps, prop, disp):
+    def _block_loads(self, block: _Block, temps, prop, rebuild):
         n = block.conn.shape[0]
         if self.threads >= 2 and n >= 2 * _MIN_CHUNK:
-            return self._block_loads_threaded(block, temps, prop, disp)
-        return _chunk_loads(self, block, slice(0, n), temps, prop, disp)
+            return self._block_loads_threaded(block, temps, prop, rebuild)
+        return _chunk_loads(self, block, slice(0, n), temps, prop, rebuild)
 
-    def _block_loads_threaded(self, block: _Block, temps, prop, disp):
+    def _block_loads_threaded(self, block: _Block, temps, prop, rebuild):
         n = block.conn.shape[0]
         n_chunks = min(self.threads, max(1, n // _MIN_CHUNK))
         bounds = np.linspace(0, n, n_chunks + 1, dtype=int)
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.threads)
         futures = [
-            self._pool.submit(_chunk_loads, self, block, slice(int(a), int(b)), temps, prop, disp)
+            self._pool.submit(_chunk_loads, self, block, slice(int(a), int(b)), temps, prop, rebuild)
             for a, b in zip(bounds[:-1], bounds[1:])
             if b > a
         ]
@@ -289,38 +335,52 @@ class ConductionOperator:
 _MIN_CHUNK = 256
 
 
-def _chunk_loads(op: ConductionOperator, block: _Block, rng: slice, temps, prop, disp):
-    """Loads for a contiguous element range; pure function of its inputs."""
+def _chunk_loads(op: ConductionOperator, block: _Block, rng: slice, temps, prop, rebuild):
+    """Loads for a contiguous element range.
+
+    Writes only this range's slice of the block's memo and buffers, so
+    ranges can run concurrently. rebuild, the (n_nodes, 3) displacements,
+    is given only when the pullback's geometry memo must be rebuilt.
+    """
+    variant = op.variant
+    if variant.uses_deformation:
+        # a diverging field overflows here; integrator.step detects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if rebuild is not None:
+                _pullback_geometry(block, rng, rebuild.T)
+            return _pullback_loads(op.material, block, rng, temps, prop)
+
     conn = block.conn[rng]
     grads = block.grads[rng]
     temps_e = temps[conn]
-    variant = op.variant
 
     if variant is Variant.CLASSICAL_ANISO_TEMP_INDEP or variant is Variant.CLASSICAL_ISO_TEMP_INDEP:
         return np.einsum("eab,eb->ea", block.stiffness[rng], temps_e)
 
+    k = op.material.conductivity.evaluate(prop[conn].mean(axis=1))
+
     if variant is Variant.CLASSICAL_ISO_TEMP_DEP:
-        k = op.material.conductivity.evaluate(prop[conn].mean(axis=1))
         return k[:, None] * np.einsum("eab,eb->ea", block.geo[rng], temps_e)
 
-    d = _conductivity_batch(op.material, prop[conn].mean(axis=1))
+    # classical_aniso_temp_dep
+    g = np.einsum("eka,ea->ek", grads, temps_e)
+    q = k[:, None] * g if op.material.isotropic else np.einsum("ekl,el->ek", k, g)
+    return np.einsum("eak,ek->ea", block.vbt[rng], q)
 
-    if variant is Variant.CLASSICAL_ANISO_TEMP_DEP:
-        g = np.einsum("eka,ea->ek", grads, temps_e)
-        q = np.einsum("ekl,el->ek", d, g)
-        return np.einsum("eak,ek->ea", block.vbt[rng], q)
 
-    # deformed variant; fall back to the classical sandwich when the mesh
-    # does not move (F = I exactly)
-    if disp is None:
-        g = np.einsum("eka,ea->ek", grads, temps_e)
-        q = np.einsum("ekl,el->ek", d, g)
-        return block.weights[rng, None] * np.einsum("eka,ek->ea", grads, q)
-
-    u = disp[conn]  # (n, k, 3)
-    f = IDENTITY_3 + np.einsum("eaj,eka->ejk", u, grads)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv, det = inv_det_3x3(f)
+def _pullback_geometry(block: _Block, rng: slice, disp_t):
+    """Geometry stage: F^-1 and weight * det F of the range into the memo."""
+    conn = block.conn_t[:, rng]
+    grads = block.grads_t[:, :, rng]
+    work = block.work[:, rng]
+    u, tmp = work[:conn.shape[0]], work[-1]
+    f = np.empty((3, 3, conn.shape[1]))  # f[j, a] = F_ja = delta_ja + du_j/dX_a
+    for j in range(3):
+        _gather(disp_t[j], conn, u)
+        for a in range(3):
+            _dot(grads[a], u, f[j, a], tmp)
+        f[j, j] += 1.0
+    _, det = inv_det_3x3(np.moveaxis(f, 2, 0), out=np.moveaxis(block.finv[:, :, rng], 2, 0))
     bad = det <= DET_FLOOR
     if np.any(bad):
         local = int(np.argmax(bad))
@@ -329,17 +389,64 @@ def _chunk_loads(op: ConductionOperator, block: _Block, rng: slice, temps, prop,
             f"{block.kind} element {elem}: deformation gradient determinant "
             f"{det[local]:.3e} is at or below {DET_FLOOR:g}"
         )
-    w = np.einsum("elk,ela->eka", inv, grads)  # F^{-T} grad
-    g = np.einsum("eka,ea->ek", w, temps_e)
-    q = np.einsum("ekl,el->ek", d, g)
-    return (block.weights[rng] * det)[:, None] * np.einsum("eka,ek->ea", w, q)
+    block.wdet[rng] = block.weights[rng] * det
 
 
-def _conductivity_batch(material: MaterialModel, tmean: np.ndarray) -> np.ndarray:
+def _pullback_loads(material: MaterialModel, block: _Block, rng: slice, temps, prop):
+    """Temperature stage: grad^T F^-1 (weight det F k) F^-T grad T per element.
+
+    Intermediates live in the block's scratch rows and the result in its
+    loads buffer; only the property lookup allocates per-element arrays.
+    """
+    conn = block.conn_t[:, rng]
+    grads = block.grads_t[:, :, rng]
+    finv = block.finv[:, :, rng]
+    work = block.work[:, rng]
+    npe = conn.shape[0]
+    nodal, tmean, tmp = work[:npe], work[npe], work[-1]
+    grad, spatial = work[npe + 1:npe + 4], work[npe + 4:npe + 7]
+
+    _gather(prop, conn, nodal)
+    np.add.reduce(nodal, axis=0, out=tmean)
+    tmean /= npe
+    k = material.conductivity.evaluate(tmean)
+    if prop is not temps:
+        _gather(temps, conn, nodal)
+
+    for a in range(3):
+        _dot(grads[a], nodal, grad[a], tmp)           # reference gradient
+    for i in range(3):
+        _dot(finv[:, i], grad, spatial[i], tmp)       # F^-T grad
+    flux = grad
     if material.isotropic:
-        k = material.conductivity.evaluate(tmean)
-        return k[:, None, None] * IDENTITY_3
-    return material.conductivity.evaluate(tmean)
+        scale = np.multiply(block.wdet[rng], k, out=tmean)
+        for i in range(3):
+            np.multiply(spatial[i], scale, out=flux[i])
+    else:
+        d = block.wdet[rng, None, None] * k
+        for i in range(3):
+            _dot(d[:, i].T, spatial, flux[i], tmp)
+    pulled = spatial
+    for a in range(3):
+        _dot(finv[a], flux, pulled[a], tmp)           # F^-1 flux
+    loads = block.loads[rng]
+    for c in range(npe):
+        _dot(grads[:, c], pulled, loads[:, c], tmp)
+    return loads
+
+
+def _gather(values, conn, out):
+    for node, row in zip(conn, out):
+        # conn holds mesh indices, all in range; "clip" only skips the
+        # buffered copy np.take makes under the default mode
+        np.take(values, node, out=row, mode="clip")
+
+
+def _dot(rows, vecs, out, tmp):
+    """out = sum_m rows[m] * vecs[m] over (n,) component arrays."""
+    np.multiply(rows[0], vecs[0], out=out)
+    for r, v in zip(rows[1:], vecs[1:]):
+        out += np.multiply(r, v, out=tmp)
 
 
 def _resolve_threads(threads: int | None) -> int:

@@ -5,7 +5,9 @@ dt < 2 / lambda_max, with lambda_max the largest eigenvalue of
 C^{-1} (K + K_b). The estimate runs matrix-free power iteration on the
 similarity-transformed symmetric operator C^{-1/2} (K + K_b) C^{-1/2},
 whose spectrum is the same; the Rayleigh quotient then converges
-monotonically from below, so the estimate can only err on the safe side.
+monotonically from below. An estimate that stops short of lambda_max
+therefore gives a dt_critical = 2 / lambda that is too large: it errs on
+the unsafe side, by the relative gap left at the convergence tolerance.
 
 Dirichlet nodes do not participate: their rows and columns are projected
 out of the operator. Temperature-dependent conductivities are frozen at

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fedbht.deformation import DeformationState
+from fedbht.blockmesh import make_block_mesh
+from fedbht.deformation import DeformationState, deformation_gradient
 from fedbht.errors import SingularDeformationError
 from fedbht.kernels import (
     ConductionOperator,
@@ -11,7 +12,7 @@ from fedbht.kernels import (
 )
 from fedbht.material import MaterialModel, PropertyTable, TensorPropertyTable
 from fedbht.mesh import Mesh, precompute
-from fedbht.oracle import brute_force_element_load
+from fedbht.oracle import OracleAssembler, brute_force_element_load
 
 from conftest import make_material, random_tet_mesh
 
@@ -244,6 +245,121 @@ def test_threads_from_environment(monkeypatch, unit_tet, simple_material):
     monkeypatch.setenv("FEDBHT_THREADS", "3")
     op = ConductionOperator(mesh, pre, simple_material, Variant.CLASSICAL_ISO_TEMP_INDEP)
     assert op.threads == 3
+
+
+def test_geometry_memo_matches_fresh_operator():
+    # A -> B -> A (and back through rest): a memoised operator must give the
+    # bits of one that has never seen another deformation
+    mesh = random_tet_mesh(n_cells=3, seed=41, jitter=0.2)
+    pre = precompute(mesh)
+    mat = make_material(k=0.5)
+    rng = np.random.default_rng(41)
+    temps = 37.0 + 2.0 * rng.random(mesh.n_nodes)
+    a = DeformationState(0.02 * rng.normal(size=(mesh.n_nodes, 3)))
+    b = DeformationState(0.02 * rng.normal(size=(mesh.n_nodes, 3)))
+    op = ConductionOperator(mesh, pre, mat, Variant.DEFORMED_ANISO_TEMP_DEP)
+    results = []
+    for state in (a, b, a, a, None, a):
+        fresh = ConductionOperator(mesh, pre, mat, Variant.DEFORMED_ANISO_TEMP_DEP)
+        loads = op.apply(temps, deformation=state)
+        assert np.array_equal(loads, fresh.apply(temps, deformation=state))
+        results.append(loads)
+    assert not np.array_equal(results[0], results[1])
+
+    # a rebuild that fails on a collapsed element must not leave a stale memo
+    with pytest.raises(SingularDeformationError):
+        op.apply(temps, deformation=DeformationState(-mesh.nodes))
+    assert np.array_equal(op.apply(temps, deformation=a), results[0])
+
+
+def test_geometry_memo_sees_in_place_changes():
+    mesh = random_tet_mesh(n_cells=3, seed=42, jitter=0.2)
+    pre = precompute(mesh)
+    mat = make_material(k=0.5)
+    rng = np.random.default_rng(42)
+    temps = 37.0 + 2.0 * rng.random(mesh.n_nodes)
+    disp = 0.02 * rng.normal(size=(mesh.n_nodes, 3))
+    state = DeformationState(disp)
+    op = ConductionOperator(mesh, pre, mat, Variant.DEFORMED_ANISO_TEMP_DEP)
+    before = op.apply(temps, deformation=state)
+    disp[7] += 0.01  # the caller edits its own array between calls
+    assert state.displacements is disp
+    after = op.apply(temps, deformation=state)
+    fresh = ConductionOperator(mesh, pre, mat, Variant.DEFORMED_ANISO_TEMP_DEP)
+    assert np.array_equal(after, fresh.apply(temps, deformation=state))
+    assert not np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("element", ["tet4", "hex8"])
+def test_anisotropic_pullback_matches_oracle_on_deformed_coordinates(element):
+    mesh = make_block_mesh(2, 2, 2, element=element, jitter=0.15, seed=43)
+    pre = precompute(mesh)
+    mat = MaterialModel(
+        density=PropertyTable.constant(1060.0),
+        specific_heat=PropertyTable.constant(3600.0),
+        conductivity=TensorPropertyTable({
+            "xx": [[37.0, 0.53], [65.0, 0.61]],
+            "yy": [[37.0, 0.47], [65.0, 0.52]],
+            "zz": [[37.0, 0.58], [65.0, 0.66]],
+            "xy": [[37.0, 0.02], [65.0, 0.05]],
+            "xz": [[37.0, 0.01]],
+            "yz": [[37.0, -0.015], [65.0, 0.01]],
+        }),
+    )
+    rng = np.random.default_rng(43)
+    temps = 37.0 + 20.0 * rng.random(mesh.n_nodes)
+    disp = 0.03 * rng.normal(size=(mesh.n_nodes, 3))
+    op = ConductionOperator(mesh, pre, mat, Variant.DEFORMED_ANISO_TEMP_DEP)
+    loads = op.apply(temps, deformation=DeformationState(disp))
+    stiffness = OracleAssembler(mesh, mat).stiffness(coords=mesh.nodes + disp, temps=temps)
+    expected = stiffness @ temps
+    np.testing.assert_allclose(loads, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
+
+def test_deformed_hex_batch_matches_single_element_kernel(tissue_material):
+    mesh = make_block_mesh(3, 2, 2, element="hex8", jitter=0.15, seed=44)
+    pre = precompute(mesh)
+    rng = np.random.default_rng(44)
+    temps = 37.0 + 10.0 * rng.random(mesh.n_nodes)
+    disp = 0.03 * rng.normal(size=(mesh.n_nodes, 3))
+    op = ConductionOperator(mesh, pre, tissue_material, Variant.DEFORMED_ANISO_TEMP_DEP)
+    loads = op.apply(temps, deformation=DeformationState(disp))
+
+    expected = np.zeros(mesh.n_nodes)
+    for e, conn in enumerate(mesh.hexes):
+        grads = pre.hex_shape_derivs[e]
+        d = tissue_material.conductivity_matrix(float(temps[conn].mean()))
+        le = element_loads_hex_deformed(temps[conn], deformation_gradient(disp[conn], grads),
+                                        d, grads, pre.hex_jacobian_dets[e])
+        np.add.at(expected, conn, le)
+    np.testing.assert_allclose(loads, expected, rtol=1e-12,
+                               atol=1e-13 * np.abs(expected).max())
+
+
+def test_singular_deformation_names_global_element_of_later_chunk():
+    mesh = random_tet_mesh(n_cells=5, seed=13, jitter=0.2)  # 750 tets, two chunks
+    pre = precompute(mesh)
+    last = mesh.tets[-1]
+    node = last.max()
+    face = mesh.nodes[last[last != node]]
+    normal = np.cross(face[1] - face[0], face[2] - face[0])
+    normal /= np.linalg.norm(normal)
+    disp = np.zeros((mesh.n_nodes, 3))
+    disp[node] = -2.0 * ((mesh.nodes[node] - face[0]) @ normal) * normal  # mirror it
+
+    def signed_volumes(x):
+        e = x[mesh.tets[:, 1:]] - x[mesh.tets[:, :1]]
+        return np.linalg.det(e)
+
+    ratio = signed_volumes(mesh.nodes + disp) / signed_volumes(mesh.nodes)
+    first_bad = int(np.argmax(ratio <= 1e-9))
+    assert ratio[first_bad] <= 1e-9 and first_bad >= mesh.n_elements // 2
+
+    for threads in (0, 2):
+        op = ConductionOperator(mesh, pre, make_material(k=0.5),
+                                Variant.DEFORMED_ANISO_TEMP_DEP, threads=threads)
+        with pytest.raises(SingularDeformationError, match=f"tet4 element {first_bad}:"):
+            op.apply(np.zeros(mesh.n_nodes), deformation=DeformationState(disp))
 
 
 def test_singular_deformation_reports_element(unit_tet, simple_material):
