@@ -1,12 +1,12 @@
 """Microbenchmarks for the element kernels and whole-simulation scaling.
 
-Kernel timings run each formulation variant sequentially (never
-interleaved) over a single representative tetrahedron, with a warmup
-phase and batched wall-clock sampling so a mean and standard error can
-be reported per call. Variants are executed cheapest-first so a slow
-monotone drift of the machine can only widen, never flip, the expected
-cost ordering. Every call's first load component is folded into a
-checksum to make sure the work is real.
+Kernel timings run every formulation variant over a single representative
+tetrahedron, with a warmup phase and batched wall-clock sampling so a mean
+and standard error can be reported per call. The variants take turns batch
+by batch, so a change of the machine's speed while the benchmark runs
+lands on all of them alike instead of flipping the ordering of two
+variants that cost the same. Every call's first load component is folded
+into a checksum to make sure the work is real.
 
 The scaling benchmark runs short transient simulations over a ladder of
 block-mesh densities and fits thermal-phase seconds per step against
@@ -158,21 +158,12 @@ def _build_closures(seed: int) -> dict:
     }
 
 
-def _time_closure(call, reps: int, batch: int, warmup: int):
-    for _ in range(warmup):
-        call()
-    n_batches = max(1, reps // batch)
-    samples = np.empty(n_batches)
+def _time_batch(call, batch: int):
     checksum = 0.0
-    for bi in range(n_batches):
-        start = time.perf_counter()
-        for _ in range(batch):
-            checksum += call()
-        samples[bi] = time.perf_counter() - start
-    per_call = samples / batch
-    mean = float(per_call.mean())
-    stderr = float(per_call.std(ddof=1) / np.sqrt(n_batches)) if n_batches > 1 else 0.0
-    return mean, stderr, checksum
+    start = time.perf_counter()
+    for _ in range(batch):
+        checksum += call()
+    return time.perf_counter() - start, checksum
 
 
 def bench_element_kernels(
@@ -186,12 +177,27 @@ def bench_element_kernels(
     if reps < 1 or batch < 1:
         raise ValueError("reps and batch must be positive")
     closures = _build_closures(seed)
+    calls = [closures[variant] for variant in _RUN_ORDER]
+    for call in calls:
+        for _ in range(warmup):
+            call()
+    n_batches = max(1, reps // batch)
+    samples = np.empty((len(calls), n_batches))
+    checksums = np.zeros(len(calls))
+    # the variants take turns batch by batch, so a change of the host's
+    # speed lands on all of them alike
+    for bi in range(n_batches):
+        for vi, call in enumerate(calls):
+            samples[vi, bi], checksum = _time_batch(call, batch)
+            checksums[vi] += checksum
     results = {}
-    for variant in _RUN_ORDER:
-        mean, stderr, checksum = _time_closure(closures[variant], reps, batch, warmup)
+    for variant, per_batch, checksum in zip(_RUN_ORDER, samples, checksums):
+        per_call = per_batch / batch
+        stderr = float(per_call.std(ddof=1) / np.sqrt(n_batches)) if n_batches > 1 else 0.0
         results[variant] = KernelTiming(
             variant=variant, reps=reps, batch=batch,
-            mean_seconds=mean, stderr_seconds=stderr, checksum=checksum,
+            mean_seconds=float(per_call.mean()), stderr_seconds=stderr,
+            checksum=float(checksum),
         )
     return [results[v] for v in _REPORT_ORDER]
 
