@@ -26,8 +26,8 @@ import numpy as np
 from .errors import MeshFormatError, SingularDeformationError
 from .mesh import Mesh
 
-# Deformation gradients with det F at or below this are treated as
-# inverted/collapsed elements rather than valid compressions.
+# Deformation gradients with det F at or below this (or NaN) are treated
+# as inverted/collapsed elements rather than valid compressions.
 DET_FLOOR = 1e-9
 
 IDENTITY_3 = np.eye(3)
@@ -183,14 +183,14 @@ def deformation_gradient(element_displacements: np.ndarray, shape_derivs: np.nda
 def inverse_and_det(f: np.ndarray) -> tuple[np.ndarray, float]:
     """Closed-form inverse and determinant of a single 3x3 matrix.
 
-    Raises SingularDeformationError when det F <= 1e-9 (inverted or
-    collapsed configuration).
+    Raises SingularDeformationError unless det F > 1e-9 (inverted,
+    collapsed or non-finite configuration).
     """
     inv, det = inv_det_3x3(f[np.newaxis])
     d = float(det[0])
-    if d <= DET_FLOOR:
+    if not d > DET_FLOOR:  # NaN fails too
         raise SingularDeformationError(
-            f"deformation gradient determinant {d:.3e} is at or below {DET_FLOOR:g}"
+            f"deformation gradient determinant {d:.3e} is not above {DET_FLOOR:g}"
         )
     return inv[0], d
 

@@ -149,9 +149,9 @@ def _deformed_sandwich(temps, def_grad, conductivity, shape_derivs, weight):
     with np.errstate(divide="ignore", invalid="ignore"):
         inv, det = inv_det_3x3(f[np.newaxis])
     d = float(det[0])
-    if d <= DET_FLOOR:
+    if not d > DET_FLOOR:  # NaN fails too
         raise SingularDeformationError(
-            f"deformation gradient determinant {d:.3e} is at or below {DET_FLOOR:g}"
+            f"deformation gradient determinant {d:.3e} is not above {DET_FLOOR:g}"
         )
     w = inv[0].T @ shape_derivs  # spatial gradients on the deformed element
     return (weight * d) * (w.T @ (conductivity @ (w @ np.asarray(temps, dtype=np.float64))))
@@ -385,13 +385,13 @@ def _pullback_geometry(block: _Block, rng: slice, disp_t):
             _dot(grads[a], u, f[j, a], tmp)
         f[j, j] += 1.0
     _, det = inv_det_3x3(np.moveaxis(f, 2, 0), out=np.moveaxis(block.finv[:, :, rng], 2, 0))
-    bad = det <= DET_FLOOR
+    bad = ~(det > DET_FLOOR)  # NaN fails too
     if np.any(bad):
         local = int(np.argmax(bad))
         elem = rng.start + local
         raise SingularDeformationError(
             f"{block.kind} element {elem}: deformation gradient determinant "
-            f"{det[local]:.3e} is at or below {DET_FLOOR:g}"
+            f"{det[local]:.3e} is not above {DET_FLOOR:g}"
         )
     block.wdet[rng] = block.weights[rng] * det
 

@@ -17,8 +17,12 @@ Thermal mass and perfusion lumping always use reference-configuration
 volumes, matching the production convention (mass conservation makes
 rho c V deformation-invariant).
 
-These paths are for testing and verification; they are deliberately
-slower and simpler than the production operator.
+These paths are for testing and verification. They are simpler than the
+production operator and independent of it: element matrices come from the
+oracle's own derivation (edge cross products for tets, the centre Jacobian
+for hexes) and share no code with the production kernels. They are not
+slow on purpose; element matrices are built entry by entry on per-element
+arrays, without forming per-element tensors.
 """
 
 from __future__ import annotations
@@ -195,38 +199,35 @@ class AssembledSystem:
 class OracleAssembler:
     """Reusable sparse assembly with a fixed sparsity pattern.
 
-    The COO-to-CSR reduction map is built once; each stiffness call only
-    recomputes element matrices from the supplied coordinates and
-    temperatures.
+    The map from element entries to CSR slots is built once; each stiffness
+    call only recomputes element matrices from the supplied coordinates and
+    temperatures. Element matrices are built entry-major: row a*k+b of a
+    family's (k*k, n) block holds entry (a, b) of all n elements.
     """
 
     def __init__(self, mesh: Mesh, material: MaterialModel):
         self.mesh = mesh
         self.material = material
         self.n = mesh.n_nodes
+        self._tet_t = np.ascontiguousarray(mesh.tets.T)
+        self._hex_t = np.ascontiguousarray(mesh.hexes.T)
 
-        rows = []
-        cols = []
-        for conn in (mesh.tets, mesh.hexes):
-            if not conn.size:
-                continue
-            k = conn.shape[1]
-            rows.append(np.repeat(conn, k, axis=1).ravel())
-            cols.append(np.tile(conn, (1, k)).ravel())
-        if not rows:
+        families = [c for c in (self._tet_t, self._hex_t) if c.size]
+        if not families:
             raise GeometryError("mesh has no elements to assemble")
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-
-        key = rows.astype(np.int64) * self.n + cols.astype(np.int64)
-        self._order = np.argsort(key, kind="stable")
-        sorted_key = key[self._order]
-        first = np.r_[True, sorted_key[1:] != sorted_key[:-1]]
-        self._group_starts = np.flatnonzero(first)
-        unique_key = sorted_key[self._group_starts]
+        # key[a, b, e] = row * n + col of entry (a, b) of element e
+        key = np.concatenate([
+            (conn_t.astype(np.int64)[:, None] * self.n + conn_t).ravel() for conn_t in families
+        ])
+        order = np.argsort(key)
+        key = key[order]
+        first = np.r_[True, key[1:] != key[:-1]]
+        unique_key = key[first]
+        del key  # frees the sorted keys before the slot map is built: lower peak memory
+        self._slot = np.empty_like(order)
+        self._slot[order] = np.cumsum(first) - 1
         self._indices = (unique_key % self.n).astype(np.int32)
-        row_of_unique = (unique_key // self.n).astype(np.intp)
-        counts = np.bincount(row_of_unique, minlength=self.n)
+        counts = np.bincount(unique_key // self.n, minlength=self.n)
         self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
 
     def stiffness(self, coords: np.ndarray | None = None, temps=None) -> scipy.sparse.csr_matrix:
@@ -239,64 +240,83 @@ class OracleAssembler:
         if temps is None:
             temps = np.full(self.n, 37.0)
         temps = np.asarray(temps, dtype=np.float64)
+        coords_t = np.asarray(coords, dtype=np.float64).T
 
-        chunks = []
-        if mesh.tets.size:
-            chunks.append(self._tet_element_matrices(coords, temps).ravel())
-        if mesh.hexes.size:
-            chunks.append(self._hex_element_matrices(coords, temps).ravel())
-        flat = np.concatenate(chunks)
-        data = np.add.reduceat(flat[self._order], self._group_starts)
+        entries = np.empty(self._slot.size)
+        n_tet = 16 * self._tet_t.shape[1]
+        if n_tet:
+            self._tet_element_matrices(coords_t, temps, entries[:n_tet].reshape(16, -1))
+        if self._hex_t.size:
+            self._hex_element_matrices(coords_t, temps, entries[n_tet:].reshape(64, -1))
+        data = np.bincount(self._slot, weights=entries, minlength=self._indices.size)
         return scipy.sparse.csr_matrix(
             (data, self._indices, self._indptr), shape=(self.n, self.n)
         )
 
-    def _conductivity(self, tmean: np.ndarray) -> np.ndarray:
+    def _tet_element_matrices(self, coords_t, temps, out) -> None:
+        conn_t = self._tet_t
+        x0 = np.take(coords_t, conn_t[0], axis=1)  # (3, e)
+        e1, e2, e3 = (np.take(coords_t, conn_t[a], axis=1) - x0 for a in (1, 2, 3))
+        g = np.empty((3,) + conn_t.shape)  # unscaled gradients: 6 V grad N_a
+        _cross(e2, e3, g[:, 1])
+        _cross(e3, e1, g[:, 2])
+        _cross(e1, e2, g[:, 3])
+        det = e1[0] * g[0, 1] + e1[1] * g[1, 1] + e1[2] * g[2, 1]  # 6 V
+        bad = ~(det > 0)
+        if np.any(bad):
+            raise GeometryError(
+                f"tet4 element {int(np.argmax(bad))} has non-positive or non-finite "
+                "volume on the given coordinates"
+            )
+        g[:, 0] = -(g[:, 1] + g[:, 2] + g[:, 3])
+        # V grad^T D grad with grad = g / 6V
+        self._sandwich(g, 1.0 / (6.0 * det), temps, conn_t, out)
+
+    def _hex_element_matrices(self, coords_t, temps, out) -> None:
+        x = np.take(coords_t, self._hex_t, axis=1)  # (3, 8, e)
+        jac = np.einsum("jae,ak->ejk", x, HEX_DN_CENTER)
+        with np.errstate(invalid="ignore"):  # NaN coordinates fail the check below
+            det = np.linalg.det(jac)
+        bad = ~(det > 0)
+        if np.any(bad):
+            raise GeometryError(
+                f"hex8 element {int(np.argmax(bad))} has non-positive or non-finite "
+                "centre Jacobian on the given coordinates"
+            )
+        rhs = np.broadcast_to(HEX_DN_CENTER.T, (det.size, 3, 8))
+        grads = np.linalg.solve(np.transpose(jac, (0, 2, 1)), rhs)  # (e, 3, 8)
+        g = np.ascontiguousarray(np.moveaxis(grads, 0, 2))
+        self._sandwich(g, 8.0 * det, temps, self._hex_t, out)
+
+    def _sandwich(self, g, weight, temps, conn_t, out) -> None:
+        """Entry-major element matrices weight * g^T D g into out (k*k, e).
+
+        g: (3, k, e) gradient components; D is the conductivity at each
+        element's mean temperature, a scalar for isotropic tables. D is
+        symmetric, so only the entries with a <= b are computed.
+        """
+        cond = self.material.conductivity.evaluate(np.take(temps, conn_t).mean(axis=0))
         if self.material.isotropic:
-            k = self.material.conductivity.evaluate(tmean)
-            return k[:, None, None] * np.eye(3)
-        return self.material.conductivity.evaluate(tmean)
+            scale, q = weight * cond, g
+        else:
+            scale = weight
+            d = np.moveaxis(cond, 0, 2)
+            q = np.empty_like(g)  # D g
+            for i in range(3):
+                q[i] = d[i, 0] * g[0] + d[i, 1] * g[1] + d[i, 2] * g[2]
+        k = g.shape[1]
+        for a in range(k):
+            for b in range(a, k):
+                out[a * k + b] = out[b * k + a] = scale * (
+                    g[0, a] * q[0, b] + g[1, a] * q[1, b] + g[2, a] * q[2, b]
+                )
 
-    def _tet_element_matrices(self, coords, temps) -> np.ndarray:
-        conn = self.mesh.tets
-        x = coords[conn]  # (e, 4, 3)
-        e1 = x[:, 1] - x[:, 0]
-        e2 = x[:, 2] - x[:, 0]
-        e3 = x[:, 3] - x[:, 0]
-        c23 = np.cross(e2, e3)
-        c31 = np.cross(e3, e1)
-        c12 = np.cross(e1, e2)
-        det = np.einsum("ei,ei->e", e1, c23)  # 6 V
-        if np.any(det <= 0):
-            elem = int(np.argmax(det <= 0))
-            raise GeometryError(
-                f"tet4 element {elem} has non-positive volume on the given coordinates"
-            )
-        g = np.stack([c23, c31, c12], axis=2) / det[:, None, None]  # (e, 3, 3) cols=grads 1..3
-        g0 = -g.sum(axis=2, keepdims=True)
-        grads = np.concatenate([g0, g], axis=2)  # (e, 3, 4)
-        d = self._conductivity(temps[conn].mean(axis=1))
-        return (det / 6.0)[:, None, None] * np.einsum(
-            "eka,ekl,elb->eab", grads, d, grads
-        )
 
-    def _hex_element_matrices(self, coords, temps) -> np.ndarray:
-        conn = self.mesh.hexes
-        x = coords[conn]  # (e, 8, 3)
-        jac = np.einsum("eaj,ak->ejk", x, HEX_DN_CENTER)
-        det = np.linalg.det(jac)
-        if np.any(det <= 0):
-            elem = int(np.argmax(det <= 0))
-            raise GeometryError(
-                f"hex8 element {elem} has non-positive centre Jacobian on the given coordinates"
-            )
-        n = conn.shape[0]
-        rhs = np.broadcast_to(HEX_DN_CENTER.T, (n, 3, 8))
-        grads = np.linalg.solve(np.transpose(jac, (0, 2, 1)), rhs)
-        d = self._conductivity(temps[conn].mean(axis=1))
-        return (8.0 * det)[:, None, None] * np.einsum(
-            "eka,ekl,elb->eab", grads, d, grads
-        )
+def _cross(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """Cross products of (3, e) component rows into out."""
+    out[0] = u[1] * v[2] - u[2] * v[1]
+    out[1] = u[2] * v[0] - u[0] * v[2]
+    out[2] = u[0] * v[1] - u[1] * v[0]
 
 
 def assemble(
@@ -390,6 +410,7 @@ def reference_transient(
         update_thermal_mass = not (
             material.density.is_constant and material.specific_heat.is_constant
         )
+    node_shares = _reference_node_shares(mesh)
 
     n = mesh.n_nodes
     free = ~state.dirichlet_mask
@@ -434,7 +455,7 @@ def reference_transient(
         load = state.perfusion_source + state.metabolic + external
 
         if update_thermal_mass:
-            mass = _oracle_lumped_mass(mesh, material, temps)
+            mass = _oracle_lumped_mass(mesh, material, temps, node_shares)
 
         if moving:
             t_geom = t_now if scheme == "forward" else t_now + dt
@@ -492,24 +513,30 @@ def reference_transient(
     return record
 
 
-def _oracle_lumped_mass(mesh: Mesh, material: MaterialModel, temps) -> np.ndarray:
-    """Independent equal-split lumping from first principles geometry."""
-    mass = np.zeros(mesh.n_nodes)
+def _reference_node_shares(mesh: Mesh) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per element family: connectivity and each element's reference volume
+    split equally over its nodes, from first-principles geometry."""
+    shares = []
     if mesh.tets.size:
         x = mesh.nodes[mesh.tets]
         det = np.einsum(
             "ei,ei->e", x[:, 1] - x[:, 0], np.cross(x[:, 2] - x[:, 0], x[:, 3] - x[:, 0])
         )
-        tmean = temps[mesh.tets].mean(axis=1)
-        rho_c = material.density.evaluate(tmean) * material.specific_heat.evaluate(tmean)
-        share = rho_c * (det / 6.0) / 4.0
-        mass += np.bincount(mesh.tets.ravel(), weights=np.repeat(share, 4), minlength=mesh.n_nodes)
+        shares.append((mesh.tets, (det / 6.0) / 4.0))
     if mesh.hexes.size:
         x = mesh.nodes[mesh.hexes]
         jac = np.einsum("eaj,ak->ejk", x, HEX_DN_CENTER)
-        det = np.linalg.det(jac)
-        tmean = temps[mesh.hexes].mean(axis=1)
+        shares.append((mesh.hexes, np.linalg.det(jac)))  # 8 det / 8 nodes
+    return shares
+
+
+def _oracle_lumped_mass(mesh: Mesh, material: MaterialModel, temps, shares) -> np.ndarray:
+    """Independent equal-split lumping of rho c(T) over the reference
+    volumes from _reference_node_shares."""
+    mass = np.zeros(mesh.n_nodes)
+    for conn, volume in shares:
+        tmean = temps[conn].mean(axis=1)
         rho_c = material.density.evaluate(tmean) * material.specific_heat.evaluate(tmean)
-        share = rho_c * det  # 8 det / 8 nodes
-        mass += np.bincount(mesh.hexes.ravel(), weights=np.repeat(share, 8), minlength=mesh.n_nodes)
+        mass += np.bincount(conn.ravel(), weights=np.repeat(rho_c * volume, conn.shape[1]),
+                            minlength=mesh.n_nodes)
     return mass

@@ -91,6 +91,8 @@ def test_inverse_and_det_guards():
     f = np.diag([1.0, 1.0, 0.0])
     with pytest.raises(SingularDeformationError):
         inverse_and_det(f)
+    with pytest.raises(SingularDeformationError):
+        inverse_and_det(np.diag([1.0, np.nan, 1.0]))
     inv, det = inverse_and_det(np.diag([2.0, 1.0, 1.0]))
     assert det == pytest.approx(2.0)
     np.testing.assert_allclose(inv, np.diag([0.5, 1.0, 1.0]))

@@ -362,6 +362,38 @@ def test_singular_deformation_names_global_element_of_later_chunk():
             op.apply(np.zeros(mesh.n_nodes), deformation=DeformationState(disp))
 
 
+def test_nan_written_into_displacements_names_global_element():
+    # DeformationState keeps the caller's array, so NaN can arrive after its
+    # own finiteness check; the det floor must still catch it
+    mesh = random_tet_mesh(n_cells=5, seed=13, jitter=0.2)  # 750 tets, two chunks
+    pre = precompute(mesh)
+    first_use = np.full(mesh.n_nodes, mesh.n_elements)
+    np.minimum.at(first_use, mesh.tets.ravel(), np.repeat(np.arange(mesh.n_elements), 4))
+    node = int(np.argmax(first_use))
+    first_bad = int(first_use[node])
+    assert first_bad >= mesh.n_elements // 2
+
+    temps = 37.0 + np.arange(mesh.n_nodes) % 5
+    for threads in (0, 2):
+        op = ConductionOperator(mesh, pre, make_material(k=0.5),
+                                Variant.DEFORMED_ANISO_TEMP_DEP, threads=threads)
+        disp = np.zeros((mesh.n_nodes, 3))
+        state = DeformationState(disp)
+        assert np.all(np.isfinite(op.apply(temps, deformation=state)))
+        disp[node, 1] = np.nan
+        with pytest.raises(SingularDeformationError, match=f"tet4 element {first_bad}:"):
+            op.apply(temps, deformation=state)
+
+
+def test_single_element_kernel_rejects_nan_gradient(unit_tet):
+    _, pre = unit_tet
+    f = np.eye(3)
+    f[0, 1] = np.nan
+    with pytest.raises(SingularDeformationError):
+        element_loads_tet_deformed(np.zeros(4), f, np.eye(3),
+                                   pre.tet_shape_derivs[0], pre.tet_volumes[0])
+
+
 def test_singular_deformation_reports_element(unit_tet, simple_material):
     mesh, pre = unit_tet
     op = ConductionOperator(mesh, pre, simple_material, Variant.DEFORMED_ANISO_TEMP_DEP)

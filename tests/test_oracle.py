@@ -1,7 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fedbht.oracle
+from fedbht.blockmesh import make_block_mesh
 from fedbht.deformation import DeformationState, IdentityDeformation
+from fedbht.errors import GeometryError
 from fedbht.integrator import (
     BoundaryConditions,
     DirichletBC,
@@ -11,7 +17,7 @@ from fedbht.integrator import (
     run,
 )
 from fedbht.kernels import ConductionOperator, Variant
-from fedbht.material import PerfusionParams, PropertyTable
+from fedbht.material import MaterialModel, PerfusionParams, PropertyTable, TensorPropertyTable
 from fedbht.mesh import Mesh, precompute
 from fedbht.oracle import (
     OracleAssembler,
@@ -21,6 +27,7 @@ from fedbht.oracle import (
     quadrature_volume,
     reference_transient,
     _oracle_lumped_mass,
+    _reference_node_shares,
 )
 
 from conftest import make_material, random_tet_mesh
@@ -166,6 +173,73 @@ def test_assembly_on_displaced_coordinates_matches_pullback():
     np.testing.assert_allclose(loads, k @ temps, rtol=1e-11, atol=1e-13)
 
 
+def mixed_block():
+    """Disjoint jittered tet4 and hex8 blocks in one mesh."""
+    tets = make_block_mesh(2, 2, 2, jitter=0.15, seed=51)
+    hexes = make_block_mesh(2, 2, 2, element="hex8", jitter=0.15, seed=52)
+    return Mesh(nodes=np.vstack([tets.nodes, hexes.nodes + [1.5, 0.0, 0.0]]),
+                tets=tets.tets, hexes=hexes.hexes + tets.n_nodes)
+
+
+def test_deformed_mixed_anisotropic_stiffness_matches_quadrature():
+    mesh = mixed_block()
+    mat = MaterialModel(
+        density=PropertyTable.constant(1060.0),
+        specific_heat=PropertyTable.constant(3600.0),
+        conductivity=TensorPropertyTable({
+            "xx": [[37.0, 0.53], [65.0, 0.61]],
+            "yy": [[37.0, 0.47], [65.0, 0.52]],
+            "zz": [[37.0, 0.58], [65.0, 0.66]],
+            "xy": [[37.0, 0.02], [65.0, 0.05]],
+            "xz": [[37.0, 0.01]],
+            "yz": [[37.0, -0.015], [65.0, 0.01]],
+        }),
+    )
+    rng = np.random.default_rng(53)
+    temps = 37.0 + 20.0 * rng.random(mesh.n_nodes)
+    coords = mesh.nodes + 0.03 * rng.normal(size=(mesh.n_nodes, 3))
+    k = OracleAssembler(mesh, mat).stiffness(coords=coords, temps=temps)
+
+    expected = np.zeros(mesh.n_nodes)
+    for conn in [*mesh.tets, *mesh.hexes]:
+        d = mat.conductivity_matrix(float(temps[conn].mean()))
+        expected[conn] += brute_force_element_load(coords[conn], d, temps[conn], n_points=1)
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(k @ temps, expected, rtol=1e-11, atol=1e-11 * scale)
+
+    dense = k.toarray()
+    np.testing.assert_allclose(dense, dense.T, rtol=0, atol=1e-14 * np.abs(dense).max())
+    np.testing.assert_allclose(dense.sum(axis=1), 0.0, atol=1e-14 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("element", ["tet4", "hex8"])
+def test_non_finite_coordinates_are_rejected(element):
+    mesh = make_block_mesh(2, 2, 2, element=element, jitter=0.1, seed=54)
+    coords = mesh.nodes.copy()
+    coords[mesh.n_nodes // 2, 2] = np.nan
+    with pytest.raises(GeometryError, match=f"{element} element"):
+        OracleAssembler(mesh, make_material(k=0.5)).stiffness(coords=coords)
+
+
+def test_oracle_imports_no_production_element_code():
+    """The oracle derives its element matrices itself: it may not import the
+    production kernels or the pullback's batched inverse."""
+    tree = ast.parse(Path(fedbht.oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert not alias.name.startswith("fedbht.kernels"), alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "fedbht" + ("." + module if module else "")
+            names = {alias.name for alias in node.names}
+            assert not module.startswith("fedbht.kernels"), module
+            assert not (module == "fedbht" and "kernels" in names)
+            if module == "fedbht.deformation":
+                assert not names & {"inv_det_3x3", "*"}, names
+
+
 def test_assemble_bundles_balance_terms():
     mesh = random_tet_mesh(n_cells=2, seed=19, jitter=0.1)
     mat = make_material()
@@ -188,7 +262,7 @@ def test_independent_lumped_mass_agrees(tissue_material):
     pre = precompute(mesh)
     temps = np.full(mesh.n_nodes, 48.0)
     ours = lumped_thermal_mass(mesh, pre, tissue_material, temps)
-    theirs = _oracle_lumped_mass(mesh, tissue_material, temps)
+    theirs = _oracle_lumped_mass(mesh, tissue_material, temps, _reference_node_shares(mesh))
     np.testing.assert_allclose(ours, theirs, rtol=1e-12)
 
 
