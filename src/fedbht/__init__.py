@@ -42,7 +42,7 @@ from .integrator import (
     lumped_thermal_mass,
     run,
 )
-from .kernels import ConductionOperator, Variant, accumulate_global_loads
+from .kernels import ConductionOperator, Variant
 from .material import (
     MaterialModel,
     PerfusionParams,
@@ -91,7 +91,6 @@ __all__ = [
     "TopologyError",
     "TrajectoryDeformation",
     "Variant",
-    "accumulate_global_loads",
     "build_thermal_state",
     "compare_snapshots",
     "deformation_gradient",

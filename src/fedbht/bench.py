@@ -24,8 +24,9 @@ import numpy as np
 
 from . import stability
 from .blockmesh import BlockSceneParams, make_block_mesh, ramp_trajectory
+from .deformation import inverse_and_det
 from .integrator import BoundaryConditions, Schedule, run
-from .kernels import ConductionOperator, Variant, element_loads_tet_deformed
+from .kernels import ConductionOperator, Variant
 from .material import (
     MaterialModel,
     PerfusionParams,
@@ -126,7 +127,9 @@ def _build_closures(seed: int) -> dict:
         tbar = float(temps.mean())
         d = tensor.evaluate(tbar)
         f = identity + (grads @ disp).T
-        loads = element_loads_tet_deformed(temps, f, d, grads, volume)
+        inv, det = inverse_and_det(f)
+        w = inv.T @ grads  # spatial gradients on the deformed element
+        loads = (volume * det) * (w.T @ (d @ (w @ temps)))
         return loads[0]
 
     def classical_aniso_temp_dep():
@@ -244,7 +247,6 @@ def bench_simulation(
     densities=(6, 8, 10, 12),
     steps: int = 40,
     variant: Variant = Variant.DEFORMED_ANISO_TEMP_DEP,
-    threads=None,
 ) -> SimulationScaling:
     """Per-step thermal cost over a ladder of block meshes, with an
     affine fit against element count. Each density's cost is its median
@@ -264,7 +266,7 @@ def bench_simulation(
         params = BlockSceneParams(nx=n, ny=n, nz=n)
         mesh = make_block_mesh(n, n, n, params.lengths)
         pre = precompute(mesh)
-        operator = ConductionOperator(mesh, pre, material, variant, threads=threads)
+        operator = ConductionOperator(mesh, pre, material, variant)
         estimate = stability.estimate_critical_dt(
             operator,
             lumped_mass=_uniform_mass(mesh, pre, material),
@@ -284,7 +286,6 @@ def bench_simulation(
                 update_thermal_mass=False,
                 dt_critical=estimate.dt_critical,
                 lambda_max=estimate.lambda_max,
-                threads=threads,
             )
             row[i] = record.timings["thermal"] / record.n_steps
     counts = [mesh.n_elements for mesh, *_ in scenes]

@@ -52,7 +52,7 @@ def _resolve_out_dir(cfg: ScenarioConfig, scenario_path: str, override) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(scenario_path)), cfg.output_dir)
 
 
-def _run_production(cfg: ScenarioConfig, threads, dt_override: bool):
+def _run_production(cfg: ScenarioConfig, dt_override: bool):
     pre = precompute(cfg.mesh)
     return run(
         cfg.mesh, pre, cfg.material, cfg.perfusion, cfg.boundary,
@@ -61,7 +61,6 @@ def _run_production(cfg: ScenarioConfig, threads, dt_override: bool):
         probes=cfg.probes,
         update_thermal_mass=cfg.update_thermal_mass,
         dt_override=dt_override or cfg.dt_override,
-        threads=threads,
     )
 
 
@@ -77,7 +76,7 @@ def _cmd_run(args) -> int:
     cfg = load_scenario(args.scenario)
     out_dir = _resolve_out_dir(cfg, args.scenario, args.out)
     try:
-        record = _run_production(cfg, args.threads, args.dt_override)
+        record = _run_production(cfg, args.dt_override)
     except DivergenceError as err:
         names = _write_outputs(out_dir, cfg, err.record)
         print(f"diverged at step {err.step_index} (t = {err.time:g} s); "
@@ -94,7 +93,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = load_scenario(args.scenario)
-    record = _run_production(cfg, args.threads, dt_override=False)
+    record = _run_production(cfg, dt_override=False)
     reference = oracle.reference_transient(
         cfg.mesh, cfg.material, cfg.perfusion, cfg.boundary,
         cfg.deformation, cfg.schedule,
@@ -136,28 +135,17 @@ def _cmd_stability(args) -> int:
     )
     operator = ConductionOperator(
         cfg.mesh, pre, cfg.material, cfg.variant,
-        reference_temperature=cfg.initial_temperature, threads=args.threads,
+        reference_temperature=cfg.initial_temperature,
     )
-    sample_times = [0.0]
-    if cfg.variant.uses_deformation and getattr(cfg.deformation, "time_varying", False):
-        sample_times.append(cfg.schedule.total_time)
-    worst = None
-    for t in sample_times:
-        deformation = None
-        if cfg.variant.uses_deformation:
-            deformation = cfg.deformation.displacements_at(t, cfg.mesh)
-        est = stability.estimate_critical_dt(
-            operator, state.lumped_mass, state.perfusion_diag,
-            dirichlet_mask=state.dirichlet_mask,
-            deformation=deformation,
-            operating_temps=state.T,
-        )
+    tightest, samples = stability.sample_critical_dt(
+        operator, state, cfg.deformation, (0.0, cfg.schedule.total_time),
+    )
+    for t, est in samples:
         print(f"t = {t:8g} s  lambda_max = {est.lambda_max:.6g} 1/s  "
               f"dt_critical = {est.dt_critical:.6g} s  "
-              f"({est.iterations} iterations)")
-        if worst is None or est.dt_critical < worst:
-            worst = est.dt_critical
-    verdict = "within" if cfg.schedule.dt <= worst else "EXCEEDS"
+              f"({est.iterations} iterations) "
+              f"{'converged' if est.converged else 'NOT CONVERGED'}")
+    verdict = "within" if cfg.schedule.dt <= tightest.dt_critical else "EXCEEDS"
     print(f"schedule dt = {cfg.schedule.dt:g} s {verdict} the critical step")
     return EXIT_OK
 
@@ -175,7 +163,7 @@ def _cmd_bench(args) -> int:
     if run_simulation:
         scaling = bench.bench_simulation(
             densities=tuple(args.densities), steps=args.steps,
-            variant=Variant.from_string(args.variant), threads=args.threads,
+            variant=Variant.from_string(args.variant),
         )
         print(bench.scaling_report(scaling))
         if args.out:
@@ -229,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("scenario")
     p_run.add_argument("--out", help="output directory (default from the scenario)")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="element chunks processed in parallel (0 = serial)")
     p_run.add_argument("--dt-override", action="store_true",
                        help="run even when dt exceeds the stability estimate")
     p_run.set_defaults(func=_cmd_run)
@@ -246,12 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--total-tol", type=float, default=5e-4,
                           help="largest allowed field-wide relative error")
     p_verify.add_argument("--out", help="directory for the error histogram")
-    p_verify.add_argument("--threads", type=int, default=None)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_stab = sub.add_parser("stability", help="estimate the critical time step")
     p_stab.add_argument("scenario")
-    p_stab.add_argument("--threads", type=int, default=None)
     p_stab.set_defaults(func=_cmd_stability)
 
     p_bench = sub.add_parser("bench", help="run microbenchmarks")
@@ -267,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cells per axis of each scaling mesh")
     p_bench.add_argument("--variant", default="i",
                          help="formulation for the scaling benchmark (i..v)")
-    p_bench.add_argument("--threads", type=int, default=None)
     p_bench.add_argument("--out", help="directory for CSV results")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -30,6 +30,7 @@ from .errors import ConflictError, DivergenceError, StabilityError, TopologyErro
 from .kernels import ConductionOperator, Variant
 from .material import MaterialModel, PerfusionParams
 from .mesh import ElementPrecomp, Mesh
+from .stability import sample_critical_dt
 
 log = logging.getLogger(__name__)
 
@@ -132,6 +133,8 @@ class SimulationRecord:
     divergence_step: int | None = None
     dt_critical: float | None = None
     lambda_max: float | None = None
+    stability_iterations: int | None = None  # None when run made no estimate
+    stability_converged: bool | None = None
     n_elements: int = 0
 
 
@@ -283,41 +286,37 @@ def run(
     dt_critical: float | None = None,
     lambda_max: float | None = None,
     dt_override: bool = False,
-    threads: int | None = None,
 ) -> SimulationRecord:
     """Drive the explicit transient and collect snapshots and probes.
 
     Unless dt_override is set, the time step is checked against the
-    power-iteration critical step (computed here when not supplied) and a
-    StabilityError is raised when dt exceeds it. On divergence the error
+    power-iteration critical step (computed here at t = 0 when not
+    supplied) and a StabilityError is raised when dt exceeds it. An
+    estimate that hit its iteration limit is used but logged as a warning,
+    since it errs on the unsafe side. On divergence the error
     re-raised to the caller carries the partial record (``err.record``)
     with the last finite field appended as a snapshot.
     """
     state = build_thermal_state(mesh, precomp, material, perfusion, bc, initial_temperature)
     operator = ConductionOperator(
-        mesh, precomp, material, variant,
-        reference_temperature=initial_temperature, threads=threads,
+        mesh, precomp, material, variant, reference_temperature=initial_temperature,
     )
     if provider is None:
         provider = IdentityDeformation()
 
-    deformation0 = None
-    if variant.uses_deformation:
-        deformation0 = provider.displacements_at(0.0, mesh)
-
+    stability_iterations = stability_converged = None
     if not dt_override and dt_critical is None:
-        from .stability import estimate_critical_dt
-
-        est = estimate_critical_dt(
-            operator,
-            state.lumped_mass,
-            state.perfusion_diag,
-            dirichlet_mask=state.dirichlet_mask,
-            deformation=deformation0,
-            operating_temps=state.T,
-        )
+        est, _ = sample_critical_dt(operator, state, provider, (0.0,))
         dt_critical = est.dt_critical
         lambda_max = est.lambda_max
+        stability_iterations = est.iterations
+        stability_converged = est.converged
+        if not est.converged:
+            log.warning(
+                "stability estimate did not converge in %d iterations; "
+                "the critical step %g s may be too large",
+                est.iterations, dt_critical,
+            )
     if dt_critical is not None:
         if schedule.dt > dt_critical and not dt_override:
             raise StabilityError(
@@ -343,6 +342,8 @@ def run(
         probe_indices=probes,
         dt_critical=dt_critical,
         lambda_max=lambda_max,
+        stability_iterations=stability_iterations,
+        stability_converged=stability_converged,
         n_elements=mesh.n_elements,
     )
     timings = {"deformation": 0.0, "thermal": 0.0, "mass_update": 0.0, "bookkeeping": 0.0}
@@ -356,9 +357,10 @@ def run(
     pending_events = list(schedule.events)
     probe_rows = []
 
-    track_deformation = variant.uses_deformation
-    moving = track_deformation and provider.time_varying
-    deformation = deformation0
+    moving = variant.uses_deformation and provider.time_varying
+    deformation = None
+    if variant.uses_deformation and not moving:
+        deformation = provider.displacements_at(0.0, mesh)
 
     def capture_probes():
         if probes:

@@ -40,7 +40,7 @@ arrays, so every arithmetic step is an elementwise operation over elements:
 Both stages work in the block's preallocated scratch rows, so a call makes
 no per-element temporaries beyond the property lookup and, when the
 geometry is rebuilt, F itself. Every per-element row of a block starts on
-a cache line, so the serial kernel's speed does not depend on where the
+a cache line, so the kernel's speed does not depend on where the
 allocator puts its buffers.
 
 The operator memoises the geometry stage: it keeps a private copy of the
@@ -51,8 +51,6 @@ and runs through the same kernel.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -121,42 +119,6 @@ _ROMAN = {
 _TO_ROMAN = {v: k for k, v in _ROMAN.items()}
 
 
-def element_loads_tet_deformed(temps, def_grad, conductivity, shape_derivs, volume):
-    """Conduction loads of one tet4 pulled back to the reference element.
-
-    temps: (4,) nodal temperatures.
-    def_grad: (3, 3) deformation gradient F.
-    conductivity: (3, 3) conductivity tensor in the deformed configuration.
-    shape_derivs: (3, 4) reference shape-function gradients.
-    volume: reference element volume.
-
-    Returns (4,) loads = V det(F) W^T D W temps with W = F^{-T} grad.
-    """
-    return _deformed_sandwich(temps, def_grad, conductivity, shape_derivs, volume)
-
-
-def element_loads_hex_deformed(temps, def_grad, conductivity, shape_derivs, jacobian_det):
-    """One-point reduced-integration hex8 counterpart of the tet kernel.
-
-    The integration weight is 8 * det(J0), with J0 the reference-element
-    Jacobian at the centre point.
-    """
-    return _deformed_sandwich(temps, def_grad, conductivity, shape_derivs, 8.0 * jacobian_det)
-
-
-def _deformed_sandwich(temps, def_grad, conductivity, shape_derivs, weight):
-    f = np.asarray(def_grad, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv, det = inv_det_3x3(f[np.newaxis])
-    d = float(det[0])
-    if not d > DET_FLOOR:  # NaN fails too
-        raise SingularDeformationError(
-            f"deformation gradient determinant {d:.3e} is not above {DET_FLOOR:g}"
-        )
-    w = inv[0].T @ shape_derivs  # spatial gradients on the deformed element
-    return (weight * d) * (w.T @ (conductivity @ (w @ np.asarray(temps, dtype=np.float64))))
-
-
 @dataclass
 class _Block:
     """One element family (tet4 or hex8) with its cached factors."""
@@ -183,9 +145,7 @@ class ConductionOperator:
     Build once per run; :meth:`apply` evaluates the global load vector
     K(T) @ T. For the deformed variant it memoises F^-1 and weight * det F
     against a private copy of the last displacement field, so calls with an
-    unchanged deformation run only the temperature stage. Every element's
-    loads are computed independently of the chunk it falls in, so the
-    threaded path is bitwise identical to the serial one. The memo and the
+    unchanged deformation run only the temperature stage. The memo and the
     pullback's scratch buffers belong to the operator: one operator serves
     one caller at a time.
     """
@@ -197,7 +157,6 @@ class ConductionOperator:
         material: MaterialModel,
         variant: Variant,
         reference_temperature: float = 37.0,
-        threads: int | None = None,
     ):
         if variant.requires_isotropic and not material.isotropic:
             raise ValueError(f"variant {variant.value} requires isotropic conductivity")
@@ -206,8 +165,6 @@ class ConductionOperator:
         self.variant = variant
         self.reference_temperature = float(reference_temperature)
         self.n_nodes = mesh.n_nodes
-        self.threads = _resolve_threads(threads)
-        self._pool: ThreadPoolExecutor | None = None
         self._memo_disp: np.ndarray | None = None  # displacements behind the memo
 
         self._blocks: list[_Block] = []
@@ -289,123 +246,64 @@ class ConductionOperator:
             self._memo_disp = rebuild.copy()
         return out
 
-    def element_loads_classical(self, index: int, temps_e, kind: str = "tet4"):
-        """Per-element loads for the classical variants (no deformation).
-
-        Mirrors the batched path element by element; variant
-        deformed_aniso_temp_dep must go through the deformed kernels instead.
-        """
-        if self.variant.uses_deformation:
-            raise ValueError("classical per-element loads undefined for the deformed variant")
-        block = self._block(kind)
-        t = np.asarray(temps_e, dtype=np.float64)
-        if self.variant is Variant.CLASSICAL_ANISO_TEMP_DEP:
-            d = self.material.conductivity_matrix(float(t.mean()))
-            b = block.grads[index]
-            return block.vbt[index] @ (d @ (b @ t))
-        if self.variant is Variant.CLASSICAL_ISO_TEMP_DEP:
-            k = self.material.conductivity.evaluate(float(t.mean()))
-            return k * (block.geo[index] @ t)
-        return block.stiffness[index] @ t
-
     # -- internals ----------------------------------------------------------
 
-    def _block(self, kind: str) -> _Block:
-        for block in self._blocks:
-            if block.kind == kind:
-                return block
-        raise ValueError(f"mesh has no {kind} elements")
-
     def _block_loads(self, block: _Block, temps, prop, rebuild):
-        n = block.conn.shape[0]
-        if self.threads >= 2 and n >= 2 * _MIN_CHUNK:
-            return self._block_loads_threaded(block, temps, prop, rebuild)
-        return _chunk_loads(self, block, slice(0, n), temps, prop, rebuild)
+        """(n, k) loads of one block. rebuild, the (n_nodes, 3)
+        displacements, is given only when the pullback's geometry memo must
+        be rebuilt."""
+        variant = self.variant
+        if variant.uses_deformation:
+            # a diverging field overflows here; integrator.step detects it
+            with np.errstate(over="ignore", invalid="ignore"):
+                if rebuild is not None:
+                    _pullback_geometry(block, rebuild.T)
+                return _pullback_loads(self.material, block, temps, prop)
 
-    def _block_loads_threaded(self, block: _Block, temps, prop, rebuild):
-        n = block.conn.shape[0]
-        n_chunks = min(self.threads, max(1, n // _MIN_CHUNK))
-        bounds = np.linspace(0, n, n_chunks + 1, dtype=int)
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.threads)
-        futures = [
-            self._pool.submit(_chunk_loads, self, block, slice(int(a), int(b)), temps, prop, rebuild)
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        return np.concatenate([f.result() for f in futures], axis=0)
+        temps_e = temps[block.conn]
 
+        if variant.full_precompute:
+            return np.einsum("eab,eb->ea", block.stiffness, temps_e)
 
-_MIN_CHUNK = 256
+        k = self.material.conductivity.evaluate(prop[block.conn].mean(axis=1))
 
+        if variant is Variant.CLASSICAL_ISO_TEMP_DEP:
+            return k[:, None] * np.einsum("eab,eb->ea", block.geo, temps_e)
 
-def _chunk_loads(op: ConductionOperator, block: _Block, rng: slice, temps, prop, rebuild):
-    """Loads for a contiguous element range.
-
-    Writes only this range's slice of the block's memo and buffers, so
-    ranges can run concurrently. rebuild, the (n_nodes, 3) displacements,
-    is given only when the pullback's geometry memo must be rebuilt.
-    """
-    variant = op.variant
-    if variant.uses_deformation:
-        # a diverging field overflows here; integrator.step detects it
-        with np.errstate(over="ignore", invalid="ignore"):
-            if rebuild is not None:
-                _pullback_geometry(block, rng, rebuild.T)
-            return _pullback_loads(op.material, block, rng, temps, prop)
-
-    conn = block.conn[rng]
-    grads = block.grads[rng]
-    temps_e = temps[conn]
-
-    if variant is Variant.CLASSICAL_ANISO_TEMP_INDEP or variant is Variant.CLASSICAL_ISO_TEMP_INDEP:
-        return np.einsum("eab,eb->ea", block.stiffness[rng], temps_e)
-
-    k = op.material.conductivity.evaluate(prop[conn].mean(axis=1))
-
-    if variant is Variant.CLASSICAL_ISO_TEMP_DEP:
-        return k[:, None] * np.einsum("eab,eb->ea", block.geo[rng], temps_e)
-
-    # classical_aniso_temp_dep
-    g = np.einsum("eka,ea->ek", grads, temps_e)
-    q = k[:, None] * g if op.material.isotropic else np.einsum("ekl,el->ek", k, g)
-    return np.einsum("eak,ek->ea", block.vbt[rng], q)
+        # classical_aniso_temp_dep
+        g = np.einsum("eka,ea->ek", block.grads, temps_e)
+        q = k[:, None] * g if self.material.isotropic else np.einsum("ekl,el->ek", k, g)
+        return np.einsum("eak,ek->ea", block.vbt, q)
 
 
-def _pullback_geometry(block: _Block, rng: slice, disp_t):
-    """Geometry stage: F^-1 and weight * det F of the range into the memo."""
-    conn = block.conn_t[:, rng]
-    grads = block.grads_t[:, :, rng]
-    work = block.work[:, rng]
-    u, tmp = work[:conn.shape[0]], work[-1]
+def _pullback_geometry(block: _Block, disp_t):
+    """Geometry stage: F^-1 and weight * det F of every element into the memo."""
+    conn, grads = block.conn_t, block.grads_t
+    u, tmp = block.work[:conn.shape[0]], block.work[-1]
     f = _aligned_rows((3, 3), conn.shape[1])  # f[j, a] = F_ja = delta_ja + du_j/dX_a
     for j in range(3):
         _gather(disp_t[j], conn, u)
         for a in range(3):
             _dot(grads[a], u, f[j, a], tmp)
         f[j, j] += 1.0
-    _, det = inv_det_3x3(np.moveaxis(f, 2, 0), out=np.moveaxis(block.finv[:, :, rng], 2, 0))
+    _, det = inv_det_3x3(np.moveaxis(f, 2, 0), out=np.moveaxis(block.finv, 2, 0))
     bad = ~(det > DET_FLOOR)  # NaN fails too
     if np.any(bad):
-        local = int(np.argmax(bad))
-        elem = rng.start + local
+        elem = int(np.argmax(bad))
         raise SingularDeformationError(
             f"{block.kind} element {elem}: deformation gradient determinant "
-            f"{det[local]:.3e} is not above {DET_FLOOR:g}"
+            f"{det[elem]:.3e} is not above {DET_FLOOR:g}"
         )
-    block.wdet[rng] = block.weights[rng] * det
+    np.multiply(block.weights, det, out=block.wdet)
 
 
-def _pullback_loads(material: MaterialModel, block: _Block, rng: slice, temps, prop):
+def _pullback_loads(material: MaterialModel, block: _Block, temps, prop):
     """Temperature stage: grad^T F^-1 (weight det F k) F^-T grad T per element.
 
     Intermediates live in the block's scratch rows and the result in its
     loads buffer; only the property lookup allocates per-element arrays.
     """
-    conn = block.conn_t[:, rng]
-    grads = block.grads_t[:, :, rng]
-    finv = block.finv[:, :, rng]
-    work = block.work[:, rng]
+    conn, grads, finv, work = block.conn_t, block.grads_t, block.finv, block.work
     npe = conn.shape[0]
     nodal, tmean, tmp = work[:npe], work[npe], work[-1]
     grad, spatial = work[npe + 1:npe + 4], work[npe + 4:npe + 7]
@@ -423,17 +321,17 @@ def _pullback_loads(material: MaterialModel, block: _Block, rng: slice, temps, p
         _dot(finv[:, i], grad, spatial[i], tmp)       # F^-T grad
     flux = grad
     if material.isotropic:
-        scale = np.multiply(block.wdet[rng], k, out=tmean)
+        scale = np.multiply(block.wdet, k, out=tmean)
         for i in range(3):
             np.multiply(spatial[i], scale, out=flux[i])
     else:
-        d = block.wdet[rng, None, None] * k
+        d = block.wdet[:, None, None] * k
         for i in range(3):
             _dot(d[:, i].T, spatial, flux[i], tmp)
     pulled = spatial
     for a in range(3):
         _dot(finv[a], flux, pulled[a], tmp)           # F^-1 flux
-    loads = block.loads[rng]
+    loads = block.loads
     for c in range(npe):
         _dot(grads[:, c], pulled, loads[:, c], tmp)
     return loads
@@ -473,35 +371,3 @@ def _dot(rows, vecs, out, tmp):
     np.multiply(rows[0], vecs[0], out=out)
     for r, v in zip(rows[1:], vecs[1:]):
         out += np.multiply(r, v, out=tmp)
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("FEDBHT_THREADS", "0").strip()
-        try:
-            threads = int(raw) if raw else 0
-        except ValueError:
-            threads = 0
-    return max(0, int(threads))
-
-
-def accumulate_global_loads(
-    variant: Variant,
-    mesh: Mesh,
-    precomp: ElementPrecomp,
-    temps,
-    material: MaterialModel,
-    deformation: DeformationState | None = None,
-    reference_temperature: float = 37.0,
-    threads: int | None = None,
-):
-    """One-shot global conduction loads; builds a throwaway operator.
-
-    Long-running callers should hold a :class:`ConductionOperator` instead
-    so the per-variant caches persist across steps.
-    """
-    op = ConductionOperator(
-        mesh, precomp, material, variant,
-        reference_temperature=reference_temperature, threads=threads,
-    )
-    return op.apply(temps, deformation=deformation)

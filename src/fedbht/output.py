@@ -107,6 +107,8 @@ def write_manifest(path, config_echo: dict, record: SimulationRecord, snapshot_n
         "n_elements": record.n_elements,
         "lambda_max": record.lambda_max,
         "dt_critical": record.dt_critical,
+        "stability_iterations": record.stability_iterations,
+        "stability_converged": record.stability_converged,
         "diverged": record.diverged,
         "divergence_step": record.divergence_step,
         "snapshots": list(snapshot_names),

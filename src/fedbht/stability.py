@@ -124,3 +124,32 @@ def estimate_critical_dt(
         lambda_max=lam, dt_critical=dt_critical,
         iterations=iterations, converged=converged,
     )
+
+
+def sample_critical_dt(operator: ConductionOperator, state, provider, times):
+    """Estimates of the critical step at each of ``times``.
+
+    state is the run's ThermalState: its lumped mass, exchange diagonal,
+    Dirichlet mask and temperatures (the operating field). The conduction
+    operator sees the provider's deformation at each time. When the
+    operator ignores deformation or the provider does not move, every time
+    gives the same estimate and only the first is sampled.
+
+    Returns (tightest, samples): the estimate with the smallest critical
+    step and the list of (time, estimate) pairs, in the order sampled.
+    """
+    deformed = operator.variant.uses_deformation
+    if not (deformed and provider.time_varying):
+        times = times[:1]
+    samples = []
+    for t in times:
+        deformation = provider.displacements_at(t, operator.mesh) if deformed else None
+        est = estimate_critical_dt(
+            operator, state.lumped_mass, state.perfusion_diag,
+            dirichlet_mask=state.dirichlet_mask,
+            deformation=deformation,
+            operating_temps=state.T,
+        )
+        samples.append((float(t), est))
+    tightest = min((est for _, est in samples), key=lambda est: est.dt_critical)
+    return tightest, samples

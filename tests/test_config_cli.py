@@ -1,9 +1,12 @@
+import functools
 import json
+import logging
 import os
 
 import numpy as np
 import pytest
 
+from fedbht import stability
 from fedbht.blockmesh import BlockSceneParams, write_desk_scenario
 from fedbht.cli import main as cli_main
 from fedbht.config import load_scenario
@@ -128,6 +131,7 @@ def test_cli_run_writes_outputs(scenario_path, tmp_path, capsys):
     assert manifest["n_steps"] == 50
     assert manifest["config"]["schedule"]["dt"] == 0.1
     assert manifest["dt_critical"] > 0.1
+    assert manifest["stability_converged"] is True
     coords, temps = read_snapshot_csv(out / "snapshot_5000.csv")
     assert coords.shape == (7 ** 3, 3)
     assert temps.max() > 37.0  # the heater left a mark
@@ -150,6 +154,27 @@ def test_cli_stability_report(scenario_path, capsys):
     assert "within the critical step" in stdout
     # deformed variant with a moving mesh is sampled at start and end
     assert stdout.count("iterations") == 2
+
+
+def test_unconverged_stability_estimate_is_flagged(scenario_path, tmp_path, monkeypatch,
+                                                 caplog, capsys):
+    # three power iterations cannot meet the tolerance; such an estimate
+    # errs on the unsafe side, so the log, the manifest and the stability
+    # report must all say it did not converge
+    monkeypatch.setattr(stability, "estimate_critical_dt",
+                        functools.partial(stability.estimate_critical_dt, max_iterations=3))
+    out = tmp_path / "o"
+    with caplog.at_level(logging.WARNING, logger="fedbht"):
+        assert cli_main(["run", scenario_path, "--out", str(out)]) == 0
+    assert "did not converge in 3 iterations" in caplog.text
+    with open(out / "manifest.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["stability_iterations"] == 3
+    assert manifest["stability_converged"] is False
+
+    capsys.readouterr()
+    assert cli_main(["stability", scenario_path]) == 0
+    assert capsys.readouterr().out.count("(3 iterations) NOT CONVERGED") == 2
 
 
 def test_cli_verify_forward_replay(scenario_path, tmp_path, capsys):

@@ -1,15 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fedbht.kernels
 from fedbht.blockmesh import make_block_mesh
-from fedbht.deformation import DeformationState, deformation_gradient
+from fedbht.deformation import DeformationState
 from fedbht.errors import SingularDeformationError
-from fedbht.kernels import (
-    ConductionOperator,
-    Variant,
-    element_loads_hex_deformed,
-    element_loads_tet_deformed,
-)
+from fedbht.kernels import ConductionOperator, Variant
 from fedbht.material import MaterialModel, PropertyTable, TensorPropertyTable
 from fedbht.mesh import Mesh, precompute
 from fedbht.oracle import OracleAssembler, brute_force_element_load
@@ -224,29 +223,6 @@ def test_resting_fallback_bitwise_equals_identity_deformation():
     assert np.array_equal(a, b)
 
 
-def test_threaded_loads_identical_to_serial():
-    mesh = random_tet_mesh(n_cells=5, seed=13, jitter=0.2)  # 750 tets
-    pre = precompute(mesh)
-    mat = make_material(k=0.5)
-    rng = np.random.default_rng(4)
-    temps = 37.0 + 2.0 * rng.random(mesh.n_nodes)
-    disp = 0.001 * rng.normal(size=(mesh.n_nodes, 3))
-    for variant in (Variant.DEFORMED_ANISO_TEMP_DEP, Variant.CLASSICAL_ISO_TEMP_INDEP):
-        serial = ConductionOperator(mesh, pre, mat, variant, threads=0)
-        threaded = ConductionOperator(mesh, pre, mat, variant, threads=4)
-        kw = {}
-        if variant.uses_deformation:
-            kw["deformation"] = DeformationState(disp)
-        assert np.array_equal(serial.apply(temps, **kw), threaded.apply(temps, **kw))
-
-
-def test_threads_from_environment(monkeypatch, unit_tet, simple_material):
-    mesh, pre = unit_tet
-    monkeypatch.setenv("FEDBHT_THREADS", "3")
-    op = ConductionOperator(mesh, pre, simple_material, Variant.CLASSICAL_ISO_TEMP_INDEP)
-    assert op.threads == 3
-
-
 def test_geometry_memo_matches_fresh_operator():
     # A -> B -> A (and back through rest): a memoised operator must give the
     # bits of one that has never seen another deformation
@@ -317,6 +293,8 @@ def test_anisotropic_pullback_matches_oracle_on_deformed_coordinates(element):
 
 
 def test_deformed_hex_batch_matches_single_element_kernel(tissue_material):
+    # each element against the oracle's one-point rule on the displaced
+    # coordinates, with k(T) at the element mean temperature
     mesh = make_block_mesh(3, 2, 2, element="hex8", jitter=0.15, seed=44)
     pre = precompute(mesh)
     rng = np.random.default_rng(44)
@@ -325,19 +303,18 @@ def test_deformed_hex_batch_matches_single_element_kernel(tissue_material):
     op = ConductionOperator(mesh, pre, tissue_material, Variant.DEFORMED_ANISO_TEMP_DEP)
     loads = op.apply(temps, deformation=DeformationState(disp))
 
+    deformed = mesh.nodes + disp
     expected = np.zeros(mesh.n_nodes)
-    for e, conn in enumerate(mesh.hexes):
-        grads = pre.hex_shape_derivs[e]
+    for conn in mesh.hexes:
         d = tissue_material.conductivity_matrix(float(temps[conn].mean()))
-        le = element_loads_hex_deformed(temps[conn], deformation_gradient(disp[conn], grads),
-                                        d, grads, pre.hex_jacobian_dets[e])
+        le = brute_force_element_load(deformed[conn], d, temps[conn], n_points=1)
         np.add.at(expected, conn, le)
     np.testing.assert_allclose(loads, expected, rtol=1e-12,
                                atol=1e-13 * np.abs(expected).max())
 
 
-def test_singular_deformation_names_global_element_of_later_chunk():
-    mesh = random_tet_mesh(n_cells=5, seed=13, jitter=0.2)  # 750 tets, two chunks
+def test_singular_deformation_names_global_element():
+    mesh = random_tet_mesh(n_cells=5, seed=13, jitter=0.2)  # 750 tets
     pre = precompute(mesh)
     last = mesh.tets[-1]
     node = last.max()
@@ -355,17 +332,15 @@ def test_singular_deformation_names_global_element_of_later_chunk():
     first_bad = int(np.argmax(ratio <= 1e-9))
     assert ratio[first_bad] <= 1e-9 and first_bad >= mesh.n_elements // 2
 
-    for threads in (0, 2):
-        op = ConductionOperator(mesh, pre, make_material(k=0.5),
-                                Variant.DEFORMED_ANISO_TEMP_DEP, threads=threads)
-        with pytest.raises(SingularDeformationError, match=f"tet4 element {first_bad}:"):
-            op.apply(np.zeros(mesh.n_nodes), deformation=DeformationState(disp))
+    op = ConductionOperator(mesh, pre, make_material(k=0.5), Variant.DEFORMED_ANISO_TEMP_DEP)
+    with pytest.raises(SingularDeformationError, match=f"tet4 element {first_bad}:"):
+        op.apply(np.zeros(mesh.n_nodes), deformation=DeformationState(disp))
 
 
 def test_nan_written_into_displacements_names_global_element():
     # DeformationState keeps the caller's array, so NaN can arrive after its
     # own finiteness check; the det floor must still catch it
-    mesh = random_tet_mesh(n_cells=5, seed=13, jitter=0.2)  # 750 tets, two chunks
+    mesh = random_tet_mesh(n_cells=5, seed=13, jitter=0.2)  # 750 tets
     pre = precompute(mesh)
     first_use = np.full(mesh.n_nodes, mesh.n_elements)
     np.minimum.at(first_use, mesh.tets.ravel(), np.repeat(np.arange(mesh.n_elements), 4))
@@ -374,24 +349,13 @@ def test_nan_written_into_displacements_names_global_element():
     assert first_bad >= mesh.n_elements // 2
 
     temps = 37.0 + np.arange(mesh.n_nodes) % 5
-    for threads in (0, 2):
-        op = ConductionOperator(mesh, pre, make_material(k=0.5),
-                                Variant.DEFORMED_ANISO_TEMP_DEP, threads=threads)
-        disp = np.zeros((mesh.n_nodes, 3))
-        state = DeformationState(disp)
-        assert np.all(np.isfinite(op.apply(temps, deformation=state)))
-        disp[node, 1] = np.nan
-        with pytest.raises(SingularDeformationError, match=f"tet4 element {first_bad}:"):
-            op.apply(temps, deformation=state)
-
-
-def test_single_element_kernel_rejects_nan_gradient(unit_tet):
-    _, pre = unit_tet
-    f = np.eye(3)
-    f[0, 1] = np.nan
-    with pytest.raises(SingularDeformationError):
-        element_loads_tet_deformed(np.zeros(4), f, np.eye(3),
-                                   pre.tet_shape_derivs[0], pre.tet_volumes[0])
+    op = ConductionOperator(mesh, pre, make_material(k=0.5), Variant.DEFORMED_ANISO_TEMP_DEP)
+    disp = np.zeros((mesh.n_nodes, 3))
+    state = DeformationState(disp)
+    assert np.all(np.isfinite(op.apply(temps, deformation=state)))
+    disp[node, 1] = np.nan
+    with pytest.raises(SingularDeformationError, match=f"tet4 element {first_bad}:"):
+        op.apply(temps, deformation=state)
 
 
 def test_singular_deformation_reports_element(unit_tet, simple_material):
@@ -400,21 +364,6 @@ def test_singular_deformation_reports_element(unit_tet, simple_material):
     disp = -mesh.nodes  # collapses everything to the origin
     with pytest.raises(SingularDeformationError, match="element 0"):
         op.apply(np.zeros(4), deformation=DeformationState(disp))
-
-
-def test_per_element_accessor_matches_batched(unit_tet, tissue_material):
-    mesh, pre = unit_tet
-    temps = np.array([37.0, 40.0, 39.0, 38.0])
-    for variant in (Variant.CLASSICAL_ANISO_TEMP_DEP, Variant.CLASSICAL_ISO_TEMP_DEP,
-                    Variant.CLASSICAL_ISO_TEMP_INDEP):
-        op = ConductionOperator(mesh, pre, tissue_material, variant)
-        np.testing.assert_allclose(
-            op.element_loads_classical(0, temps),
-            op.apply(temps), rtol=1e-13, atol=1e-15,
-        )
-    op = ConductionOperator(mesh, pre, tissue_material, Variant.DEFORMED_ANISO_TEMP_DEP)
-    with pytest.raises(ValueError):
-        op.element_loads_classical(0, temps)
 
 
 def test_hex_one_point_exact_for_linear_fields(unit_cube_hex, simple_material):
@@ -426,25 +375,16 @@ def test_hex_one_point_exact_for_linear_fields(unit_cube_hex, simple_material):
 
 
 def test_single_element_kernels_agree_with_operator(unit_tet, unit_cube_hex, simple_material):
-    mesh, pre = unit_tet
-    temps = np.array([1.0, 2.0, 0.5, 3.0])
+    # one stretched element through the operator against the oracle's
+    # one-point rule on the displaced coordinates
     f = np.diag([1.2, 0.9, 1.05])
-    direct = element_loads_tet_deformed(temps, f, np.eye(3),
-                                        pre.tet_shape_derivs[0], pre.tet_volumes[0])
-    disp = mesh.nodes @ (f - np.eye(3)).T
-    op = ConductionOperator(mesh, pre, simple_material, Variant.DEFORMED_ANISO_TEMP_DEP)
-    np.testing.assert_allclose(direct, op.apply(temps, deformation=DeformationState(disp)),
-                               rtol=1e-13)
-
-    hmesh, hpre = unit_cube_hex
-    htemps = hmesh.nodes[:, 2].copy()
-    hdirect = element_loads_hex_deformed(htemps, f, np.eye(3),
-                                         hpre.hex_shape_derivs[0],
-                                         hpre.hex_jacobian_dets[0])
-    hdisp = hmesh.nodes @ (f - np.eye(3)).T
-    hop = ConductionOperator(hmesh, hpre, simple_material, Variant.DEFORMED_ANISO_TEMP_DEP)
-    np.testing.assert_allclose(
-        hdirect, hop.apply(htemps, deformation=DeformationState(hdisp)), rtol=1e-13)
+    for (mesh, pre), temps in ((unit_tet, np.array([1.0, 2.0, 0.5, 3.0])),
+                               (unit_cube_hex, unit_cube_hex[0].nodes[:, 2].copy())):
+        disp = mesh.nodes @ (f - np.eye(3)).T
+        direct = brute_force_element_load(mesh.nodes + disp, np.eye(3), temps, n_points=1)
+        op = ConductionOperator(mesh, pre, simple_material, Variant.DEFORMED_ANISO_TEMP_DEP)
+        np.testing.assert_allclose(direct, op.apply(temps, deformation=DeformationState(disp)),
+                                   rtol=1e-13)
 
 
 def test_apply_validates_shapes(unit_tet, simple_material):
@@ -452,3 +392,17 @@ def test_apply_validates_shapes(unit_tet, simple_material):
     op = ConductionOperator(mesh, pre, simple_material, Variant.CLASSICAL_ISO_TEMP_INDEP)
     with pytest.raises(ValueError):
         op.apply(np.zeros(7))
+
+
+def test_kernels_import_no_thread_pool_or_os():
+    """The operator has one serial code path: kernels.py may not import
+    concurrent.futures, nor os to read a setting from the environment."""
+    tree = ast.parse(Path(fedbht.kernels.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module)
+    roots = {name.split(".")[0] for name in imported}
+    assert not roots & {"os", "concurrent"}, sorted(imported)
