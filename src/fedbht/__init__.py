@@ -15,7 +15,6 @@ from .deformation import (
     DeformationState,
     IdentityDeformation,
     TrajectoryDeformation,
-    deformation_gradient,
     load_trajectory,
 )
 from .errors import (
@@ -93,7 +92,6 @@ __all__ = [
     "Variant",
     "build_thermal_state",
     "compare_snapshots",
-    "deformation_gradient",
     "estimate_critical_dt",
     "load_mesh",
     "load_node_set",

@@ -6,7 +6,10 @@ and standard error can be reported per call. The variants take turns batch
 by batch, so a change of the machine's speed while the benchmark runs
 lands on all of them alike instead of flipping the ordering of two
 variants that cost the same. Every call's first load component is folded
-into a checksum to make sure the work is real.
+into a checksum to make sure the work is real. Each closure keeps the
+cache its formulation names in the paper's cost study (w B^T for ii, the
+Gram matrix for iv); the operator runs ii and iv through the pullback at
+rest instead, so these timings order the formulations, not the operator.
 
 The scaling benchmark runs short transient simulations over a ladder of
 block-mesh densities and fits thermal-phase seconds per step against

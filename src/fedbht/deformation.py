@@ -1,4 +1,4 @@
-"""Nodal displacement fields and per-element deformation gradients.
+"""Nodal displacement fields and the inverse of 3x3 deformation gradients.
 
 Displacement providers produce a full nodal displacement array for any
 query time; the solver never sees the mechanical model behind them. Three
@@ -29,8 +29,6 @@ from .mesh import Mesh
 # Deformation gradients with det F at or below this (or NaN) are treated
 # as inverted/collapsed elements rather than valid compressions.
 DET_FLOOR = 1e-9
-
-IDENTITY_3 = np.eye(3)
 
 
 @dataclass
@@ -70,7 +68,7 @@ class AffineDeformation:
         inverse_and_det(self.matrix)
 
     def displacements_at(self, time: float, mesh: Mesh) -> DeformationState:
-        disp = mesh.nodes @ (self.matrix - IDENTITY_3).T + self.offset
+        disp = mesh.nodes @ (self.matrix - np.eye(3)).T + self.offset
         return DeformationState(disp)
 
     @property
@@ -168,16 +166,6 @@ def load_trajectory(path, n_nodes: int) -> TrajectoryDeformation:
         return TrajectoryDeformation(times, np.array(frames, dtype=np.float64))
     except ValueError as err:
         raise MeshFormatError(str(err), 0) from None
-
-
-def deformation_gradient(element_displacements: np.ndarray, shape_derivs: np.ndarray) -> np.ndarray:
-    """F = I + sum_a u_a (outer) grad h_a for one element.
-
-    element_displacements: (k, 3) nodal displacements.
-    shape_derivs: (3, k) reference shape-function gradients (columns = nodes).
-    """
-    u = np.asarray(element_displacements, dtype=np.float64)
-    return IDENTITY_3 + (shape_derivs @ u).T
 
 
 def inverse_and_det(f: np.ndarray) -> tuple[np.ndarray, float]:

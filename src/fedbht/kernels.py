@@ -1,25 +1,21 @@
 """Element conduction loads, matrix-free, for five formulation variants.
 
 Every variant evaluates the action of the conduction operator on the nodal
-temperature vector without assembling a global matrix. They differ in what
-is frozen at build time:
+temperature vector without assembling a global matrix. The five variants
+are a study of cost; they run on two cache strategies:
 
-  deformed_aniso_temp_dep    pull the conduction integral back to the
-                             reference configuration through the per-element
-                             deformation gradient; anisotropic, temperature-
-                             dependent conductivity evaluated every call.
-                             Runs as one kernel in two stages (below).
-  classical_aniso_temp_dep   no deformation; cache volume * grad^T per
-                             element, evaluate the conductivity tensor at the
-                             element mean temperature every call.
-  classical_aniso_temp_indep no deformation, conductivity constant in
-                             temperature, so the full element stiffness is
-                             cached at build time.
-  classical_iso_temp_dep     no deformation, scalar conductivity; cache the
-                             geometric stiffness volume * grad^T grad and
-                             scale it by k(T) every call.
-  classical_iso_temp_indep   scalar constant conductivity; full element
-                             stiffness cached at build time.
+  frozen stiffness  iii (classical_aniso_temp_indep) and
+                    v (classical_iso_temp_indep): conductivity is constant,
+                    so the full element stiffness is cached at build time.
+  pullback          i (deformed_aniso_temp_dep), ii (classical_aniso_temp_dep)
+                    and iv (classical_iso_temp_dep): the conduction integral
+                    pulled back to the reference configuration through the
+                    per-element deformation gradient F, with k(T) evaluated
+                    at the element mean temperature every call (a scalar for
+                    isotropic tables, a tensor otherwise). At rest F = I and
+                    the pullback is the classical element; ii and iv keep
+                    that reference geometry for the whole run, i follows
+                    the deformation.
 
 Element loads are the positive-semidefinite form K_e @ T_e; the explicit
 update subtracts them, which makes pure conduction dissipative.
@@ -43,10 +39,12 @@ geometry is rebuilt, F itself. Every per-element row of a block starts on
 a cache line, so the kernel's speed does not depend on where the
 allocator puts its buffers.
 
-The operator memoises the geometry stage: it keeps a private copy of the
-last displacement field and rebuilds F^-1 and weight * det F only when the
-field changes by value. A missing deformation is a zero displacement field
-and runs through the same kernel.
+The geometry stage is memoised. The operator starts from the reference
+configuration (F^-1 = I, weight * det F = weight, zero displacements);
+ii and iv ignore the deformation and never leave it. Variant i keeps a
+private copy of the last displacement field and rebuilds F^-1 and
+weight * det F only when the field changes by value; a missing deformation
+is a zero displacement field.
 """
 
 from __future__ import annotations
@@ -93,14 +91,6 @@ class Variant(Enum):
         return self is Variant.DEFORMED_ANISO_TEMP_DEP
 
     @property
-    def temperature_dependent(self) -> bool:
-        return self in (
-            Variant.DEFORMED_ANISO_TEMP_DEP,
-            Variant.CLASSICAL_ANISO_TEMP_DEP,
-            Variant.CLASSICAL_ISO_TEMP_DEP,
-        )
-
-    @property
     def requires_isotropic(self) -> bool:
         return self in (Variant.CLASSICAL_ISO_TEMP_DEP, Variant.CLASSICAL_ISO_TEMP_INDEP)
 
@@ -127,10 +117,8 @@ class _Block:
     conn: np.ndarray          # (n, k) node indices
     grads: np.ndarray         # (n, 3, k) reference shape-function gradients
     weights: np.ndarray       # (n,) integration weights (V or 8 det J0)
-    vbt: np.ndarray | None = None       # (n, k, 3) weight * grad^T
-    geo: np.ndarray | None = None       # (n, k, k) weight * grad^T grad
     stiffness: np.ndarray | None = None  # (n, k, k) frozen full stiffness
-    # pullback only: component-major copies and the geometry memo
+    # pullback (i, ii, iv) only: component-major copies and the geometry memo
     conn_t: np.ndarray | None = None     # (k, n) node indices
     grads_t: np.ndarray | None = None    # (3, k, n) reference gradients
     finv: np.ndarray | None = None       # (3, 3, n) F^-1, [material, spatial]
@@ -143,9 +131,12 @@ class ConductionOperator:
     """Matrix-free conduction operator for one mesh/material/variant.
 
     Build once per run; :meth:`apply` evaluates the global load vector
-    K(T) @ T. For the deformed variant it memoises F^-1 and weight * det F
-    against a private copy of the last displacement field, so calls with an
-    unchanged deformation run only the temperature stage. The memo and the
+    K(T) @ T. Variants iii and v apply a frozen element stiffness; i, ii
+    and iv run the pullback from a geometry memo (F^-1 and weight * det F)
+    built at the reference configuration. Only variant i reads the
+    deformation: it rebuilds the memo against a private copy of the last
+    displacement field when that field changes, so calls with an unchanged
+    deformation run only the temperature stage. The memo and the
     pullback's scratch buffers belong to the operator: one operator serves
     one caller at a time.
     """
@@ -165,7 +156,6 @@ class ConductionOperator:
         self.variant = variant
         self.reference_temperature = float(reference_temperature)
         self.n_nodes = mesh.n_nodes
-        self._memo_disp: np.ndarray | None = None  # displacements behind the memo
 
         self._blocks: list[_Block] = []
         if mesh.tets.size:
@@ -182,30 +172,28 @@ class ConductionOperator:
                 )
             )
 
-        d0 = None
-        if variant.full_precompute or not variant.temperature_dependent:
+        if variant.full_precompute:
             d0 = material.conductivity_matrix(self.reference_temperature)
-        for block in self._blocks:
-            if variant is Variant.CLASSICAL_ANISO_TEMP_DEP:
-                block.vbt = block.weights[:, None, None] * np.transpose(block.grads, (0, 2, 1))
-            elif variant is Variant.CLASSICAL_ISO_TEMP_DEP:
-                block.geo = block.weights[:, None, None] * np.einsum(
-                    "eka,ekb->eab", block.grads, block.grads
-                )
-            elif variant.full_precompute:
+            for block in self._blocks:
                 block.stiffness = block.weights[:, None, None] * np.einsum(
                     "eka,kl,elb->eab", block.grads, d0, block.grads
                 )
-            elif variant.uses_deformation:
-                n, npe = block.conn.shape
-                block.conn_t = _aligned_rows((npe,), n, block.conn.dtype)
-                block.conn_t[...] = block.conn.T
-                block.grads_t = _aligned_rows((3, npe), n)
-                block.grads_t[...] = np.transpose(block.grads, (1, 2, 0))
-                block.finv = _aligned_rows((3, 3), n)
-                block.wdet = _aligned_rows((), n)
-                block.work = _aligned_rows((npe + 8,), n)
-                block.loads = _aligned_rows((), n * npe).reshape(n, npe)
+            return
+
+        # pullback: the geometry memo starts at the reference configuration
+        self._memo_disp: np.ndarray | None = np.zeros((self.n_nodes, 3))
+        for block in self._blocks:
+            n, npe = block.conn.shape
+            block.conn_t = _aligned_rows((npe,), n, block.conn.dtype)
+            block.conn_t[...] = block.conn.T
+            block.grads_t = _aligned_rows((3, npe), n)
+            block.grads_t[...] = np.transpose(block.grads, (1, 2, 0))
+            block.finv = _aligned_rows((3, 3), n)
+            block.finv[...] = np.eye(3)[:, :, None]
+            block.wdet = _aligned_rows((), n)
+            block.wdet[...] = block.weights
+            block.work = _aligned_rows((npe + 8,), n)
+            block.loads = _aligned_rows((), n * npe).reshape(n, npe)
 
     # -- public API ---------------------------------------------------------
 
@@ -221,6 +209,10 @@ class ConductionOperator:
         if temps.shape != (self.n_nodes,):
             raise ValueError(f"temperature vector must be ({self.n_nodes},)")
         prop = temps if property_temps is None else np.asarray(property_temps, dtype=np.float64)
+        if prop.shape != (self.n_nodes,):
+            raise ValueError(
+                f"property temperature vector must be ({self.n_nodes},), got {prop.shape}"
+            )
 
         rebuild = None  # displacements the pullback geometry must be rebuilt from
         if self.variant.uses_deformation:
@@ -252,28 +244,13 @@ class ConductionOperator:
         """(n, k) loads of one block. rebuild, the (n_nodes, 3)
         displacements, is given only when the pullback's geometry memo must
         be rebuilt."""
-        variant = self.variant
-        if variant.uses_deformation:
-            # a diverging field overflows here; integrator.step detects it
-            with np.errstate(over="ignore", invalid="ignore"):
-                if rebuild is not None:
-                    _pullback_geometry(block, rebuild.T)
-                return _pullback_loads(self.material, block, temps, prop)
-
-        temps_e = temps[block.conn]
-
-        if variant.full_precompute:
-            return np.einsum("eab,eb->ea", block.stiffness, temps_e)
-
-        k = self.material.conductivity.evaluate(prop[block.conn].mean(axis=1))
-
-        if variant is Variant.CLASSICAL_ISO_TEMP_DEP:
-            return k[:, None] * np.einsum("eab,eb->ea", block.geo, temps_e)
-
-        # classical_aniso_temp_dep
-        g = np.einsum("eka,ea->ek", block.grads, temps_e)
-        q = k[:, None] * g if self.material.isotropic else np.einsum("ekl,el->ek", k, g)
-        return np.einsum("eak,ek->ea", block.vbt, q)
+        if self.variant.full_precompute:
+            return np.einsum("eab,eb->ea", block.stiffness, temps[block.conn])
+        # a diverging field overflows here; integrator.step detects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if rebuild is not None:
+                _pullback_geometry(block, rebuild.T)
+            return _pullback_loads(self.material, block, temps, prop)
 
 
 def _pullback_geometry(block: _Block, disp_t):
@@ -325,9 +302,9 @@ def _pullback_loads(material: MaterialModel, block: _Block, temps, prop):
         for i in range(3):
             np.multiply(spatial[i], scale, out=flux[i])
     else:
-        d = block.wdet[:, None, None] * k
+        d = np.multiply(k.transpose(1, 2, 0), block.wdet, order="C")  # (3, 3, n)
         for i in range(3):
-            _dot(d[:, i].T, spatial, flux[i], tmp)
+            _dot(d[i], spatial, flux[i], tmp)
     pulled = spatial
     for a in range(3):
         _dot(finv[a], flux, pulled[a], tmp)           # F^-1 flux

@@ -5,7 +5,6 @@ from fedbht.deformation import (
     AffineDeformation,
     IdentityDeformation,
     TrajectoryDeformation,
-    deformation_gradient,
     inv_det_3x3,
     inverse_and_det,
     load_trajectory,
@@ -68,23 +67,6 @@ def test_trajectory_file_roundtrip(tmp_path):
     traj = load_trajectory(path, n)
     np.testing.assert_allclose(traj.times, times, rtol=0)
     np.testing.assert_allclose(traj.frames, frames, rtol=0)
-
-
-def test_deformation_gradient_uniaxial(unit_tet):
-    _, pre = unit_tet
-    grads = pre.tet_shape_derivs[0]
-    coords = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
-    u = np.zeros((4, 3))
-    u[:, 0] = 0.1 * coords[:, 0]  # x stretch by 1.1
-    f = deformation_gradient(u, grads)
-    np.testing.assert_allclose(f, np.diag([1.1, 1.0, 1.0]), atol=1e-14)
-
-
-def test_deformation_gradient_translation_is_identity(unit_tet):
-    _, pre = unit_tet
-    u = np.full((4, 3), 0.7)
-    f = deformation_gradient(u, pre.tet_shape_derivs[0])
-    np.testing.assert_allclose(f, np.eye(3), atol=1e-14)
 
 
 def test_inverse_and_det_guards():

@@ -298,5 +298,4 @@ def test_deformed_variant_at_rest_matches_classical(tissue_material):
             IdentityDeformation(), sched)
     moving = run(*args, Variant.DEFORMED_ANISO_TEMP_DEP)
     classical = run(*args, Variant.CLASSICAL_ANISO_TEMP_DEP)
-    np.testing.assert_allclose(moving.final_temps, classical.final_temps,
-                               rtol=1e-12)
+    assert np.array_equal(moving.final_temps, classical.final_temps)

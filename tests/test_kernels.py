@@ -12,8 +12,9 @@ from fedbht.kernels import ConductionOperator, Variant
 from fedbht.material import MaterialModel, PropertyTable, TensorPropertyTable
 from fedbht.mesh import Mesh, precompute
 from fedbht.oracle import OracleAssembler, brute_force_element_load
+from fedbht.stability import estimate_critical_dt
 
-from conftest import make_material, random_tet_mesh
+from conftest import anisotropic_material, make_material, mixed_block, random_tet_mesh
 
 ALL_VARIANTS = list(Variant)
 
@@ -72,19 +73,22 @@ def test_rotation_invariance_isotropic(simple_material):
         coords = rng.random((4, 3))
     temps = rng.random(4)
 
-    def loads_for(c):
+    def loads_for(c, variant=Variant.CLASSICAL_ISO_TEMP_INDEP, disp=None):
         mesh = Mesh(nodes=c, tets=np.array([[0, 1, 2, 3]], dtype=np.intp),
                     hexes=np.zeros((0, 8), dtype=np.intp))
-        op = ConductionOperator(mesh, precompute(mesh), simple_material,
-                                Variant.CLASSICAL_ISO_TEMP_INDEP)
-        return op.apply(temps)
+        op = ConductionOperator(mesh, precompute(mesh), simple_material, variant)
+        return op.apply(temps, deformation=None if disp is None else DeformationState(disp))
 
     theta = 0.83
     rot = np.array([[np.cos(theta), -np.sin(theta), 0.0],
                     [np.sin(theta), np.cos(theta), 0.0],
                     [0.0, 0.0, 1.0]])
-    np.testing.assert_allclose(loads_for(coords), loads_for(coords @ rot.T),
-                               rtol=1e-11, atol=1e-13)
+    shift = np.array([0.7, -0.3, 1.9])
+    reference = loads_for(coords)
+    for moved in (loads_for(coords @ rot.T), loads_for(coords + shift),
+                  # a rigid translation as a displacement field: F = I
+                  loads_for(coords, Variant.DEFORMED_ANISO_TEMP_DEP, np.tile(shift, (4, 1)))):
+        np.testing.assert_allclose(moved, reference, rtol=1e-11, atol=1e-13)
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0, 3.7])
@@ -209,18 +213,29 @@ def test_variants_iv_v_require_isotropic():
         ConductionOperator(mesh, pre, aniso, Variant.CLASSICAL_ISO_TEMP_DEP)
 
 
-def test_resting_fallback_bitwise_equals_identity_deformation():
-    # F built from zero displacements is exactly I, so both code paths
-    # must produce the same bits
-    mesh = random_tet_mesh(n_cells=2, seed=31, jitter=0.2)
-    pre = precompute(mesh)
-    op = ConductionOperator(mesh, pre, make_material(k=0.48),
-                            Variant.DEFORMED_ANISO_TEMP_DEP)
+def test_resting_fallback_bitwise_equals_identity_deformation(tissue_material):
+    # F built from zero displacements is exactly I, and ii and iv are the
+    # pullback at rest, so all of them must produce the same bits
     rng = np.random.default_rng(9)
-    temps = 37.0 + rng.random(mesh.n_nodes)
-    a = op.apply(temps)
-    b = op.apply(temps, deformation=DeformationState(np.zeros((mesh.n_nodes, 3))))
-    assert np.array_equal(a, b)
+    for mesh in (random_tet_mesh(n_cells=2, seed=31, jitter=0.2),
+                 make_block_mesh(3, 2, 2, element="hex8", jitter=0.15, seed=31),
+                 mixed_block()):
+        pre = precompute(mesh)
+        temps = 37.0 + 20.0 * rng.random(mesh.n_nodes)
+        rest = DeformationState(np.zeros((mesh.n_nodes, 3)))
+        moved = DeformationState(0.02 * rng.normal(size=(mesh.n_nodes, 3)))
+        for mat, classical in (
+            (tissue_material, (Variant.CLASSICAL_ANISO_TEMP_DEP, Variant.CLASSICAL_ISO_TEMP_DEP)),
+            (anisotropic_material(), (Variant.CLASSICAL_ANISO_TEMP_DEP,)),
+        ):
+            op = ConductionOperator(mesh, pre, mat, Variant.DEFORMED_ANISO_TEMP_DEP)
+            a = op.apply(temps)
+            assert np.array_equal(a, op.apply(temps, deformation=rest))
+            op.apply(temps, deformation=moved)
+            assert np.array_equal(a, op.apply(temps, deformation=rest))  # rebuilt at rest
+            for variant in classical:
+                other = ConductionOperator(mesh, pre, mat, variant)
+                assert np.array_equal(a, other.apply(temps, deformation=moved)), variant.roman
 
 
 def test_geometry_memo_matches_fresh_operator():
@@ -270,18 +285,7 @@ def test_geometry_memo_sees_in_place_changes():
 def test_anisotropic_pullback_matches_oracle_on_deformed_coordinates(element):
     mesh = make_block_mesh(2, 2, 2, element=element, jitter=0.15, seed=43)
     pre = precompute(mesh)
-    mat = MaterialModel(
-        density=PropertyTable.constant(1060.0),
-        specific_heat=PropertyTable.constant(3600.0),
-        conductivity=TensorPropertyTable({
-            "xx": [[37.0, 0.53], [65.0, 0.61]],
-            "yy": [[37.0, 0.47], [65.0, 0.52]],
-            "zz": [[37.0, 0.58], [65.0, 0.66]],
-            "xy": [[37.0, 0.02], [65.0, 0.05]],
-            "xz": [[37.0, 0.01]],
-            "yz": [[37.0, -0.015], [65.0, 0.01]],
-        }),
-    )
+    mat = anisotropic_material()
     rng = np.random.default_rng(43)
     temps = 37.0 + 20.0 * rng.random(mesh.n_nodes)
     disp = 0.03 * rng.normal(size=(mesh.n_nodes, 3))
@@ -392,6 +396,23 @@ def test_apply_validates_shapes(unit_tet, simple_material):
     op = ConductionOperator(mesh, pre, simple_material, Variant.CLASSICAL_ISO_TEMP_INDEP)
     with pytest.raises(ValueError):
         op.apply(np.zeros(7))
+
+
+@pytest.mark.parametrize("variant", [Variant.DEFORMED_ANISO_TEMP_DEP,
+                                     Variant.CLASSICAL_ANISO_TEMP_DEP,
+                                     Variant.CLASSICAL_ISO_TEMP_DEP], ids=lambda v: v.roman)
+def test_property_temps_shape_is_validated(tissue_material, variant):
+    # a property field of the wrong length must not be read through
+    # clipped indices
+    mesh = random_tet_mesh(n_cells=2, seed=6, jitter=0.2)
+    op = ConductionOperator(mesh, precompute(mesh), tissue_material, variant)
+    n = mesh.n_nodes
+    temps = np.full(n, 37.0)
+    for bad in (np.full(5, 40.0), np.full(n + 3, 40.0), np.full((n, 1), 40.0)):
+        with pytest.raises(ValueError, match="property temperature"):
+            op.apply(temps, property_temps=bad)
+    with pytest.raises(ValueError, match="property temperature"):
+        estimate_critical_dt(op, np.ones(n), np.zeros(n), operating_temps=np.full(3, 40.0))
 
 
 def test_kernels_import_no_thread_pool_or_os():

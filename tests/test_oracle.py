@@ -17,7 +17,7 @@ from fedbht.integrator import (
     run,
 )
 from fedbht.kernels import ConductionOperator, Variant
-from fedbht.material import MaterialModel, PerfusionParams, PropertyTable, TensorPropertyTable
+from fedbht.material import PerfusionParams
 from fedbht.mesh import Mesh, precompute
 from fedbht.oracle import (
     OracleAssembler,
@@ -30,7 +30,7 @@ from fedbht.oracle import (
     _reference_node_shares,
 )
 
-from conftest import make_material, random_tet_mesh
+from conftest import anisotropic_material, make_material, mixed_block, random_tet_mesh
 
 NO_BC = BoundaryConditions(dirichlet=(), fluxes=(), films=())
 
@@ -147,17 +147,21 @@ def test_assembled_stiffness_properties():
 
 
 def test_assembly_matches_matrix_free_classical():
-    # two independent shape-gradient derivations must produce the same operator
-    mesh = random_tet_mesh(n_cells=3, seed=16, jitter=0.2)
-    pre = precompute(mesh)
-    mat = make_material(k=0.61)
-    k = OracleAssembler(mesh, mat).stiffness()
+    # two independent shape-gradient derivations must produce the same
+    # operator; the mixed mesh takes ii's tensor path through hex8 too
     rng = np.random.default_rng(2)
-    temps = 37.0 + rng.random(mesh.n_nodes)
-    for variant in (Variant.CLASSICAL_ISO_TEMP_INDEP, Variant.CLASSICAL_ANISO_TEMP_DEP):
-        op = ConductionOperator(mesh, pre, mat, variant)
-        np.testing.assert_allclose(op.apply(temps), k @ temps,
-                                   rtol=1e-11, atol=1e-13)
+    for mesh, mat, spread, variants in (
+        (random_tet_mesh(n_cells=3, seed=16, jitter=0.2), make_material(k=0.61), 1.0,
+         (Variant.CLASSICAL_ISO_TEMP_INDEP, Variant.CLASSICAL_ANISO_TEMP_DEP)),
+        (mixed_block(), anisotropic_material(), 20.0, (Variant.CLASSICAL_ANISO_TEMP_DEP,)),
+    ):
+        pre = precompute(mesh)
+        temps = 37.0 + spread * rng.random(mesh.n_nodes)
+        k = OracleAssembler(mesh, mat).stiffness(temps=temps)
+        for variant in variants:
+            op = ConductionOperator(mesh, pre, mat, variant)
+            np.testing.assert_allclose(op.apply(temps), k @ temps,
+                                       rtol=1e-11, atol=1e-13)
 
 
 def test_assembly_on_displaced_coordinates_matches_pullback():
@@ -173,28 +177,9 @@ def test_assembly_on_displaced_coordinates_matches_pullback():
     np.testing.assert_allclose(loads, k @ temps, rtol=1e-11, atol=1e-13)
 
 
-def mixed_block():
-    """Disjoint jittered tet4 and hex8 blocks in one mesh."""
-    tets = make_block_mesh(2, 2, 2, jitter=0.15, seed=51)
-    hexes = make_block_mesh(2, 2, 2, element="hex8", jitter=0.15, seed=52)
-    return Mesh(nodes=np.vstack([tets.nodes, hexes.nodes + [1.5, 0.0, 0.0]]),
-                tets=tets.tets, hexes=hexes.hexes + tets.n_nodes)
-
-
 def test_deformed_mixed_anisotropic_stiffness_matches_quadrature():
     mesh = mixed_block()
-    mat = MaterialModel(
-        density=PropertyTable.constant(1060.0),
-        specific_heat=PropertyTable.constant(3600.0),
-        conductivity=TensorPropertyTable({
-            "xx": [[37.0, 0.53], [65.0, 0.61]],
-            "yy": [[37.0, 0.47], [65.0, 0.52]],
-            "zz": [[37.0, 0.58], [65.0, 0.66]],
-            "xy": [[37.0, 0.02], [65.0, 0.05]],
-            "xz": [[37.0, 0.01]],
-            "yz": [[37.0, -0.015], [65.0, 0.01]],
-        }),
-    )
+    mat = anisotropic_material()
     rng = np.random.default_rng(53)
     temps = 37.0 + 20.0 * rng.random(mesh.n_nodes)
     coords = mesh.nodes + 0.03 * rng.normal(size=(mesh.n_nodes, 3))
