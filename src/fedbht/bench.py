@@ -28,7 +28,7 @@ import numpy as np
 from . import stability
 from .blockmesh import BlockSceneParams, make_block_mesh, ramp_trajectory
 from .deformation import inverse_and_det
-from .integrator import BoundaryConditions, Schedule, run
+from .integrator import BoundaryConditions, Schedule, lumped_thermal_mass, run
 from .kernels import ConductionOperator, Variant
 from .material import (
     MaterialModel,
@@ -96,9 +96,9 @@ def _bench_fixture(seed: int):
     ) * scale
     mesh = Mesh(nodes=coords, tets=np.array([[0, 1, 2, 3]], dtype=np.intp),
                 hexes=np.zeros((0, 8), dtype=np.intp))
-    pre = precompute(mesh)
-    grads = pre.tet_shape_derivs[0]
-    volume = float(pre.tet_volumes[0])
+    (tets,) = precompute(mesh).families
+    grads = tets.grads[0]
+    volume = float(tets.weights[0])
 
     rng = np.random.default_rng(seed)
     disp = rng.uniform(-0.1, 0.1, size=(4, 3)) * scale
@@ -272,7 +272,7 @@ def bench_simulation(
         operator = ConductionOperator(mesh, pre, material, variant)
         estimate = stability.estimate_critical_dt(
             operator,
-            lumped_mass=_uniform_mass(mesh, pre, material),
+            lumped_mass=lumped_thermal_mass(mesh, pre, material, np.full(mesh.n_nodes, 37.0)),
             perfusion_diag=np.zeros(mesh.n_nodes),
         )
         dt = 0.4 * estimate.dt_critical
@@ -309,12 +309,6 @@ def bench_simulation(
         intercept=float(intercept),
         r_squared=r_squared,
     )
-
-
-def _uniform_mass(mesh, pre, material):
-    from .integrator import lumped_thermal_mass
-
-    return lumped_thermal_mass(mesh, pre, material, np.full(mesh.n_nodes, 37.0))
 
 
 def scaling_report(scaling: SimulationScaling) -> str:

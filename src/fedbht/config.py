@@ -96,6 +96,13 @@ def _as_float(value, path: str) -> float:
     return out
 
 
+def _as_bool(value, path: str) -> bool:
+    # bool("false") is True: accept JSON true/false only
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"expected true or false, got {value!r}")
+    return value
+
+
 def _scalar_table(entry, path: str) -> PropertyTable:
     if isinstance(entry, (int, float)):
         return PropertyTable.constant(float(entry))
@@ -174,7 +181,7 @@ def _load_condition(entry, nodes, path: str, dirichlet, fluxes, films):
             watts_per_node=_as_float(
                 _require(entry, "watts_per_node", path), f"{path}.watts_per_node"
             ),
-            schedulable=bool(entry.get("schedulable", True)),
+            schedulable=_as_bool(entry.get("schedulable", True), f"{path}.schedulable"),
         ))
     elif kind == "film":
         films.append(FilmBC(
@@ -271,7 +278,9 @@ def _load_schedule(doc: dict) -> Schedule:
                 for i, t in enumerate(entry.get("snapshot_times", []))
             ),
             events=tuple(events),
-            initial_source_on=bool(entry.get("initial_source_on", True)),
+            initial_source_on=_as_bool(
+                entry.get("initial_source_on", True), "schedule.initial_source_on"
+            ),
         )
     except ValueError as exc:
         raise ConfigError("schedule", str(exc)) from None
@@ -328,8 +337,8 @@ def load_scenario(path: str) -> ScenarioConfig:
         probes.append(p)
 
     utm = doc.get("update_thermal_mass", None)
-    if utm is not None and not isinstance(utm, bool):
-        raise ConfigError("update_thermal_mass", "expected true, false or null")
+    if utm is not None:
+        utm = _as_bool(utm, "update_thermal_mass")
 
     initial = _as_float(doc.get("initial_temperature", 37.0), "initial_temperature")
     output_dir = doc.get("output_dir", "out")
@@ -348,7 +357,7 @@ def load_scenario(path: str) -> ScenarioConfig:
         initial_temperature=initial,
         probes=tuple(probes),
         update_thermal_mass=utm,
-        dt_override=bool(doc.get("dt_override", False)),
+        dt_override=_as_bool(doc.get("dt_override", False), "dt_override"),
         output_dir=output_dir,
         raw=doc,
     )

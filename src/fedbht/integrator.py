@@ -139,15 +139,8 @@ class SimulationRecord:
 
 
 def node_volumes(mesh: Mesh, precomp: ElementPrecomp) -> np.ndarray:
-    """Equal-split nodal volumes; tet V/4 per node, hex 8 det(J0)/8."""
-    vol = np.zeros(mesh.n_nodes)
-    if mesh.tets.size:
-        share = np.repeat(precomp.tet_volumes / 4.0, 4)
-        vol += np.bincount(mesh.tets.ravel(), weights=share, minlength=mesh.n_nodes)
-    if mesh.hexes.size:
-        share = np.repeat(precomp.hex_jacobian_dets, 8)  # 8 det / 8 nodes
-        vol += np.bincount(mesh.hexes.ravel(), weights=share, minlength=mesh.n_nodes)
-    return vol
+    """Equal-split nodal volumes: tet V/4 per node, hex 8 det(J0)/8."""
+    return _equal_split(mesh, precomp, lambda family: family.weights)
 
 
 def lumped_thermal_mass(
@@ -156,18 +149,24 @@ def lumped_thermal_mass(
     """Row-sum lumped rho(T) c(T) V, element properties at the element mean
     temperature."""
     temps = np.asarray(temps, dtype=np.float64)
-    mass = np.zeros(mesh.n_nodes)
-    for conn, weights, share in (
-        (mesh.tets, precomp.tet_volumes, 4),
-        (mesh.hexes, 8.0 * precomp.hex_jacobian_dets, 8),
-    ):
-        if not conn.size:
-            continue
-        tmean = temps[conn].mean(axis=1)
+
+    def element_mass(family):
+        tmean = temps[family.conn].mean(axis=1)
         rho_c = material.density.evaluate(tmean) * material.specific_heat.evaluate(tmean)
-        elem_mass = rho_c * weights / share
-        mass += np.bincount(conn.ravel(), weights=np.repeat(elem_mass, share), minlength=mesh.n_nodes)
-    return mass
+        return rho_c * family.weights
+
+    return _equal_split(mesh, precomp, element_mass)
+
+
+def _equal_split(mesh: Mesh, precomp: ElementPrecomp, per_element) -> np.ndarray:
+    """Nodal sums of per_element(family), an (n,) value per element, each
+    element's value shared equally among its nodes."""
+    out = np.zeros(mesh.n_nodes)
+    for family in precomp.families:
+        npe = family.conn.shape[1]
+        share = np.repeat(per_element(family) / npe, npe)
+        out += np.bincount(family.conn.ravel(), weights=share, minlength=mesh.n_nodes)
+    return out
 
 
 def build_thermal_state(

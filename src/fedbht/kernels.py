@@ -111,7 +111,8 @@ _TO_ROMAN = {v: k for k, v in _ROMAN.items()}
 
 @dataclass
 class _Block:
-    """One element family (tet4 or hex8) with its cached factors."""
+    """One ElementFamily (tet4 or hex8), its four fields first, with its
+    cached factors."""
 
     kind: str
     conn: np.ndarray          # (n, k) node indices
@@ -157,20 +158,7 @@ class ConductionOperator:
         self.reference_temperature = float(reference_temperature)
         self.n_nodes = mesh.n_nodes
 
-        self._blocks: list[_Block] = []
-        if mesh.tets.size:
-            self._blocks.append(
-                _Block("tet4", mesh.tets, precomp.tet_shape_derivs, precomp.tet_volumes.copy())
-            )
-        if mesh.hexes.size:
-            self._blocks.append(
-                _Block(
-                    "hex8",
-                    mesh.hexes,
-                    precomp.hex_shape_derivs,
-                    8.0 * precomp.hex_jacobian_dets,
-                )
-            )
+        self._blocks = [_Block(*family) for family in precomp.families]
 
         if variant.full_precompute:
             d0 = material.conductivity_matrix(self.reference_temperature)

@@ -16,14 +16,21 @@ seen from +z), nodes 4-7 the top face directly above them.
 
 Node-set files carry one zero-based node index per line.
 
-All geometry is validated on construction: connectivity indices must be in
-range and every element must have positive measure (signed tet volume,
-centre-point Jacobian determinant for hexes).
+A Mesh checks on construction that coordinates are finite and indices in
+range. :func:`precompute` checks that every element has positive measure
+(signed tet volume, centre-point Jacobian determinant for hexes);
+:func:`load_mesh` and ``blockmesh.make_block_mesh`` call it, other meshes
+are checked when first precomputed.
+
+What differs between element families (nodes per element, derivatives at
+the integration point, weight, degenerate check, file keyword, VTK cell
+type) lives in one table, ``ELEMENT_TYPES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +70,34 @@ HEX_SIGNS = np.array(
 HEX_DN_CENTER = HEX_SIGNS / 8.0
 
 
+class ElementType(NamedTuple):
+    """One element family, independent of any mesh. At the integration
+    point the element map Jacobian is coords.T @ dn, the degenerate check
+    tests det J / det_divisor (tet volume, hex det J0) and the weight is
+    weight_factor times that (V for tet4, 8 det J0 for one-point hex8)."""
+
+    kind: str            # family name; upper-cased it is the mesh-file keyword
+    attr: str            # Mesh attribute holding the (n, k) connectivity
+    dn: np.ndarray       # (k, 3) natural shape derivatives, rows = nodes
+    det_divisor: float
+    weight_factor: float
+    measure: str         # name of the checked measure in error messages
+    vtk_cell: int        # legacy VTK cell type
+
+    @property
+    def width(self) -> int:
+        return self.dn.shape[0]
+
+
+# Every supported family, in the order of ElementPrecomp.families, mesh
+# files and VTK cells.
+ELEMENT_TYPES = (
+    ElementType("tet4", "tets", TET_DN, 6.0, 1.0, "volume", 10),
+    ElementType("hex8", "hexes", HEX_DN_CENTER, 1.0, 8.0,
+                "centre Jacobian determinant", 12),
+)
+
+
 @dataclass
 class Mesh:
     """Immutable tet4/hex8 mesh in the reference configuration."""
@@ -73,25 +108,21 @@ class Mesh:
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=np.float64))
-        self.tets = np.ascontiguousarray(np.asarray(self.tets, dtype=np.intp).reshape(-1, 4))
-        self.hexes = np.ascontiguousarray(np.asarray(self.hexes, dtype=np.intp).reshape(-1, 8))
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
             raise TopologyError(f"node array must be (n, 3), got {self.nodes.shape}")
         if not np.all(np.isfinite(self.nodes)):
             raise GeometryError("non-finite node coordinates")
-        self._check_indices(self.tets, "tet4")
-        self._check_indices(self.hexes, "hex8")
-
-    def _check_indices(self, conn: np.ndarray, kind: str):
-        if conn.size == 0:
-            return
-        bad = (conn < 0) | (conn >= self.n_nodes)
-        if np.any(bad):
-            elem = int(np.argwhere(bad.any(axis=1))[0, 0])
-            raise TopologyError(
-                f"{kind} element {elem} references node {int(conn[elem][bad[elem]][0])} "
-                f"outside [0, {self.n_nodes})"
-            )
+        for etype in ELEMENT_TYPES:
+            conn = np.asarray(getattr(self, etype.attr), dtype=np.intp)
+            conn = np.ascontiguousarray(conn.reshape(-1, etype.width))
+            setattr(self, etype.attr, conn)
+            bad = (conn < 0) | (conn >= self.n_nodes)
+            if np.any(bad):
+                elem = int(np.argwhere(bad.any(axis=1))[0, 0])
+                raise TopologyError(
+                    f"{etype.kind} element {elem} references node "
+                    f"{int(conn[elem][bad[elem]][0])} outside [0, {self.n_nodes})"
+                )
 
     @property
     def n_nodes(self) -> int:
@@ -101,77 +132,61 @@ class Mesh:
     def n_elements(self) -> int:
         return self.tets.shape[0] + self.hexes.shape[0]
 
+    def element_blocks(self) -> list:
+        """(ElementType, (n, k) connectivity) per non-empty family, table order."""
+        return [(t, getattr(self, t.attr)) for t in ELEMENT_TYPES if getattr(self, t.attr).size]
+
+
+class ElementFamily(NamedTuple):
+    """Reference-configuration factors of one element family of a mesh.
+
+    kind: the ElementType's kind, "tet4" or "hex8".
+    conn: (n, k) node indices, the mesh's own array.
+    grads: (n, 3, k) shape-function gradients w.r.t. reference coordinates
+        at the integration point; column a belongs to node a.
+    weights: (n,) integration weights in m^3 (tet4 V, hex8 8 det J0), used
+        alike by the conduction operator and the equal-split lumping.
+    """
+
+    kind: str
+    conn: np.ndarray
+    grads: np.ndarray
+    weights: np.ndarray
+
 
 @dataclass
 class ElementPrecomp:
-    """Reference-configuration factors shared by every formulation.
+    """Reference-configuration factors shared by every formulation:
+    one ElementFamily per non-empty family, tet4 first."""
 
-    tet_shape_derivs: (n_tet, 3, 4), column a holds the gradient of shape
-        function a w.r.t. reference coordinates.
-    tet_volumes: (n_tet,) reference volumes in m^3.
-    hex_shape_derivs: (n_hex, 3, 8), centre-point gradients.
-    hex_jacobian_dets: (n_hex,) centre-point Jacobian determinants; the
-        one-point element volume is 8 * det.
-    """
-
-    tet_shape_derivs: np.ndarray
-    tet_volumes: np.ndarray
-    hex_shape_derivs: np.ndarray
-    hex_jacobian_dets: np.ndarray
+    families: tuple
 
     @property
     def total_volume(self) -> float:
-        return float(self.tet_volumes.sum() + 8.0 * self.hex_jacobian_dets.sum())
+        return float(sum(family.weights.sum() for family in self.families))
 
 
 def precompute(mesh: Mesh) -> ElementPrecomp:
-    """Compute reference shape-function derivatives and element measures.
+    """Compute reference shape-function gradients and integration weights.
 
-    Raises GeometryError (with the element index) for any element whose
-    volume or Jacobian determinant is non-positive or degenerate.
+    Raises GeometryError (naming the family, element index and value) for
+    any element whose measure is non-positive or degenerate.
     """
-    n_tet = mesh.tets.shape[0]
-    n_hex = mesh.hexes.shape[0]
-
-    tet_grads = np.zeros((n_tet, 3, 4))
-    tet_vols = np.zeros(n_tet)
-    if n_tet:
-        coords = mesh.nodes[mesh.tets]  # (n_tet, 4, 3)
-        jac = np.einsum("eaj,ak->ejk", coords, TET_DN)  # (n_tet, 3, 3)
-        dets = np.linalg.det(jac)
-        vols = dets / 6.0
-        bad = vols <= DEGENERATE_MEASURE
+    families = []
+    for etype, conn in mesh.element_blocks():
+        jac = np.einsum("eaj,ak->ejk", mesh.nodes[conn], etype.dn)  # (n, 3, 3)
+        measure = np.linalg.det(jac) / etype.det_divisor
+        bad = measure <= DEGENERATE_MEASURE
         if np.any(bad):
             elem = int(np.argmax(bad))
             raise GeometryError(
-                f"tet4 element {elem} has non-positive or degenerate volume "
-                f"{vols[elem]:.3e} m^3 (node order must give det > 0)"
+                f"{etype.kind} element {elem} has non-positive or degenerate "
+                f"{etype.measure} {measure[elem]:.3e} m^3 (node order must give det > 0)"
             )
-        tet_grads = _solve_grads(jac, TET_DN)
-        tet_vols = vols
-
-    hex_grads = np.zeros((n_hex, 3, 8))
-    hex_dets = np.zeros(n_hex)
-    if n_hex:
-        coords = mesh.nodes[mesh.hexes]  # (n_hex, 8, 3)
-        jac = np.einsum("eaj,ak->ejk", coords, HEX_DN_CENTER)
-        dets = np.linalg.det(jac)
-        bad = dets <= DEGENERATE_MEASURE
-        if np.any(bad):
-            elem = int(np.argmax(bad))
-            raise GeometryError(
-                f"hex8 element {elem} has non-positive or degenerate centre "
-                f"Jacobian determinant {dets[elem]:.3e} m^3"
-            )
-        hex_grads = _solve_grads(jac, HEX_DN_CENTER)
-        hex_dets = dets
-
-    return ElementPrecomp(
-        tet_shape_derivs=tet_grads,
-        tet_volumes=tet_vols,
-        hex_shape_derivs=hex_grads,
-        hex_jacobian_dets=hex_dets,
-    )
+        families.append(ElementFamily(
+            etype.kind, conn, _solve_grads(jac, etype.dn), etype.weight_factor * measure
+        ))
+    return ElementPrecomp(families=tuple(families))
 
 
 def _solve_grads(jac: np.ndarray, dn: np.ndarray) -> np.ndarray:
@@ -184,9 +199,10 @@ def _solve_grads(jac: np.ndarray, dn: np.ndarray) -> np.ndarray:
 
 def load_mesh(path) -> Mesh:
     """Parse a mesh file. See the module docstring for the format."""
-    nodes = None
-    tets = None
-    hexes = None
+    # section keyword -> (values per entry, value type, Mesh attribute)
+    layout = {"NODES": (3, float, "nodes")}
+    layout.update({t.kind.upper(): (t.width, int, t.attr) for t in ELEMENT_TYPES})
+    sections = {}
 
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -204,7 +220,7 @@ def load_mesh(path) -> Mesh:
             continue
         parts = text.split()
         keyword = parts[0].upper()
-        if keyword not in ("NODES", "TET4", "HEX8"):
+        if keyword not in layout:
             raise MeshFormatError(f"unknown section keyword {parts[0]!r}", lineno)
         if len(parts) != 2:
             raise MeshFormatError(f"{keyword} header needs exactly one count", lineno)
@@ -215,8 +231,7 @@ def load_mesh(path) -> Mesh:
         if count < 0:
             raise MeshFormatError(f"negative {keyword} count", lineno)
 
-        width = {"NODES": 3, "TET4": 4, "HEX8": 8}[keyword]
-        conv = float if keyword == "NODES" else int
+        width, conv, attr = layout[keyword]
         rows = []
         while len(rows) < count:
             if idx >= n_lines:
@@ -243,27 +258,14 @@ def load_mesh(path) -> Mesh:
                     f"invalid {keyword} entry {text!r}", lineno
                 ) from None
 
-        if keyword == "NODES":
-            if nodes is not None:
-                raise MeshFormatError("duplicate NODES section", lineno)
-            nodes = np.array(rows, dtype=np.float64).reshape(count, 3)
-        elif keyword == "TET4":
-            if tets is not None:
-                raise MeshFormatError("duplicate TET4 section", lineno)
-            tets = np.array(rows, dtype=np.intp).reshape(count, 4)
-        else:
-            if hexes is not None:
-                raise MeshFormatError("duplicate HEX8 section", lineno)
-            hexes = np.array(rows, dtype=np.intp).reshape(count, 8)
+        if attr in sections:
+            raise MeshFormatError(f"duplicate {keyword} section", lineno)
+        sections[attr] = np.array(rows, dtype=conv).reshape(count, width)
 
-    if nodes is None:
+    if "nodes" not in sections:
         raise MeshFormatError("missing NODES section", n_lines)
 
-    mesh = Mesh(
-        nodes=nodes,
-        tets=tets if tets is not None else np.zeros((0, 4), dtype=np.intp),
-        hexes=hexes if hexes is not None else np.zeros((0, 8), dtype=np.intp),
-    )
+    mesh = Mesh(**sections)
     # fail fast on inverted geometry so downstream never sees it
     precompute(mesh)
     return mesh
@@ -274,13 +276,9 @@ def write_mesh(path, mesh: Mesh):
         fh.write(f"NODES {mesh.n_nodes}\n")
         for x, y, z in mesh.nodes:
             fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
-        if mesh.tets.size:
-            fh.write(f"TET4 {mesh.tets.shape[0]}\n")
-            for row in mesh.tets:
-                fh.write(" ".join(str(int(i)) for i in row) + "\n")
-        if mesh.hexes.size:
-            fh.write(f"HEX8 {mesh.hexes.shape[0]}\n")
-            for row in mesh.hexes:
+        for etype, conn in mesh.element_blocks():
+            fh.write(f"{etype.kind.upper()} {conn.shape[0]}\n")
+            for row in conn:
                 fh.write(" ".join(str(int(i)) for i in row) + "\n")
 
 

@@ -227,6 +227,10 @@ class OracleAssembler:
         self._slot = np.empty_like(order)
         self._slot[order] = np.cumsum(first) - 1
         self._indices = (unique_key % self.n).astype(np.int32)
+        # one entry buffer for every call: a fresh one per call can leave
+        # enough free heap on top for malloc to return it to the system
+        # and page it in again on the next call
+        self._entries = np.empty(self._slot.size)
         counts = np.bincount(unique_key // self.n, minlength=self.n)
         self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
 
@@ -242,7 +246,7 @@ class OracleAssembler:
         temps = np.asarray(temps, dtype=np.float64)
         coords_t = np.asarray(coords, dtype=np.float64).T
 
-        entries = np.empty(self._slot.size)
+        entries = self._entries
         n_tet = 16 * self._tet_t.shape[1]
         if n_tet:
             self._tet_element_matrices(coords_t, temps, entries[:n_tet].reshape(16, -1))

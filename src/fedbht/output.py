@@ -16,10 +16,6 @@ import numpy as np
 from .integrator import SimulationRecord
 from .mesh import Mesh
 
-VTK_TET = 10
-VTK_HEX = 12
-
-
 def snapshot_basename(time_s: float) -> str:
     return f"snapshot_{int(round(time_s * 1000.0))}"
 
@@ -42,8 +38,9 @@ def read_snapshot_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_snapshot_vtk(path, mesh: Mesh, temps: np.ndarray, title: str = "temperature field"):
     """Legacy ASCII VTK unstructured grid with one point scalar field."""
-    n_cells = mesh.tets.shape[0] + mesh.hexes.shape[0]
-    size = mesh.tets.shape[0] * 5 + mesh.hexes.shape[0] * 9
+    blocks = mesh.element_blocks()
+    n_cells = mesh.n_elements
+    size = sum(conn.shape[0] * (etype.width + 1) for etype, conn in blocks)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"{title}\n")
@@ -53,15 +50,14 @@ def write_snapshot_vtk(path, mesh: Mesh, temps: np.ndarray, title: str = "temper
         for x, y, z in mesh.nodes:
             fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
         fh.write(f"CELLS {n_cells} {size}\n")
-        for row in mesh.tets:
-            fh.write("4 " + " ".join(str(int(i)) for i in row) + "\n")
-        for row in mesh.hexes:
-            fh.write("8 " + " ".join(str(int(i)) for i in row) + "\n")
+        for etype, conn in blocks:
+            prefix = f"{etype.width} "
+            for row in conn:
+                fh.write(prefix + " ".join(str(int(i)) for i in row) + "\n")
         fh.write(f"CELL_TYPES {n_cells}\n")
-        for _ in range(mesh.tets.shape[0]):
-            fh.write(f"{VTK_TET}\n")
-        for _ in range(mesh.hexes.shape[0]):
-            fh.write(f"{VTK_HEX}\n")
+        for etype, conn in blocks:
+            for _ in range(conn.shape[0]):
+                fh.write(f"{etype.vtk_cell}\n")
         fh.write(f"POINT_DATA {mesh.n_nodes}\n")
         fh.write("SCALARS temperature double 1\n")
         fh.write("LOOKUP_TABLE default\n")

@@ -100,6 +100,26 @@ def test_non_increasing_table_rejected(scenario_path, tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dt_override", "false"),
+    ("update_thermal_mass", "true"),
+    ("schedule.initial_source_on", 0),
+    ("boundary.heat_source.schedulable", "no"),
+])
+def test_booleans_must_be_json_booleans(scenario_path, tmp_path, field, value):
+    # bool("false") is True: "dt_override": "false" would switch the
+    # stability guard off
+    def mutate(doc):
+        *parents, key = field.split(".")
+        for name in parents:
+            doc = doc[name]
+        doc[key] = value
+    path = rewrite(scenario_path, tmp_path, mutate)
+    with pytest.raises(ConfigError, match="expected true or false") as err:
+        load_scenario(path)
+    assert err.value.field == field
+
+
 def test_broken_mesh_reference(scenario_path, tmp_path):
     path = rewrite(scenario_path, tmp_path,
                    lambda d: d.update(mesh_path="no_such.mesh"))

@@ -20,7 +20,7 @@ from fedbht.kernels import Variant
 from fedbht.material import MaterialModel, PerfusionParams, PropertyTable
 from fedbht.mesh import precompute
 
-from conftest import make_material, random_tet_mesh
+from conftest import make_material, mixed_block, random_tet_mesh
 
 NO_BC = BoundaryConditions(dirichlet=(), fluxes=(), films=())
 
@@ -74,6 +74,20 @@ def test_node_volumes_tile_mesh():
     vols = node_volumes(mesh, pre)
     assert vols.sum() == pytest.approx(pre.total_volume, rel=1e-12)
     assert np.all(vols > 0)
+
+
+def test_lumped_mass_splits_like_node_volumes():
+    # rho c = 2^22 scales without rounding, so the two equal splits must
+    # agree bit for bit; tissue values differ from it by rounding only
+    mesh = mixed_block()
+    pre = precompute(mesh)
+    temps = np.full(mesh.n_nodes, 37.0)
+    vols = node_volumes(mesh, pre)
+    assert vols.sum() == pytest.approx(pre.total_volume, rel=1e-12)
+    mass = lumped_thermal_mass(mesh, pre, make_material(rho=1024.0, c=4096.0), temps)
+    np.testing.assert_array_equal(mass, 1024.0 * 4096.0 * vols)
+    mass = lumped_thermal_mass(mesh, pre, make_material(), temps)
+    np.testing.assert_allclose(mass, 1060.0 * 3600.0 * vols, rtol=1e-15, atol=0)
 
 
 def test_build_state_perfusion_terms():

@@ -3,6 +3,7 @@ import pytest
 
 from fedbht.errors import GeometryError, MeshFormatError, TopologyError
 from fedbht.mesh import (
+    DEGENERATE_MEASURE,
     Mesh,
     load_mesh,
     load_node_set,
@@ -11,28 +12,30 @@ from fedbht.mesh import (
     write_node_set,
 )
 
-from conftest import random_tet_mesh
+from conftest import mixed_block, random_tet_mesh
 
 
 def test_unit_tet_volume_and_gradients(unit_tet):
     mesh, pre = unit_tet
-    assert pre.tet_volumes[0] == pytest.approx(1.0 / 6.0, rel=1e-15)
+    (tets,) = pre.families
+    assert tets.weights[0] == pytest.approx(1.0 / 6.0, rel=1e-15)
     expected = np.array([[-1.0, 1.0, 0.0, 0.0],
                          [-1.0, 0.0, 1.0, 0.0],
                          [-1.0, 0.0, 0.0, 1.0]])
-    np.testing.assert_allclose(pre.tet_shape_derivs[0], expected, atol=1e-14)
+    np.testing.assert_allclose(tets.grads[0], expected, atol=1e-14)
 
 
 def test_unit_cube_hex_jacobian(unit_cube_hex):
     _, pre = unit_cube_hex
-    assert pre.hex_jacobian_dets[0] == pytest.approx(0.125, rel=1e-14)
+    (hexes,) = pre.families
+    assert hexes.weights[0] == pytest.approx(8.0 * 0.125, rel=1e-14)
     assert pre.total_volume == pytest.approx(1.0, rel=1e-14)
 
 
 def test_shape_gradients_kill_constants(unit_tet):
     # gradients of the partition of unity sum to zero
     _, pre = unit_tet
-    np.testing.assert_allclose(pre.tet_shape_derivs[0].sum(axis=1), 0.0, atol=1e-14)
+    np.testing.assert_allclose(pre.families[0].grads[0].sum(axis=1), 0.0, atol=1e-14)
 
 
 def test_gradients_reproduce_linear_field():
@@ -40,7 +43,7 @@ def test_gradients_reproduce_linear_field():
     pre = precompute(mesh)
     coeff = np.array([0.3, -1.2, 2.5])
     field = mesh.nodes @ coeff
-    grads = np.einsum("eka,ea->ek", pre.tet_shape_derivs, field[mesh.tets])
+    grads = np.einsum("eka,ea->ek", pre.families[0].grads, field[mesh.tets])
     np.testing.assert_allclose(grads, np.broadcast_to(coeff, grads.shape),
                                rtol=1e-11, atol=1e-12)
 
@@ -48,7 +51,7 @@ def test_gradients_reproduce_linear_field():
 def test_block_mesh_tiles_the_box():
     mesh = random_tet_mesh(n_cells=3, seed=1, jitter=0.2, lengths=(0.2, 0.3, 0.1))
     pre = precompute(mesh)
-    assert np.all(pre.tet_volumes > 0)
+    assert np.all(pre.families[0].weights > 0)
     assert pre.total_volume == pytest.approx(0.2 * 0.3 * 0.1, rel=1e-12)
 
 
@@ -77,6 +80,48 @@ def test_degenerate_tet_reports_element_index():
                 hexes=np.zeros((0, 8), dtype=np.intp))
     with pytest.raises(GeometryError, match="element 0"):
         precompute(mesh)
+
+
+def test_degenerate_hex_reports_family_element_and_value(unit_cube_hex):
+    cube = unit_cube_hex[0].nodes
+    flat = cube * [1.0, 1.0, 0.0] + [2.0, 0.0, 0.0]  # zero height
+    mesh = Mesh(nodes=np.vstack([cube, flat]),
+                hexes=np.arange(16, dtype=np.intp).reshape(2, 8))
+    with pytest.raises(GeometryError,
+                       match=r"hex8 element 1 .*centre Jacobian determinant 0\.000e\+00"):
+        precompute(mesh)
+
+
+def test_degenerate_thresholds_per_family(unit_tet, unit_cube_hex):
+    # the floor applies to the tet volume det/6 and to the hex centre
+    # determinant det J0, not to the hex weight 8 det J0
+    def tet(det):
+        return Mesh(nodes=unit_tet[0].nodes * np.cbrt(det), tets=unit_tet[0].tets)
+
+    def hexa(det):
+        return Mesh(nodes=unit_cube_hex[0].nodes * np.cbrt(8.0 * det),
+                    hexes=unit_cube_hex[0].hexes)
+
+    assert DEGENERATE_MEASURE == 1e-18
+    precompute(hexa(3e-18))
+    precompute(tet(9e-18))
+    with pytest.raises(GeometryError, match="tet4 element 0 has .* volume 5"):
+        precompute(tet(3e-18))
+    with pytest.raises(GeometryError, match="hex8 element 0 has .* determinant 5"):
+        precompute(hexa(5e-19))
+
+
+def test_families_in_table_order(unit_cube_hex):
+    mixed = mixed_block()
+    pre = precompute(mixed)
+    assert tuple(f.kind for f in pre.families) == ("tet4", "hex8")
+    assert pre.families[0].conn is mixed.tets and pre.families[1].conn is mixed.hexes
+    for family in pre.families:
+        n, k = family.conn.shape
+        assert family.grads.shape == (n, 3, k) and family.weights.shape == (n,)
+    hex_only = precompute(unit_cube_hex[0])
+    assert tuple(f.kind for f in hex_only.families) == ("hex8",)
+    assert precompute(Mesh(nodes=np.zeros((1, 3)))).families == ()
 
 
 def test_inverted_tet_rejected():
