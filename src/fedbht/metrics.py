@@ -56,19 +56,26 @@ class SnapshotComparison:
     total_relative: float
 
 
+def _worst(values: list) -> float:
+    """Largest value, NaN if any is NaN (Python's max() drops a NaN that is
+    not first); 0.0 for no values."""
+    return float(np.max(values)) if values else 0.0
+
+
 @dataclass
 class MetricsReport:
     comparisons: list[SnapshotComparison] = field(default_factory=list)
 
     @property
     def worst_normalized(self) -> float:
-        return max((c.max_normalized for c in self.comparisons), default=0.0)
+        return _worst([c.max_normalized for c in self.comparisons])
 
     @property
     def worst_total(self) -> float:
-        return max((c.total_relative for c in self.comparisons), default=0.0)
+        return _worst([c.total_relative for c in self.comparisons])
 
     def within(self, node_tol: float, total_tol: float) -> bool:
+        # a NaN worst value compares False, so it is never within
         return self.worst_normalized <= node_tol and self.worst_total <= total_tol
 
 

@@ -1,14 +1,16 @@
 """Snapshot, probe and manifest writers.
 
 Snapshots are written twice per capture time: a CSV with columns
-node_index,x,y,z,T (reference-configuration coordinates, full float
-precision so reruns can be compared byte for byte) and a legacy ASCII VTK
-unstructured grid named snapshot_<time_ms>.vtk for visualization.
+node_index,x,y,z,T (reference-configuration coordinates) and a legacy ASCII
+VTK unstructured grid named snapshot_<time_ms>.vtk for visualization. Every
+float is written as "%.17g", which reads back to the same bits, so reruns
+can be compared byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 
 import numpy as np
@@ -16,77 +18,91 @@ import numpy as np
 from .integrator import SimulationRecord
 from .mesh import Mesh
 
+# Rows per %-block: bounds the Python numbers alive at once when points,
+# cells and probe rows are formatted.
+GEOMETRY_CHUNK = 1024
+PROBE_CHUNK = 64
+
+
 def snapshot_basename(time_s: float) -> str:
     return f"snapshot_{int(round(time_s * 1000.0))}"
 
 
-def write_snapshot_csv(path, mesh: Mesh, temps: np.ndarray):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node_index,x,y,z,T\n")
-        for i, ((x, y, z), t) in enumerate(zip(mesh.nodes, temps)):
-            fh.write(f"{i},{x:.17g},{y:.17g},{z:.17g},{t:.17g}\n")
-
-
 def read_snapshot_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (coords (n,3), temps (n,)) ordered by node index."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    data = np.atleast_2d(data)
+    """Returns (coords (n,3), temps (n,)) ordered by node index.
+
+    Raises ValueError on a field that is not a number.
+    """
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     order = np.argsort(data[:, 0])
     data = data[order]
     return data[:, 1:4], data[:, 4]
 
 
-def write_snapshot_vtk(path, mesh: Mesh, temps: np.ndarray, title: str = "temperature field"):
-    """Legacy ASCII VTK unstructured grid with one point scalar field."""
+def _format_rows(row_fmt: str, rows: np.ndarray, chunk: int):
+    """Yield the text of ``row_fmt % row`` for every row of a 2-D array,
+    formatted as one %-block per ``chunk`` rows so that no more than
+    ``chunk`` rows of Python numbers exist at once."""
+    for start in range(0, rows.shape[0], chunk):
+        block = rows[start:start + chunk]
+        yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def _vtk_geometry(mesh: Mesh) -> str:
+    """Legacy ASCII VTK text from the header through LOOKUP_TABLE default:
+    everything but the temperature values."""
     blocks = mesh.element_blocks()
     n_cells = mesh.n_elements
     size = sum(conn.shape[0] * (etype.width + 1) for etype, conn in blocks)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{title}\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_nodes} double\n")
-        for x, y, z in mesh.nodes:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
-        fh.write(f"CELLS {n_cells} {size}\n")
-        for etype, conn in blocks:
-            prefix = f"{etype.width} "
-            for row in conn:
-                fh.write(prefix + " ".join(str(int(i)) for i in row) + "\n")
-        fh.write(f"CELL_TYPES {n_cells}\n")
-        for etype, conn in blocks:
-            for _ in range(conn.shape[0]):
-                fh.write(f"{etype.vtk_cell}\n")
-        fh.write(f"POINT_DATA {mesh.n_nodes}\n")
-        fh.write("SCALARS temperature double 1\n")
-        fh.write("LOOKUP_TABLE default\n")
-        for t in temps:
-            fh.write(f"{t:.17g}\n")
+    parts = [
+        "# vtk DataFile Version 3.0\ntemperature field\nASCII\n"
+        f"DATASET UNSTRUCTURED_GRID\nPOINTS {mesh.n_nodes} double\n",
+        *_format_rows("%.17g %.17g %.17g\n", mesh.nodes, GEOMETRY_CHUNK),
+        f"CELLS {n_cells} {size}\n",
+    ]
+    for etype, conn in blocks:
+        row_fmt = f"{etype.width}" + " %d" * etype.width + "\n"
+        parts.extend(_format_rows(row_fmt, conn, GEOMETRY_CHUNK))
+    parts.append(f"CELL_TYPES {n_cells}\n")
+    parts.extend(f"{etype.vtk_cell}\n" * conn.shape[0] for etype, conn in blocks)
+    parts.append(f"POINT_DATA {mesh.n_nodes}\n"
+                 "SCALARS temperature double 1\nLOOKUP_TABLE default\n")
+    return "".join(parts)
 
 
-def write_probes_csv(path, record: SimulationRecord):
-    if not record.probe_indices:
-        return
-    header = "time," + ",".join(f"node_{i}" for i in record.probe_indices)
+def _write_text(path, head: str, body):
+    """Write ``head``, then every string of the iterable ``body``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for t, row in zip(record.probe_times, record.probe_values):
-            fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(head)
+        fh.writelines(body)
 
 
 def write_record_outputs(out_dir, mesh: Mesh, record: SimulationRecord):
-    """Write every snapshot (CSV + VTK) and the probe history."""
+    """Write every snapshot (CSV + VTK) and the probe history.
+
+    The geometry text (CSV row prefixes, VTK points and cells) is formatted
+    once per call; each snapshot formats its temperature column once and
+    writes it into both files.
+    """
     os.makedirs(out_dir, exist_ok=True)
     written = []
+    if record.snapshots:
+        prefixes = [f"{i},{x:.17g},{y:.17g},{z:.17g},"
+                    for i, (x, y, z) in enumerate(mesh.nodes.tolist())]
+        vtk_head = _vtk_geometry(mesh)
     for t, temps in zip(record.snapshot_times, record.snapshots):
         base = snapshot_basename(t)
-        csv_path = os.path.join(out_dir, base + ".csv")
-        write_snapshot_csv(csv_path, mesh, temps)
-        write_snapshot_vtk(os.path.join(out_dir, base + ".vtk"), mesh, temps)
+        column = ("%.17g\n" * len(temps)) % tuple(temps.tolist())
+        _write_text(os.path.join(out_dir, base + ".csv"), "node_index,x,y,z,T\n",
+                    map(operator.add, prefixes, column.splitlines(True)))
+        _write_text(os.path.join(out_dir, base + ".vtk"), vtk_head, [column])
         written.append(base)
     if record.probe_indices:
-        write_probes_csv(os.path.join(out_dir, "probes.csv"), record)
+        header = "time," + ",".join(f"node_{i}" for i in record.probe_indices) + "\n"
+        rows = np.column_stack([record.probe_times, record.probe_values])
+        row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        _write_text(os.path.join(out_dir, "probes.csv"), header,
+                    _format_rows(row_fmt, rows, PROBE_CHUNK))
     return written
 
 
@@ -94,7 +110,8 @@ def write_manifest(path, config_echo: dict, record: SimulationRecord, snapshot_n
     """Run manifest: echoed configuration plus run facts.
 
     Re-running the echoed configuration must reproduce the snapshot CSVs
-    byte for byte (timings are informational and naturally vary).
+    and VTKs and the probes byte for byte (timings are informational and
+    naturally vary).
     """
     manifest = {
         "config": config_echo,

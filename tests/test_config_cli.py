@@ -152,6 +152,8 @@ def test_cli_run_writes_outputs(scenario_path, tmp_path, capsys):
     assert manifest["config"]["schedule"]["dt"] == 0.1
     assert manifest["dt_critical"] > 0.1
     assert manifest["stability_converged"] is True
+    assert set(manifest["timings_seconds"]) >= {"thermal", "output"}
+    assert manifest["timings_seconds"]["output"] > 0.0
     coords, temps = read_snapshot_csv(out / "snapshot_5000.csv")
     assert coords.shape == (7 ** 3, 3)
     assert temps.max() > 37.0  # the heater left a mark
@@ -162,8 +164,9 @@ def test_cli_rerun_is_byte_identical(scenario_path, tmp_path):
     out2 = tmp_path / "b"
     assert cli_main(["run", scenario_path, "--out", str(out1)]) == 0
     assert cli_main(["run", scenario_path, "--out", str(out2)]) == 0
-    for name in ("snapshot_2500.csv", "snapshot_5000.csv", "probes.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for name in ("snapshot_2500.csv", "snapshot_5000.csv",
+                 "snapshot_2500.vtk", "snapshot_5000.vtk", "probes.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_cli_stability_report(scenario_path, capsys):
@@ -257,6 +260,23 @@ def test_cli_metrics_compare(scenario_path, tmp_path, capsys):
     bumped.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n")
     assert cli_main(["metrics", str(bumped), snap,
                      "--node-tol", "1e-6"]) == 4
+
+
+@pytest.mark.parametrize("field, code", [("abc", 2), ("nan", 4)])
+def test_cli_metrics_fails_a_corrupt_snapshot(scenario_path, tmp_path, capsys, field, code):
+    # a field that is not a number is an input error; a NaN field makes the
+    # errors NaN, which must fail the tolerance check rather than pass it
+    out = tmp_path / "m"
+    cli_main(["run", scenario_path, "--out", str(out)])
+    snap = str(out / "snapshot_5000.csv")
+    lines = open(snap).read().splitlines()
+    fields = lines[5].split(",")
+    fields[4] = field
+    corrupt = tmp_path / "corrupt.csv"
+    corrupt.write_text("\n".join(lines[:5] + [",".join(fields)] + lines[6:]) + "\n")
+    capsys.readouterr()
+    assert cli_main(["metrics", str(corrupt), snap,
+                     "--node-tol", "1e-6", "--total-tol", "1e-6"]) == code
 
 
 def test_cli_make_mesh_rejects_too_coarse_grid(tmp_path, capsys):

@@ -62,6 +62,16 @@ def test_identical_fields_give_zero():
     assert report.within(0.0, 0.0)
 
 
+def test_nan_error_is_worst_and_never_within():
+    # Python's max() keeps the first of (0.1, nan) and drops the NaN
+    ref = [np.array([37.0, 40.0]), np.array([37.0, 42.0])]
+    cand = [np.array([37.0, 40.3]), np.array([37.0, np.nan])]
+    report = compare_snapshots([1.0, 2.0], cand, ref)
+    assert np.isnan(report.worst_normalized)
+    assert np.isnan(report.worst_total)
+    assert not report.within(1.0, 1.0)
+
+
 def test_histogram_counts_cover_all_nodes(tmp_path):
     rng = np.random.default_rng(5)
     ref = [37.0 + rng.random(100), 37.0 + rng.random(100)]
