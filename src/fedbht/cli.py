@@ -29,13 +29,12 @@ import time
 
 import numpy as np
 
-from . import __version__, bench, metrics, oracle, output, stability
+from . import __version__, bench, metrics, output, stability
 from .blockmesh import BlockSceneParams, write_desk_scenario
 from .config import ScenarioConfig, load_scenario
 from .errors import DivergenceError, FedbhtError, StabilityError
 from .integrator import build_thermal_state, run
 from .kernels import ConductionOperator, Variant
-from .mesh import precompute
 
 log = logging.getLogger("fedbht")
 
@@ -54,9 +53,8 @@ def _resolve_out_dir(cfg: ScenarioConfig, scenario_path: str, override) -> str:
 
 
 def _run_production(cfg: ScenarioConfig, dt_override: bool):
-    pre = precompute(cfg.mesh)
     return run(
-        cfg.mesh, pre, cfg.material, cfg.perfusion, cfg.boundary,
+        cfg.mesh, cfg.precomp, cfg.material, cfg.perfusion, cfg.boundary,
         cfg.deformation, cfg.schedule, cfg.variant,
         initial_temperature=cfg.initial_temperature,
         probes=cfg.probes,
@@ -95,6 +93,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the oracle loads scipy; only verify needs it
+    from . import oracle
+
     cfg = load_scenario(args.scenario)
     record = _run_production(cfg, dt_override=False)
     reference = oracle.reference_transient(
@@ -131,13 +132,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stability(args) -> int:
     cfg = load_scenario(args.scenario)
-    pre = precompute(cfg.mesh)
     state = build_thermal_state(
-        cfg.mesh, pre, cfg.material, cfg.perfusion, cfg.boundary,
+        cfg.mesh, cfg.precomp, cfg.material, cfg.perfusion, cfg.boundary,
         cfg.initial_temperature,
     )
     operator = ConductionOperator(
-        cfg.mesh, pre, cfg.material, cfg.variant,
+        cfg.mesh, cfg.precomp, cfg.material, cfg.variant,
         reference_temperature=cfg.initial_temperature,
     )
     tightest, samples = stability.sample_critical_dt(

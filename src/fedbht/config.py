@@ -59,12 +59,17 @@ from .material import (
     PropertyTable,
     TensorPropertyTable,
 )
-from .mesh import Mesh, load_mesh, load_node_set
+from .mesh import ElementPrecomp, Mesh, load_node_set, parse_mesh, precompute
 
 
 @dataclass
 class ScenarioConfig:
+    """A validated scenario. precomp is the mesh's reference precompute,
+    made once while loading (it is also the check that rejects inverted
+    elements) and shared by everything that runs the scenario."""
+
     mesh: Mesh
+    precomp: ElementPrecomp
     node_sets: dict
     material: MaterialModel
     perfusion: PerfusionParams
@@ -302,7 +307,8 @@ def load_scenario(path: str) -> ScenarioConfig:
     base_dir = os.path.dirname(os.path.abspath(path))
     mesh_rel = _require(doc, "mesh_path", "")
     try:
-        mesh = load_mesh(os.path.join(base_dir, mesh_rel))
+        mesh = parse_mesh(os.path.join(base_dir, mesh_rel))
+        precomp = precompute(mesh)
     except (OSError, FedbhtError) as exc:
         raise ConfigError("mesh_path", str(exc)) from None
 
@@ -347,6 +353,7 @@ def load_scenario(path: str) -> ScenarioConfig:
 
     return ScenarioConfig(
         mesh=mesh,
+        precomp=precomp,
         node_sets=node_sets,
         material=material,
         perfusion=perfusion,

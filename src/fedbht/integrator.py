@@ -136,6 +136,8 @@ class SimulationRecord:
     stability_iterations: int | None = None  # None when run made no estimate
     stability_converged: bool | None = None
     n_elements: int = 0
+    variant: Variant | None = None
+    update_thermal_mass: bool | None = None  # as resolved by run
 
 
 def node_volumes(mesh: Mesh, precomp: ElementPrecomp) -> np.ndarray:
@@ -303,9 +305,13 @@ def run(
     if provider is None:
         provider = IdentityDeformation()
 
+    timings = {"stability": 0.0, "deformation": 0.0, "thermal": 0.0,
+               "mass_update": 0.0, "bookkeeping": 0.0}
     stability_iterations = stability_converged = None
     if not dt_override and dt_critical is None:
+        t0 = _time.perf_counter()
         est, _ = sample_critical_dt(operator, state, provider, (0.0,))
+        timings["stability"] = _time.perf_counter() - t0
         dt_critical = est.dt_critical
         lambda_max = est.lambda_max
         stability_iterations = est.iterations
@@ -344,8 +350,9 @@ def run(
         stability_iterations=stability_iterations,
         stability_converged=stability_converged,
         n_elements=mesh.n_elements,
+        variant=variant,
+        update_thermal_mass=update_thermal_mass,
     )
-    timings = {"deformation": 0.0, "thermal": 0.0, "mass_update": 0.0, "bookkeeping": 0.0}
 
     base_external = state.external_heat
     source_on = schedule.initial_source_on

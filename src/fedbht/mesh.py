@@ -20,7 +20,9 @@ A Mesh checks on construction that coordinates are finite and indices in
 range. :func:`precompute` checks that every element has positive measure
 (signed tet volume, centre-point Jacobian determinant for hexes);
 :func:`load_mesh` and ``blockmesh.make_block_mesh`` call it, other meshes
-are checked when first precomputed.
+are checked when first precomputed. :func:`parse_mesh` reads a file
+without that check, for callers that precompute the mesh next and keep
+the result (``config.load_scenario``).
 
 What differs between element families (nodes per element, derivatives at
 the integration point, weight, degenerate check, file keyword, VTK cell
@@ -198,7 +200,17 @@ def _solve_grads(jac: np.ndarray, dn: np.ndarray) -> np.ndarray:
 
 
 def load_mesh(path) -> Mesh:
-    """Parse a mesh file. See the module docstring for the format."""
+    """Parse a mesh file and reject inverted or degenerate elements with
+    GeometryError. See the module docstring for the format."""
+    mesh = parse_mesh(path)
+    # fail fast on inverted geometry so downstream never sees it
+    precompute(mesh)
+    return mesh
+
+
+def parse_mesh(path) -> Mesh:
+    """Parse a mesh file; element measures are not checked until the mesh
+    is precomputed."""
     # section keyword -> (values per entry, value type, Mesh attribute)
     layout = {"NODES": (3, float, "nodes")}
     layout.update({t.kind.upper(): (t.width, int, t.attr) for t in ELEMENT_TYPES})
@@ -265,10 +277,7 @@ def load_mesh(path) -> Mesh:
     if "nodes" not in sections:
         raise MeshFormatError("missing NODES section", n_lines)
 
-    mesh = Mesh(**sections)
-    # fail fast on inverted geometry so downstream never sees it
-    precompute(mesh)
-    return mesh
+    return Mesh(**sections)
 
 
 def write_mesh(path, mesh: Mesh):

@@ -405,9 +405,8 @@ def reference_transient(
     if scheme not in ("forward", "backward"):
         raise ValueError(f"scheme must be forward or backward, got {scheme!r}")
 
-    precomp = precompute(mesh)
     state = build_thermal_state(
-        mesh, precomp, material, perfusion, bc, initial_temperature
+        mesh, precompute(mesh), material, perfusion, bc, initial_temperature
     )
     assembler = OracleAssembler(mesh, material)
     if update_thermal_mass is None:

@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 import operator
 import os
+import sys
 
 import numpy as np
 
+from . import __version__
 from .integrator import SimulationRecord
 from .mesh import Mesh
 
@@ -111,8 +113,11 @@ def write_manifest(path, config_echo: dict, record: SimulationRecord, snapshot_n
 
     Re-running the echoed configuration must reproduce the snapshot CSVs
     and VTKs and the probes byte for byte (timings are informational and
-    naturally vary).
+    naturally vary). provenance names what produced the run: the package,
+    python and numpy versions, the resolved variant and its cache
+    strategy, and whether the thermal mass was updated every step.
     """
+    variant = record.variant
     manifest = {
         "config": config_echo,
         "dt": record.dt,
@@ -125,6 +130,15 @@ def write_manifest(path, config_echo: dict, record: SimulationRecord, snapshot_n
         "diverged": record.diverged,
         "divergence_step": record.divergence_step,
         "snapshots": list(snapshot_names),
+        "provenance": {
+            "fedbht_version": __version__,
+            "python_version": "%d.%d.%d" % sys.version_info[:3],
+            "numpy_version": np.__version__,
+            "variant": variant.roman,
+            "variant_name": variant.value,
+            "cache_strategy": "frozen_stiffness" if variant.full_precompute else "pullback",
+            "update_thermal_mass": record.update_thermal_mass,
+        },
         "timings_seconds": record.timings,
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -2,10 +2,14 @@ import functools
 import json
 import logging
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fedbht
+from fedbht import mesh as mesh_module
 from fedbht import stability
 from fedbht.blockmesh import BlockSceneParams, write_desk_scenario
 from fedbht.cli import main as cli_main
@@ -52,6 +56,9 @@ def test_scenario_roundtrip(scenario_path):
     assert cfg.schedule.events == ((2.5, "source_off"),)
     assert cfg.mesh.n_nodes == 7 ** 3
     assert cfg.mesh.tets.shape[0] == 6 * 6 ** 3
+    (tets,) = cfg.precomp.families
+    assert tets.conn is cfg.mesh.tets
+    assert cfg.precomp.total_volume == pytest.approx(0.06 ** 3)
     assert cfg.material.isotropic
     assert cfg.material.conductivity.evaluate(37.0) == pytest.approx(0.53)
     assert cfg.perfusion.w_b == 0.0
@@ -127,6 +134,17 @@ def test_broken_mesh_reference(scenario_path, tmp_path):
         load_scenario(path)
 
 
+def test_inverted_mesh_is_a_mesh_path_error(scenario_path, tmp_path):
+    mesh_file = tmp_path / "inverted.mesh"
+    mesh_file.write_text("NODES 4\n0 0 0\n1 0 0\n0 1 0\n0 0 -1\nTET4 1\n0 1 2 3\n")
+    path = rewrite(scenario_path, tmp_path, lambda d: d.update(
+        mesh_path=str(mesh_file), node_sets={}, boundary={}, probes=[],
+        deformation={"kind": "identity"}))
+    with pytest.raises(ConfigError, match="tet4 element 0") as err:
+        load_scenario(path)
+    assert err.value.field == "mesh_path"
+
+
 def test_garbage_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not valid json")
@@ -152,11 +170,76 @@ def test_cli_run_writes_outputs(scenario_path, tmp_path, capsys):
     assert manifest["config"]["schedule"]["dt"] == 0.1
     assert manifest["dt_critical"] > 0.1
     assert manifest["stability_converged"] is True
-    assert set(manifest["timings_seconds"]) >= {"thermal", "output"}
+    assert set(manifest["timings_seconds"]) >= {"thermal", "output", "stability"}
     assert manifest["timings_seconds"]["output"] > 0.0
+    assert manifest["timings_seconds"]["stability"] > 0.0
+    assert manifest["provenance"] == {
+        "fedbht_version": fedbht.__version__,
+        "python_version": "%d.%d.%d" % sys.version_info[:3],
+        "numpy_version": np.__version__,
+        "variant": "i",
+        "variant_name": "deformed_aniso_temp_dep",
+        "cache_strategy": "pullback",
+        "update_thermal_mass": True,
+    }
     coords, temps = read_snapshot_csv(out / "snapshot_5000.csv")
     assert coords.shape == (7 ** 3, 3)
     assert temps.max() > 37.0  # the heater left a mark
+
+
+def _cli_argv(command, scenario_path, tmp_path):
+    return {"run": ["run", scenario_path, "--out", str(tmp_path / "o")],
+            "stability": ["stability", scenario_path],
+            "verify": ["verify", scenario_path, "--scheme", "forward"]}[command]
+
+
+@pytest.mark.parametrize("command, expected", [("run", 1), ("stability", 1), ("verify", 2)])
+def test_cli_precomputes_the_mesh_once(scenario_path, tmp_path, command, expected,
+                                       monkeypatch):
+    # load_scenario's precompute is the one the run uses; only the oracle,
+    # which stays independent of the production path, makes its own
+    original = mesh_module.precompute
+    calls = []
+
+    def counting(mesh):
+        calls.append(mesh.n_nodes)
+        return original(mesh)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fedbht") and getattr(module, "precompute", None) is original:
+            monkeypatch.setattr(module, "precompute", counting)
+    assert cli_main(_cli_argv(command, scenario_path, tmp_path)) == 0
+    assert calls == [7 ** 3] * expected
+
+
+# Runs one CLI command in a fresh interpreter and prints, as the last line,
+# its exit code and the scipy and oracle modules it left loaded.
+_IMPORT_PROBE = """
+import json, sys
+from fedbht.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules
+                if m == "fedbht.oracle" or m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "stability", "verify"])
+def test_cli_loads_scipy_only_for_verify(scenario_path, tmp_path, command):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedbht.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *_cli_argv(command, scenario_path, tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["code"] == 0
+    if command == "verify":
+        assert {"fedbht.oracle", "scipy.sparse.linalg"} <= set(probe["loaded"])
+    else:
+        assert probe["loaded"] == []
 
 
 def test_cli_rerun_is_byte_identical(scenario_path, tmp_path):

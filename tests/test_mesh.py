@@ -7,6 +7,7 @@ from fedbht.mesh import (
     Mesh,
     load_mesh,
     load_node_set,
+    parse_mesh,
     precompute,
     write_mesh,
     write_node_set,
@@ -163,6 +164,17 @@ def test_parse_comments_and_section_order(tmp_path):
     )
     mesh = load_mesh(path)
     assert mesh.n_nodes == 4 and mesh.tets.shape == (1, 4)
+
+
+def test_load_mesh_rejects_inverted_geometry(tmp_path):
+    # parse_mesh leaves the measure check to precompute; load_mesh makes it
+    path = tmp_path / "inverted.mesh"
+    path.write_text("NODES 4\n0 0 0\n1 0 0\n0 1 0\n0 0 -1\nTET4 1\n0 1 2 3\n")
+    with pytest.raises(GeometryError, match="tet4 element 0"):
+        load_mesh(path)
+    mesh = parse_mesh(path)
+    with pytest.raises(GeometryError, match="tet4 element 0"):
+        precompute(mesh)
 
 
 def test_node_set_roundtrip(tmp_path):
