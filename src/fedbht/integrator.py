@@ -306,7 +306,7 @@ def run(
         provider = IdentityDeformation()
 
     timings = {"stability": 0.0, "deformation": 0.0, "thermal": 0.0,
-               "mass_update": 0.0, "bookkeeping": 0.0}
+               "conduction": 0.0, "mass_update": 0.0, "bookkeeping": 0.0}
     stability_iterations = stability_converged = None
     if not dt_override and dt_critical is None:
         t0 = _time.perf_counter()
@@ -368,9 +368,11 @@ def run(
     if variant.uses_deformation and not moving:
         deformation = provider.displacements_at(0.0, mesh)
 
+    probe_index = np.array(probes, dtype=np.intp)
+
     def capture_probes():
         if probes:
-            probe_rows.append(state.T[list(probes)].copy())
+            probe_rows.append(state.T[probe_index])
 
     capture_probes()
 
@@ -401,6 +403,7 @@ def run(
 
             t0 = _time.perf_counter()
             loads = operator.apply(state.T, deformation=deformation)
+            timings["conduction"] += _time.perf_counter() - t0
             state.T = step(state, loads, schedule.dt, step_index=n, time=t_now)
             timings["thermal"] += _time.perf_counter() - t0
 

@@ -1,50 +1,63 @@
 """Element conduction loads, matrix-free, for five formulation variants.
 
 Every variant evaluates the action of the conduction operator on the nodal
-temperature vector without assembling a global matrix. The five variants
-are a study of cost; they run on two cache strategies:
+temperature vector without assembling a global matrix. Tet4 elements
+integrate exactly (constant gradients); hex8 elements use one-point reduced
+integration at the element centre with weight 8 * det(J0). Either way the
+element matrix has rank 3:
+
+    K_e = w G^T D G,  G = J^-T dn^T   =>   K_e = dn A_e dn^T
+
+with dn the family's constant (k, 3) natural-derivative table and A_e a 3x3
+per element. Every call runs one skeleton per element family, on
+component-major (component, element) arrays:
+
+  gather    the k nodal values of every element into (k, n) rows, then
+            rows 1..k-1 minus row 0 (differences to the element's first
+            node; exactly zero on a uniform field, whatever the value);
+  natural   z = dn^T x as one small matmul on those differences, whose
+            table also yields the element mean as a fourth row;
+  3x3       y = A_e z per element, elementwise over (n,) rows;
+  back      loads = dn y, one small matmul into the (k, n) rows;
+  scatter   np.bincount into the global vector.
+
+The five variants are a study of cost; they differ only in which 3x3 the
+operator caches and how it applies it:
 
   frozen stiffness  iii (classical_aniso_temp_indep) and
                     v (classical_iso_temp_indep): conductivity is constant,
-                    so the full element stiffness is cached at build time.
+                    so A_e = w J^-1 D(T_ref) J^-T is cached at build time.
   pullback          i (deformed_aniso_temp_dep), ii (classical_aniso_temp_dep)
                     and iv (classical_iso_temp_dep): the conduction integral
                     pulled back to the reference configuration through the
-                    per-element deformation gradient F, with k(T) evaluated
-                    at the element mean temperature every call (a scalar for
-                    isotropic tables, a tensor otherwise). At rest F = I and
-                    the pullback is the classical element; ii and iv keep
-                    that reference geometry for the whole run, i follows
-                    the deformation.
+                    per-element deformation gradient F. The operator
+                    memoises Q = F^-T J^-T and w * det F; each call applies
+                    y = Q^T (w det F k(T)) Q z with k(T) evaluated at the
+                    element mean temperature (a scalar for isotropic
+                    tables, a tensor D otherwise). At rest F = I, Q is
+                    exactly J^-T and the pullback is the classical element;
+                    ii and iv keep that reference geometry for the whole
+                    run, i follows the deformation.
 
 Element loads are the positive-semidefinite form K_e @ T_e; the explicit
-update subtracts them, which makes pure conduction dissipative.
+update subtracts them, which makes pure conduction dissipative. On a
+uniform field z, and with it every load, is exactly zero.
 
-Tet4 elements integrate exactly (constant gradients). Hex8 elements use
-one-point reduced integration at the element centre with weight
-8 * det(J0).
+The geometry memo starts from the reference configuration (Q = J^-T,
+w * det F = w, zero displacements); ii and iv ignore the deformation and
+never leave it. Variant i keeps a private copy of the last displacement
+field and rebuilds Q and w * det F only when the field changes by value; a
+missing deformation is a zero displacement field. A rebuild takes
+H = dn^T u per displacement component through the same gather: J + H is
+the deformed element's natural Jacobian F J, so Q = (J + H)^-T (adjugate
+inverse) and det F = det(J + H) / det J, floor-checked per element. J comes
+from the same gather of the node coordinates, so a rebuild at zero
+displacement gives the reference memo bit for bit.
 
-The pullback's two stages work on component-major (component, node, element)
-arrays, so every arithmetic step is an elementwise operation over elements:
-
-  geometry     displacements -> F = I + u grad^T, its adjugate inverse F^-1
-               and weight * det F, with the det F floor checked per element.
-  temperature  reference gradient grad T, then F^-T, the scale
-               weight * det F * k(T) (a tensor D only for anisotropic
-               materials), then F^-1 and grad^T.
-
-Both stages work in the block's preallocated scratch rows, so a call makes
-no per-element temporaries beyond the property lookup and, when the
-geometry is rebuilt, F itself. Every per-element row of a block starts on
-a cache line, so the kernel's speed does not depend on where the
-allocator puts its buffers.
-
-The geometry stage is memoised. The operator starts from the reference
-configuration (F^-1 = I, weight * det F = weight, zero displacements);
-ii and iv ignore the deformation and never leave it. Variant i keeps a
-private copy of the last displacement field and rebuilds F^-1 and
-weight * det F only when the field changes by value; a missing deformation
-is a zero displacement field.
+A call works in the block's preallocated buffers and makes no per-element
+temporaries beyond the property lookup; a geometry rebuild also allocates
+J + H and the temporaries of its inverse. Every (n,) row of the 3x3 stage starts on a cache line,
+so its speed does not depend on where the allocator puts its buffers.
 """
 
 from __future__ import annotations
@@ -111,35 +124,37 @@ _TO_ROMAN = {v: k for k, v in _ROMAN.items()}
 
 @dataclass
 class _Block:
-    """One ElementFamily (tet4 or hex8), its four fields first, with its
-    cached factors."""
+    """One ElementFamily (tet4 or hex8) with its cached 3x3 factor and the
+    buffers of the kernel."""
 
     kind: str
-    conn: np.ndarray          # (n, k) node indices
-    grads: np.ndarray         # (n, 3, k) reference shape-function gradients
-    weights: np.ndarray       # (n,) integration weights (V or 8 det J0)
-    stiffness: np.ndarray | None = None  # (n, k, k) frozen full stiffness
-    # pullback (i, ii, iv) only: component-major copies and the geometry memo
-    conn_t: np.ndarray | None = None     # (k, n) node indices
-    grads_t: np.ndarray | None = None    # (3, k, n) reference gradients
-    finv: np.ndarray | None = None       # (3, 3, n) F^-1, [material, spatial]
-    wdet: np.ndarray | None = None       # (n,) weight * det F
-    work: np.ndarray | None = None       # (k + 8, n) scratch rows of both stages
-    loads: np.ndarray | None = None      # (n, k) pullback loads
+    conn_t: np.ndarray     # (k, n) node indices, component-major
+    forward: np.ndarray    # (4, k) table on differences to node 0: dn^T with
+                           # column 0 zeroed, then the element-mean row
+    dn: np.ndarray         # (k, 3) natural derivatives, the back map
+    weights: np.ndarray    # (n,) integration weights (V or 8 det J0)
+    factor: np.ndarray     # (3, 3, n) frozen: A_e [natural, natural];
+                           # pullback: the memo Q = F^-T J^-T [spatial, natural]
+    nodal: np.ndarray      # (k, n) gathered nodal values, then the element loads
+    work: np.ndarray       # (8, n) scratch rows: z and the mean, the 3x3 output, tmp
+    # pullback (i, ii, iv) only
+    jac: np.ndarray | None = None     # (3, 3, n) J [reference, natural]
+    det_j: np.ndarray | None = None   # (n,) det J
+    wdet: np.ndarray | None = None    # (n,) the memo weight * det F
 
 
 class ConductionOperator:
     """Matrix-free conduction operator for one mesh/material/variant.
 
     Build once per run; :meth:`apply` evaluates the global load vector
-    K(T) @ T. Variants iii and v apply a frozen element stiffness; i, ii
-    and iv run the pullback from a geometry memo (F^-1 and weight * det F)
-    built at the reference configuration. Only variant i reads the
-    deformation: it rebuilds the memo against a private copy of the last
-    displacement field when that field changes, so calls with an unchanged
-    deformation run only the temperature stage. The memo and the
-    pullback's scratch buffers belong to the operator: one operator serves
-    one caller at a time.
+    K(T) @ T. Variants iii and v apply a frozen per-element 3x3 A_e; i, ii
+    and iv run the pullback from a geometry memo (Q = F^-T J^-T and
+    weight * det F) built at the reference configuration. Only variant i
+    reads the deformation: it rebuilds the memo against a private copy of
+    the last displacement field when that field changes, so calls with an
+    unchanged deformation apply the memo as it is. The memo and the
+    kernel's buffers belong to the operator: one operator serves one
+    caller at a time.
     """
 
     def __init__(
@@ -158,30 +173,38 @@ class ConductionOperator:
         self.reference_temperature = float(reference_temperature)
         self.n_nodes = mesh.n_nodes
 
-        self._blocks = [_Block(*family) for family in precomp.families]
-
-        if variant.full_precompute:
-            d0 = material.conductivity_matrix(self.reference_temperature)
-            for block in self._blocks:
-                block.stiffness = block.weights[:, None, None] * np.einsum(
-                    "eka,kl,elb->eab", block.grads, d0, block.grads
+        d0 = material.conductivity_matrix(self.reference_temperature)
+        self._blocks = []
+        for family in precomp.families:
+            n, npe = family.conn.shape
+            # z = sum_a dn[a] (x_a - x_0) and mean = x_0 + sum_a (x_a - x_0) / k
+            forward = np.zeros((4, npe))
+            forward[:3, 1:] = family.dn[1:].T
+            forward[3] = 1.0 / npe
+            forward[3, 0] = 1.0
+            block = _Block(
+                family.kind, np.ascontiguousarray(family.conn.T), forward, family.dn,
+                family.weights, _aligned_rows((3, 3), n), np.empty((npe, n)),
+                _aligned_rows((8,), n),
+            )
+            if variant.full_precompute:
+                jinv_t = family.jinv_t
+                a = family.weights[:, None, None] * (jinv_t.transpose(0, 2, 1) @ d0 @ jinv_t)
+                block.factor[...] = a.transpose(1, 2, 0)
+            else:
+                # J through the kernel's own gather, and the memo as a
+                # rebuild at zero displacement would make it
+                block.jac = _aligned_rows((3, 3), n)
+                for j in range(3):
+                    _gather_natural(block, mesh.nodes[:, j], block.work[:4])
+                    block.jac[j] = block.work[:3]
+                _, block.det_j = inv_det_3x3(
+                    np.moveaxis(block.jac, 2, 0), out=np.transpose(block.factor, (2, 1, 0))
                 )
-            return
-
-        # pullback: the geometry memo starts at the reference configuration
+                block.wdet = _aligned_rows((), n)
+                block.wdet[...] = family.weights
+            self._blocks.append(block)
         self._memo_disp: np.ndarray | None = np.zeros((self.n_nodes, 3))
-        for block in self._blocks:
-            n, npe = block.conn.shape
-            block.conn_t = _aligned_rows((npe,), n, block.conn.dtype)
-            block.conn_t[...] = block.conn.T
-            block.grads_t = _aligned_rows((3, npe), n)
-            block.grads_t[...] = np.transpose(block.grads, (1, 2, 0))
-            block.finv = _aligned_rows((3, 3), n)
-            block.finv[...] = np.eye(3)[:, :, None]
-            block.wdet = _aligned_rows((), n)
-            block.wdet[...] = block.weights
-            block.work = _aligned_rows((npe + 8,), n)
-            block.loads = _aligned_rows((), n * npe).reshape(n, npe)
 
     # -- public API ---------------------------------------------------------
 
@@ -201,6 +224,8 @@ class ConductionOperator:
             raise ValueError(
                 f"property temperature vector must be ({self.n_nodes},), got {prop.shape}"
             )
+        if self.variant.full_precompute:
+            prop = temps  # frozen properties read no field
 
         rebuild = None  # displacements the pullback geometry must be rebuilt from
         if self.variant.uses_deformation:
@@ -220,7 +245,7 @@ class ConductionOperator:
         for block in self._blocks:
             loads = self._block_loads(block, temps, prop, rebuild)
             out += np.bincount(
-                block.conn.ravel(), weights=loads.ravel(), minlength=self.n_nodes
+                block.conn_t.ravel(), weights=loads.ravel(), minlength=self.n_nodes
             )
         if rebuild is not None:
             self._memo_disp = rebuild.copy()
@@ -229,29 +254,51 @@ class ConductionOperator:
     # -- internals ----------------------------------------------------------
 
     def _block_loads(self, block: _Block, temps, prop, rebuild):
-        """(n, k) loads of one block. rebuild, the (n_nodes, 3)
-        displacements, is given only when the pullback's geometry memo must
-        be rebuilt."""
-        if self.variant.full_precompute:
-            return np.einsum("eab,eb->ea", block.stiffness, temps[block.conn])
+        """(k, n) loads of one block: gather, z = dn^T x, the 3x3, dn y.
+        rebuild, the (n_nodes, 3) displacements, is given only when the
+        pullback's geometry memo must be rebuilt."""
+        work = block.work
+        z, mean, tmp = work[:3], work[3], work[7]
         # a diverging field overflows here; integrator.step detects it
         with np.errstate(over="ignore", invalid="ignore"):
             if rebuild is not None:
                 _pullback_geometry(block, rebuild.T)
-            return _pullback_loads(self.material, block, temps, prop)
+            _gather_natural(block, prop, work[:4])
+            if self.variant.full_precompute:
+                y = _mat3(block.factor, z, work[4:7], tmp)
+            else:
+                k = self.material.conductivity.evaluate(mean)
+                if prop is not temps:
+                    _gather_natural(block, temps, work[:4])
+                y = _pullback(block, k, self.material.isotropic)
+            np.matmul(block.dn, y, out=block.nodal)
+        return block.nodal
+
+
+def _gather_natural(block: _Block, values, rows):
+    """Gather values at the block's nodes into block.nodal as differences to
+    node 0; write the natural gradient dn^T x into rows[:3] and the element
+    mean into rows[3]."""
+    # conn holds mesh indices, all in range; "clip" only skips the buffered
+    # copy np.take makes under the default mode
+    nodal = block.nodal
+    np.take(values, block.conn_t, out=nodal, mode="clip")
+    nodal[1:] -= nodal[0]
+    np.matmul(block.forward, nodal, out=rows)
 
 
 def _pullback_geometry(block: _Block, disp_t):
-    """Geometry stage: F^-1 and weight * det F of every element into the memo."""
-    conn, grads = block.conn_t, block.grads_t
-    u, tmp = block.work[:conn.shape[0]], block.work[-1]
-    f = _aligned_rows((3, 3), conn.shape[1])  # f[j, a] = F_ja = delta_ja + du_j/dX_a
+    """Geometry stage: the memo Q = (J + H)^-T = F^-T J^-T, with H = dn^T u
+    the displacement's natural gradient, and weight * det F, where
+    det F = det(J + H) / det J is floor-checked per element. A failed check
+    leaves the memo overwritten; the caller then rebuilds on its next call."""
+    work = block.work
+    jac = _aligned_rows((3, 3), block.conn_t.shape[1])  # J + H, [spatial, natural]
     for j in range(3):
-        _gather(disp_t[j], conn, u)
-        for a in range(3):
-            _dot(grads[a], u, f[j, a], tmp)
-        f[j, j] += 1.0
-    _, det = inv_det_3x3(np.moveaxis(f, 2, 0), out=np.moveaxis(block.finv, 2, 0))
+        _gather_natural(block, disp_t[j], work[:4])
+        np.add(block.jac[j], work[:3], out=jac[j])
+    _, det = inv_det_3x3(np.moveaxis(jac, 2, 0), out=np.transpose(block.factor, (2, 1, 0)))
+    det /= block.det_j
     bad = ~(det > DET_FLOOR)  # NaN fails too
     if np.any(bad):
         elem = int(np.argmax(bad))
@@ -262,44 +309,19 @@ def _pullback_geometry(block: _Block, disp_t):
     np.multiply(block.weights, det, out=block.wdet)
 
 
-def _pullback_loads(material: MaterialModel, block: _Block, temps, prop):
-    """Temperature stage: grad^T F^-1 (weight det F k) F^-T grad T per element.
-
-    Intermediates live in the block's scratch rows and the result in its
-    loads buffer; only the property lookup allocates per-element arrays.
-    """
-    conn, grads, finv, work = block.conn_t, block.grads_t, block.finv, block.work
-    npe = conn.shape[0]
-    nodal, tmean, tmp = work[:npe], work[npe], work[-1]
-    grad, spatial = work[npe + 1:npe + 4], work[npe + 4:npe + 7]
-
-    _gather(prop, conn, nodal)
-    np.add.reduce(nodal, axis=0, out=tmean)
-    tmean /= npe
-    k = material.conductivity.evaluate(tmean)
-    if prop is not temps:
-        _gather(temps, conn, nodal)
-
-    for a in range(3):
-        _dot(grads[a], nodal, grad[a], tmp)           # reference gradient
-    for i in range(3):
-        _dot(finv[:, i], grad, spatial[i], tmp)       # F^-T grad
-    flux = grad
-    if material.isotropic:
-        scale = np.multiply(block.wdet, k, out=tmean)
-        for i in range(3):
-            np.multiply(spatial[i], scale, out=flux[i])
+def _pullback(block: _Block, k, isotropic: bool):
+    """The pullback's 3x3: Q^T (weight det F k) Q z, with z in the first
+    work rows; returns the (3, n) rows holding the result."""
+    work, q = block.work, block.factor
+    z, scale, g, tmp = work[:3], work[3], work[4:7], work[7]
+    _mat3(q, z, g, tmp)                               # spatial gradient Q z
+    if isotropic:
+        g *= np.multiply(block.wdet, k, out=scale)
+        flux, y = g, z
     else:
         d = np.multiply(k.transpose(1, 2, 0), block.wdet, order="C")  # (3, 3, n)
-        for i in range(3):
-            _dot(d[i], spatial, flux[i], tmp)
-    pulled = spatial
-    for a in range(3):
-        _dot(finv[a], flux, pulled[a], tmp)           # F^-1 flux
-    loads = block.loads
-    for c in range(npe):
-        _dot(grads[:, c], pulled, loads[:, c], tmp)
-    return loads
+        flux, y = _mat3(d, g, z, tmp), g
+    return _mat3(q, flux, y, tmp, transpose=True)
 
 
 _ROW_ALIGN = 64  # bytes: one cache line
@@ -324,11 +346,12 @@ def _aligned_rows(lead: tuple, n: int, dtype=np.float64):
     return raw[skip:skip + count * stride].reshape(*lead, stride)[..., :n]
 
 
-def _gather(values, conn, out):
-    for node, row in zip(conn, out):
-        # conn holds mesh indices, all in range; "clip" only skips the
-        # buffered copy np.take makes under the default mode
-        np.take(values, node, out=row, mode="clip")
+def _mat3(m, vecs, out, tmp, transpose=False):
+    """out[i] = sum_j m[i, j] vecs[j] (m[j, i] with transpose) per element,
+    over (3, 3, n) m and (3, n) rows; returns out."""
+    for i in range(3):
+        _dot(m[:, i] if transpose else m[i], vecs, out[i], tmp)
+    return out
 
 
 def _dot(rows, vecs, out, tmp):

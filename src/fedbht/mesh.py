@@ -144,16 +144,25 @@ class ElementFamily(NamedTuple):
 
     kind: the ElementType's kind, "tet4" or "hex8".
     conn: (n, k) node indices, the mesh's own array.
-    grads: (n, 3, k) shape-function gradients w.r.t. reference coordinates
-        at the integration point; column a belongs to node a.
+    dn: (k, 3) the ElementType's natural shape derivatives, rows = nodes.
+    jinv_t: (n, 3, 3) J^-T, the inverse transpose of the element map
+        Jacobian at the integration point; it maps natural derivatives to
+        reference-coordinate gradients.
     weights: (n,) integration weights in m^3 (tet4 V, hex8 8 det J0), used
         alike by the conduction operator and the equal-split lumping.
     """
 
     kind: str
     conn: np.ndarray
-    grads: np.ndarray
+    dn: np.ndarray
+    jinv_t: np.ndarray
     weights: np.ndarray
+
+    @property
+    def grads(self) -> np.ndarray:
+        """(n, 3, k) shape-function gradients w.r.t. reference coordinates
+        at the integration point, J^-T dn^T; column a belongs to node a."""
+        return self.jinv_t @ self.dn.T
 
 
 @dataclass
@@ -169,7 +178,7 @@ class ElementPrecomp:
 
 
 def precompute(mesh: Mesh) -> ElementPrecomp:
-    """Compute reference shape-function gradients and integration weights.
+    """Compute the inverse-transpose Jacobians and integration weights.
 
     Raises GeometryError (naming the family, element index and value) for
     any element whose measure is non-positive or degenerate.
@@ -186,17 +195,10 @@ def precompute(mesh: Mesh) -> ElementPrecomp:
                 f"{etype.measure} {measure[elem]:.3e} m^3 (node order must give det > 0)"
             )
         families.append(ElementFamily(
-            etype.kind, conn, _solve_grads(jac, etype.dn), etype.weight_factor * measure
+            etype.kind, conn, etype.dn, np.linalg.inv(jac).transpose(0, 2, 1),
+            etype.weight_factor * measure,
         ))
     return ElementPrecomp(families=tuple(families))
-
-
-def _solve_grads(jac: np.ndarray, dn: np.ndarray) -> np.ndarray:
-    """Batched J^{-T} @ dN^T without forming inverses explicitly."""
-    n = jac.shape[0]
-    rhs = np.broadcast_to(dn.T, (n,) + dn.T.shape)  # (n, 3, k)
-    # solve J^T X = dN^T  =>  X = J^{-T} dN^T
-    return np.linalg.solve(np.transpose(jac, (0, 2, 1)), rhs)
 
 
 def load_mesh(path) -> Mesh:

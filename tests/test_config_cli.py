@@ -170,7 +170,9 @@ def test_cli_run_writes_outputs(scenario_path, tmp_path, capsys):
     assert manifest["config"]["schedule"]["dt"] == 0.1
     assert manifest["dt_critical"] > 0.1
     assert manifest["stability_converged"] is True
-    assert set(manifest["timings_seconds"]) >= {"thermal", "output", "stability"}
+    timings = manifest["timings_seconds"]
+    assert set(timings) >= {"thermal", "conduction", "output", "stability"}
+    assert 0.0 < timings["conduction"] <= timings["thermal"]
     assert manifest["timings_seconds"]["output"] > 0.0
     assert manifest["timings_seconds"]["stability"] > 0.0
     assert manifest["provenance"] == {

@@ -257,9 +257,14 @@ def test_dirichlet_wins_over_film():
 def test_stability_refusal_and_override_path():
     with pytest.raises(StabilityError):
         run_small(Schedule(dt=1e9, total_time=4e9))
-    # overriding lets the unstable amplification run until it overflows
+    # overriding lets the unstable amplification run until it overflows; a
+    # uniform field has exactly zero conduction loads, so one heated node
+    # seeds the growing mode
+    kick = BoundaryConditions(
+        dirichlet=(), films=(),
+        fluxes=(FluxBC(nodes=np.array([0], dtype=np.intp), watts_per_node=1.0),))
     with pytest.raises(DivergenceError) as err:
-        run_small(Schedule(dt=1e9, total_time=1e11), dt_override=True)
+        run_small(Schedule(dt=1e9, total_time=1e11), bc=kick, dt_override=True)
     rec = err.value.record
     assert rec.diverged and rec.divergence_step is not None
     assert len(rec.snapshots) >= 1

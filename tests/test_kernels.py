@@ -43,6 +43,75 @@ def test_loads_vanish_on_uniform_field():
     np.testing.assert_allclose(loads, 0.0, atol=1e-12)
 
 
+def _test_meshes():
+    return (random_tet_mesh(n_cells=2, seed=4, jitter=0.2),
+            make_block_mesh(2, 3, 2, element="hex8", jitter=0.15, seed=4),
+            mixed_block())
+
+
+def _materials_for(variant, tissue):
+    return (tissue,) if variant.requires_isotropic else (tissue, anisotropic_material())
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.roman)
+def test_uniform_field_loads_are_exactly_zero(variant, tissue_material):
+    # the gather takes differences to each element's first node, so a
+    # uniform field has an exactly zero gradient whatever its value
+    rng = np.random.default_rng(10)
+    for mesh in _test_meshes():
+        pre = precompute(mesh)
+        moved = DeformationState(0.03 * rng.normal(size=(mesh.n_nodes, 3)))
+        for mat in _materials_for(variant, tissue_material):
+            op = ConductionOperator(mesh, pre, mat, variant)
+            for value in (37.0, 41.3, 20.0 + 40.0 * rng.random()):
+                temps = np.full(mesh.n_nodes, value)
+                assert np.all(op.apply(temps) == 0.0), (mesh.n_elements, value)
+                if variant.uses_deformation:
+                    assert np.all(op.apply(temps, deformation=moved) == 0.0)
+                    assert np.all(op.apply(temps, deformation=moved) == 0.0)  # memoised
+
+
+def _reference_loads(mesh, pre, material, temps, property_temp=None, disp=None):
+    """sum over elements of w G^T D G x from family.grads (G = J^-T dn^T),
+    on the displaced geometry W = F^-T G with weight w det F when disp is
+    given; D at property_temp, or at each element's mean temperature."""
+    out = np.zeros(mesh.n_nodes)
+    for family in pre.families:
+        x = temps[family.conn]
+        tmean = x.mean(axis=1) if property_temp is None else np.full(len(x), property_temp)
+        k = material.conductivity.evaluate(tmean)
+        d = k[:, None, None] * np.eye(3) if material.isotropic else k
+        grads, weights = family.grads, family.weights
+        if disp is not None:
+            f = np.eye(3) + np.einsum("eak,ekj->eja", grads, disp[family.conn])
+            weights = weights * np.linalg.det(f)
+            grads = np.linalg.solve(np.transpose(f, (0, 2, 1)), grads)
+        loads = weights[:, None] * np.einsum("eia,eij,ejb,eb->ea", grads, d, grads, x)
+        out += np.bincount(family.conn.ravel(), weights=loads.ravel(), minlength=mesh.n_nodes)
+    return out
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.roman)
+def test_factored_loads_match_element_matrices(variant, tissue_material):
+    # dn A_e dn^T (frozen) and dn Q^T (w det F k) Q dn^T (pullback) against
+    # w G^T D G formed from the precompute's shape-function gradients
+    rng = np.random.default_rng(11)
+    for mesh in _test_meshes():
+        pre = precompute(mesh)
+        temps = 37.0 + 20.0 * rng.random(mesh.n_nodes)
+        disp = 0.03 * rng.normal(size=(mesh.n_nodes, 3))
+        for mat in _materials_for(variant, tissue_material):
+            op = ConductionOperator(mesh, pre, mat, variant)
+            t_ref = 37.0 if variant.full_precompute else None
+            cases = [(op.apply(temps), _reference_loads(mesh, pre, mat, temps, t_ref))]
+            if variant.uses_deformation:
+                cases.append((op.apply(temps, deformation=DeformationState(disp)),
+                              _reference_loads(mesh, pre, mat, temps, disp=disp)))
+            for loads, expected in cases:
+                np.testing.assert_allclose(loads, expected, rtol=0,
+                                           atol=1e-13 * np.abs(expected).max())
+
+
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.roman)
 def test_loads_sum_to_zero(variant):
     # conduction redistributes heat, it must not create or destroy it

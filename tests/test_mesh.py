@@ -120,6 +120,9 @@ def test_families_in_table_order(unit_cube_hex):
     for family in pre.families:
         n, k = family.conn.shape
         assert family.grads.shape == (n, 3, k) and family.weights.shape == (n,)
+        jac = np.einsum("eaj,ak->ejk", mixed.nodes[family.conn], family.dn)
+        np.testing.assert_allclose(np.transpose(jac, (0, 2, 1)) @ family.jinv_t,
+                                   np.broadcast_to(np.eye(3), (n, 3, 3)), atol=1e-12)
     hex_only = precompute(unit_cube_hex[0])
     assert tuple(f.kind for f in hex_only.families) == ("hex8",)
     assert precompute(Mesh(nodes=np.zeros((1, 3)))).families == ()

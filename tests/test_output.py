@@ -6,7 +6,7 @@ import pytest
 from fedbht.blockmesh import make_block_mesh
 from fedbht.deformation import IdentityDeformation
 from fedbht.errors import DivergenceError
-from fedbht.integrator import BoundaryConditions, Schedule, SimulationRecord, run
+from fedbht.integrator import BoundaryConditions, FluxBC, Schedule, SimulationRecord, run
 from fedbht.kernels import Variant
 from fedbht.material import PerfusionParams
 from fedbht.mesh import precompute
@@ -133,9 +133,12 @@ def test_no_snapshots_no_probes_writes_nothing(tmp_path):
 def test_diverged_record_partial_outputs(tmp_path):
     mesh = random_tet_mesh(n_cells=2, seed=12, jitter=0.1, lengths=(0.03,) * 3)
     schedule = Schedule(dt=1e9, total_time=1e11, snapshot_times=(2e9, 1e11))
+    # a uniform field has exactly zero conduction loads: one heated node
+    # seeds the unstable mode
+    kick = FluxBC(nodes=np.array([0], dtype=np.intp), watts_per_node=1.0)
     with pytest.raises(DivergenceError) as err:
         run(mesh, precompute(mesh), make_material(k=0.5), PerfusionParams(),
-            BoundaryConditions(dirichlet=(), fluxes=(), films=()),
+            BoundaryConditions(dirichlet=(), fluxes=(kick,), films=()),
             IdentityDeformation(), schedule, Variant.CLASSICAL_ISO_TEMP_INDEP,
             probes=(0, 5), dt_override=True)
     record = err.value.record
