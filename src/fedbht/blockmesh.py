@@ -10,8 +10,7 @@ the bottom stays put, with a mild lateral taper so the deformation
 gradient varies from element to element.
 
 The default parameters give roughly 3000 nodes on a 6 cm cube with
-liver-like material tables; generate it with the make-mesh CLI subcommand
-or build the objects in memory via :func:`desk_scenario_objects`.
+liver-like material tables; generate it with the make-mesh CLI subcommand.
 """
 
 from __future__ import annotations
@@ -191,17 +190,6 @@ def ramp_keyframes(mesh: Mesh, params: BlockSceneParams):
     times = np.array([0.0, params.ramp_time])
     frames = np.stack([np.zeros_like(full), full])
     return times, frames
-
-
-def desk_scenario_objects(params: BlockSceneParams | None = None):
-    """In-memory bundle: (mesh, node_sets, provider, params)."""
-    params = params or BlockSceneParams()
-    mesh = make_block_mesh(
-        params.nx, params.ny, params.nz, params.lengths, element=params.element
-    )
-    sets = block_node_sets(mesh, params)
-    provider = ramp_trajectory(mesh, params)
-    return mesh, sets, provider, params
 
 
 def scenario_config_dict(params: BlockSceneParams, probes) -> dict:

@@ -64,7 +64,7 @@ class AffineDeformation:
     def __init__(self, matrix, offset=(0.0, 0.0, 0.0)):
         self.matrix = np.asarray(matrix, dtype=np.float64).reshape(3, 3)
         self.offset = np.asarray(offset, dtype=np.float64).reshape(3)
-        # reject inverted maps up front; a ramp of a valid map stays valid
+        # reject inverted maps up front; the map is the same at every time
         inverse_and_det(self.matrix)
 
     def displacements_at(self, time: float, mesh: Mesh) -> DeformationState:

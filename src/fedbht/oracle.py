@@ -35,12 +35,14 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .deformation import IdentityDeformation
 from .errors import DivergenceError, GeometryError
 from .integrator import (
     BoundaryConditions,
     Schedule,
     SimulationRecord,
     build_thermal_state,
+    resolve_update_thermal_mass,
 )
 from .material import MaterialModel, PerfusionParams
 from .mesh import HEX_DN_CENTER, Mesh, precompute
@@ -393,8 +395,8 @@ def reference_transient(
     probes=(),
     solver_rtol: float = 1e-10,
 ) -> SimulationRecord:
-    """Assembled-matrix transient with the same scheduling semantics as the
-    production run loop.
+    """Assembled-matrix transient on the production run's time line
+    (:meth:`Schedule.walk`, recorded by :class:`SimulationRecord`).
 
     scheme "forward" replays explicit Euler through the assembled K (an
     independent path to the same scheme); "backward" solves the implicit
@@ -409,51 +411,31 @@ def reference_transient(
         mesh, precompute(mesh), material, perfusion, bc, initial_temperature
     )
     assembler = OracleAssembler(mesh, material)
-    if update_thermal_mass is None:
-        update_thermal_mass = not (
-            material.density.is_constant and material.specific_heat.is_constant
-        )
+    update_thermal_mass = resolve_update_thermal_mass(material, update_thermal_mass)
     node_shares = _reference_node_shares(mesh)
+    if provider is None:
+        provider = IdentityDeformation()
 
     n = mesh.n_nodes
     free = ~state.dirichlet_mask
     fixed_vals = np.where(state.dirichlet_mask, state.dirichlet_values, 0.0)
-    probes = tuple(int(p) for p in probes)
-    n_steps = schedule.n_steps
     record = SimulationRecord(
-        dt=schedule.dt, n_steps=n_steps, probe_indices=probes,
-        n_elements=mesh.n_elements,
+        dt=schedule.dt, n_steps=schedule.n_steps, probe_indices=probes,
+        n_elements=mesh.n_elements, update_thermal_mass=update_thermal_mass,
     )
 
     base_external = state.external_heat.copy()
-    source_on = schedule.initial_source_on
-    pending_snaps = list(schedule.snapshot_times)
-    pending_events = list(schedule.events)
-    probe_rows = []
-    eps = 1e-12
-
-    moving = provider is not None and provider.time_varying
-    coords = mesh.nodes
-    if provider is not None:
-        coords = mesh.nodes + provider.displacements_at(0.0, mesh).displacements
+    moving = provider.time_varying
+    coords = mesh.nodes + provider.displacements_at(0.0, mesh).displacements
 
     temps = state.T.copy()
     mass = state.lumped_mass.copy()
     dt = schedule.dt
 
-    if probes:
-        probe_rows.append(temps[list(probes)].copy())
-
-    for step_index in range(n_steps):
-        t_now = step_index * dt
-        while pending_events and t_now >= pending_events[0][0] - eps:
-            _, action = pending_events.pop(0)
-            source_on = action == "source_on"
-        while pending_snaps and t_now >= pending_snaps[0] - eps:
-            pending_snaps.pop(0)
-            record.snapshot_times.append(t_now)
-            record.snapshots.append(temps.copy())
-
+    for step_index, t_now, source_on, snapshots_due in schedule.walk():
+        record.capture(t_now, temps, snapshots_due)
+        if step_index == record.n_steps:
+            break
         external = base_external if source_on else 0.0
         load = state.perfusion_source + state.metabolic + external
 
@@ -500,19 +482,8 @@ def reference_transient(
         temps[state.dirichlet_mask] = state.dirichlet_values[state.dirichlet_mask]
         if not np.all(np.isfinite(temps)):
             raise DivergenceError(step_index, t_now)
-        if probes:
-            probe_rows.append(temps[list(probes)].copy())
 
-    t_final = n_steps * dt
-    while pending_snaps and t_final >= pending_snaps[0] - eps:
-        pending_snaps.pop(0)
-        record.snapshot_times.append(t_final)
-        record.snapshots.append(temps.copy())
-
-    record.final_temps = temps.copy()
-    if probes:
-        record.probe_values = np.array(probe_rows)
-        record.probe_times = np.arange(len(probe_rows)) * dt
+    record.finish(temps)
     return record
 
 

@@ -19,6 +19,7 @@ from fedbht.integrator import (
 from fedbht.kernels import Variant
 from fedbht.material import MaterialModel, PerfusionParams, PropertyTable
 from fedbht.mesh import precompute
+from fedbht.oracle import reference_transient
 
 from conftest import make_material, mixed_block, random_tet_mesh
 
@@ -234,6 +235,34 @@ def test_initially_off_source_enabled_by_event():
     trace = rec.probe_values[:, 0]
     assert trace[1] == trace[0]
     assert trace[2] > trace[1]
+
+
+def test_time_line_is_the_same_in_both_drivers():
+    """Two snapshot times in one step give two snapshots, a snapshot time
+    past the end is dropped, an event at t = 0 acts on the first step, and
+    probes record t = 0 and every step."""
+    mesh = random_tet_mesh(n_cells=1, seed=3, jitter=0.0, lengths=(0.03,) * 3)
+    pre = precompute(mesh)
+    bc = BoundaryConditions(
+        dirichlet=(), films=(),
+        fluxes=(FluxBC(nodes=np.array([0], dtype=np.intp), watts_per_node=1.0),))
+    mat = make_material(k=1e-9)
+    sched = Schedule(dt=0.5, total_time=2.2, snapshot_times=(0.0, 0.6, 0.9, 2.2, 9.0),
+                     events=((0.0, "source_on"),), initial_source_on=False)
+    ours = run(mesh, pre, mat, PerfusionParams(), bc, IdentityDeformation(),
+               sched, Variant.CLASSICAL_ISO_TEMP_INDEP, probes=(0,))
+    theirs = reference_transient(mesh, mat, PerfusionParams(), bc,
+                                 IdentityDeformation(), sched, scheme="forward",
+                                 probes=(0,))
+    mass = lumped_thermal_mass(mesh, pre, mat, np.full(mesh.n_nodes, 37.0))[0]
+    for rec in (ours, theirs):
+        assert rec.snapshot_times == [0.0, 1.0, 1.0, 2.5]
+        np.testing.assert_array_equal(rec.snapshots[1], rec.snapshots[2])
+        np.testing.assert_array_equal(rec.snapshots[3], rec.final_temps)
+        np.testing.assert_array_equal(rec.probe_times, np.arange(6) * 0.5)
+        assert rec.probe_values.shape == (6, 1)
+        # the heater warms node 0 on every step, the first included
+        np.testing.assert_allclose(np.diff(rec.probe_values[:, 0]), 0.5 / mass, rtol=1e-6)
 
 
 def test_dirichlet_wins_over_film():

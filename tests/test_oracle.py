@@ -208,7 +208,8 @@ def test_non_finite_coordinates_are_rejected(element):
 
 def test_oracle_imports_no_production_element_code():
     """The oracle derives its element matrices itself: it may not import the
-    production kernels or the pullback's batched inverse."""
+    production kernels, the pullback's batched inverse, the production
+    lumping or the explicit update."""
     tree = ast.parse(Path(fedbht.oracle.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -221,8 +222,14 @@ def test_oracle_imports_no_production_element_code():
             names = {alias.name for alias in node.names}
             assert not module.startswith("fedbht.kernels"), module
             assert not (module == "fedbht" and "kernels" in names)
+            assert not (module == "fedbht" and "integrator" in names)
             if module == "fedbht.deformation":
                 assert not names & {"inv_det_3x3", "*"}, names
+            if module == "fedbht.integrator":
+                # the time line and the thermal state are shared; the
+                # lumping and the update are the oracle's own
+                assert not names & {"lumped_thermal_mass", "node_volumes",
+                                    "_equal_split", "step", "*"}, names
 
 
 def test_assemble_bundles_balance_terms():
@@ -249,6 +256,25 @@ def test_independent_lumped_mass_agrees(tissue_material):
     ours = lumped_thermal_mass(mesh, pre, tissue_material, temps)
     theirs = _oracle_lumped_mass(mesh, tissue_material, temps, _reference_node_shares(mesh))
     np.testing.assert_allclose(ours, theirs, rtol=1e-12)
+
+
+def test_oracle_thermal_mass_default_follows_tables(tissue_material):
+    mesh = random_tet_mesh(n_cells=2, seed=14, jitter=0.0, lengths=(0.03,) * 3)
+    bc = BoundaryConditions(
+        dirichlet=(), films=(),
+        fluxes=(FluxBC(nodes=np.array([0], dtype=np.intp), watts_per_node=0.05),))
+    sched = Schedule(dt=2.0, total_time=20.0)
+
+    def replay(material, update_thermal_mass):
+        return reference_transient(mesh, material, PerfusionParams(), bc, None, sched,
+                                   scheme="forward",
+                                   update_thermal_mass=update_thermal_mass).final_temps
+
+    varying = replay(tissue_material, None)
+    assert np.array_equal(varying, replay(tissue_material, True))
+    assert not np.array_equal(varying, replay(tissue_material, False))
+    constant = make_material(k=0.5)
+    assert np.array_equal(replay(constant, None), replay(constant, False))
 
 
 def test_forward_replay_matches_production():
