@@ -59,14 +59,6 @@ _RUN_ORDER = (
     Variant.DEFORMED_ANISO_TEMP_DEP,
 )
 
-_REPORT_ORDER = (
-    Variant.DEFORMED_ANISO_TEMP_DEP,
-    Variant.CLASSICAL_ANISO_TEMP_DEP,
-    Variant.CLASSICAL_ANISO_TEMP_INDEP,
-    Variant.CLASSICAL_ISO_TEMP_DEP,
-    Variant.CLASSICAL_ISO_TEMP_INDEP,
-)
-
 
 @dataclass
 class KernelTiming:
@@ -179,7 +171,7 @@ def bench_element_kernels(
     seed: int = 7,
 ) -> list[KernelTiming]:
     """Time one element-load evaluation per variant; returns timings in
-    report order (deformed variant first)."""
+    the declaration order of Variant (deformed variant first)."""
     if reps < 1 or batch < 1:
         raise ValueError("reps and batch must be positive")
     closures = _build_closures(seed)
@@ -205,7 +197,7 @@ def bench_element_kernels(
             mean_seconds=float(per_call.mean()), stderr_seconds=stderr,
             checksum=float(checksum),
         )
-    return [results[v] for v in _REPORT_ORDER]
+    return [results[v] for v in Variant]
 
 
 def timings_by_variant(timings) -> dict:
@@ -215,7 +207,7 @@ def timings_by_variant(timings) -> dict:
 def kernel_report(timings) -> str:
     by = timings_by_variant(timings)
     lines = ["element kernel timings (per call)"]
-    for variant in _REPORT_ORDER:
+    for variant in Variant:
         t = by[variant]
         lines.append(
             f"  {variant.roman:>3}  {variant.name.lower():<27}"
@@ -277,18 +269,17 @@ def bench_simulation(
         )
         dt = 0.4 * estimate.dt_critical
         schedule = Schedule(dt=dt, total_time=steps * dt, snapshot_times=(), events=())
-        scenes.append((mesh, pre, ramp_trajectory(mesh, params), schedule, estimate))
+        scenes.append((mesh, pre, ramp_trajectory(mesh, params), schedule))
 
     # rounds visit every density in turn, so a slow spell of the host lands
     # on all densities alike instead of bending the line at one of them
     per_run = np.empty((SCALING_RUNS, len(scenes)))
     for row in per_run:
-        for i, (mesh, pre, provider, schedule, estimate) in enumerate(scenes):
+        for i, (mesh, pre, provider, schedule) in enumerate(scenes):
+            # dt is 0.4 of the critical step estimated above
             record = run(
                 mesh, pre, material, perfusion, bc, provider, schedule, variant,
-                update_thermal_mass=False,
-                dt_critical=estimate.dt_critical,
-                lambda_max=estimate.lambda_max,
+                update_thermal_mass=False, dt_override=True,
             )
             row[i] = record.timings["thermal"] / record.n_steps
     counts = [mesh.n_elements for mesh, *_ in scenes]

@@ -18,7 +18,6 @@ the node they sit on.
 
 from __future__ import annotations
 
-import logging
 import math
 import time as _time
 from collections import deque
@@ -26,14 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deformation import DeformationState, IdentityDeformation
-from .errors import ConflictError, DivergenceError, StabilityError, TopologyError
+from . import stability
+from .deformation import IdentityDeformation
+from .errors import ConflictError, DivergenceError, TopologyError
 from .kernels import ConductionOperator, Variant
 from .material import MaterialModel, PerfusionParams
 from .mesh import ElementPrecomp, Mesh
-from .stability import sample_critical_dt
-
-log = logging.getLogger(__name__)
+from .stability import StabilityEstimate
 
 # Fire events/snapshots whose time is within this of the current step time.
 TIME_EPS = 1e-12
@@ -165,10 +163,7 @@ class SimulationRecord:
     final_temps: np.ndarray | None = None
     diverged: bool = False
     divergence_step: int | None = None
-    dt_critical: float | None = None
-    lambda_max: float | None = None
-    stability_iterations: int | None = None  # None when run made no estimate
-    stability_converged: bool | None = None
+    stability: StabilityEstimate | None = None  # None when run made no estimate
     n_elements: int = 0
     variant: Variant | None = None
     update_thermal_mass: bool | None = None  # as resolved by the driver
@@ -351,19 +346,16 @@ def run(
     initial_temperature: float = 37.0,
     probes=(),
     update_thermal_mass: bool | None = None,
-    dt_critical: float | None = None,
-    lambda_max: float | None = None,
     dt_override: bool = False,
 ) -> SimulationRecord:
     """Drive the explicit transient and collect snapshots and probes.
 
-    Unless dt_override is set, the time step is checked against the
-    power-iteration critical step (computed here at t = 0 when not
-    supplied) and a StabilityError is raised when dt exceeds it. An
-    estimate that hit its iteration limit is used but logged as a warning,
-    since it errs on the unsafe side. On divergence the error
-    re-raised to the caller carries the partial record (``err.record``)
-    with the last finite field appended as a snapshot.
+    Unless dt_override is set, the power-iteration critical step is
+    estimated at t = 0, kept as ``record.stability`` and judged by
+    :func:`stability.guard_time_step`, which raises StabilityError when dt
+    exceeds it. On divergence the error re-raised to the caller carries
+    the partial record (``err.record``) with the last finite field
+    appended as a snapshot.
     """
     state = build_thermal_state(mesh, precomp, material, perfusion, bc, initial_temperature)
     operator = ConductionOperator(
@@ -374,32 +366,23 @@ def run(
 
     timings = {"stability": 0.0, "deformation": 0.0, "thermal": 0.0,
                "conduction": 0.0, "mass_update": 0.0, "bookkeeping": 0.0}
-    stability_iterations = stability_converged = None
-    if not dt_override and dt_critical is None:
+    moving = variant.uses_deformation and provider.time_varying
+    deformation = None
+    if variant.uses_deformation:
         t0 = _time.perf_counter()
-        est, _ = sample_critical_dt(operator, state, provider, (0.0,))
+        deformation = provider.displacements_at(0.0, mesh)
+        timings["deformation"] += _time.perf_counter() - t0
+    estimate = None
+    if not dt_override:
+        t0 = _time.perf_counter()
+        estimate = stability.estimate_critical_dt(
+            operator, state.lumped_mass, state.perfusion_diag,
+            dirichlet_mask=state.dirichlet_mask,
+            deformation=deformation,
+            operating_temps=state.T,
+        )
         timings["stability"] = _time.perf_counter() - t0
-        dt_critical = est.dt_critical
-        lambda_max = est.lambda_max
-        stability_iterations = est.iterations
-        stability_converged = est.converged
-        if not est.converged:
-            log.warning(
-                "stability estimate did not converge in %d iterations; "
-                "the critical step %g s may be too large",
-                est.iterations, dt_critical,
-            )
-    if dt_critical is not None:
-        if schedule.dt > dt_critical and not dt_override:
-            raise StabilityError(
-                f"dt = {schedule.dt:g} s exceeds estimated critical step "
-                f"{dt_critical:g} s; shrink dt or override explicitly"
-            )
-        if schedule.dt > 0.9 * dt_critical:
-            log.warning(
-                "dt = %g s is above 90%% of the critical step %g s",
-                schedule.dt, dt_critical,
-            )
+        stability.guard_time_step(schedule.dt, estimate)
 
     update_thermal_mass = resolve_update_thermal_mass(material, update_thermal_mass)
     record = SimulationRecord(
@@ -407,10 +390,7 @@ def run(
         n_steps=schedule.n_steps,
         probe_indices=probes,
         timings=timings,
-        dt_critical=dt_critical,
-        lambda_max=lambda_max,
-        stability_iterations=stability_iterations,
-        stability_converged=stability_converged,
+        stability=estimate,
         n_elements=mesh.n_elements,
         variant=variant,
         update_thermal_mass=update_thermal_mass,
@@ -418,11 +398,6 @@ def run(
 
     base_external = state.external_heat
     zeros_external = np.zeros_like(base_external)
-
-    moving = variant.uses_deformation and provider.time_varying
-    deformation = None
-    if variant.uses_deformation and not moving:
-        deformation = provider.displacements_at(0.0, mesh)
 
     try:
         for n, t_now, source_on, snapshots_due in schedule.walk():
@@ -433,7 +408,7 @@ def run(
             if n == record.n_steps:
                 break
 
-            if moving:
+            if moving and n:  # the field at t = 0 was fetched above
                 t0 = _time.perf_counter()
                 deformation = provider.displacements_at(t_now, mesh)
                 timings["deformation"] += _time.perf_counter() - t0

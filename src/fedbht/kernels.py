@@ -88,7 +88,7 @@ class Variant(Enum):
         if key in _ROMAN:
             return _ROMAN[key]
         for member in cls:
-            if member.value == key or member.name.lower() == key:
+            if member.value == key:
                 return member
         raise ValueError(
             f"unknown variant {name!r}; use one of "

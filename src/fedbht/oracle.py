@@ -28,7 +28,6 @@ arrays, without forming per-element tensors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -185,19 +184,6 @@ def quadrature_volume(mesh: Mesh) -> float:
 # sparse assembly
 
 
-@dataclass
-class AssembledSystem:
-    """Classically assembled counterpart of the matrix-free operator."""
-
-    K: scipy.sparse.csr_matrix
-    C: np.ndarray
-    K_b: np.ndarray
-    source: np.ndarray
-    external: np.ndarray
-    dirichlet_mask: np.ndarray
-    dirichlet_values: np.ndarray
-
-
 class OracleAssembler:
     """Reusable sparse assembly with a fixed sparsity pattern.
 
@@ -323,39 +309,6 @@ def _cross(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
     out[0] = u[1] * v[2] - u[2] * v[1]
     out[1] = u[2] * v[0] - u[0] * v[2]
     out[2] = u[0] * v[1] - u[1] * v[0]
-
-
-def assemble(
-    mesh: Mesh,
-    material: MaterialModel,
-    temps=None,
-    coords: np.ndarray | None = None,
-    perfusion: PerfusionParams | None = None,
-    bc: BoundaryConditions | None = None,
-    initial_temperature: float = 37.0,
-) -> AssembledSystem:
-    """One-shot assembled system; see OracleAssembler for the reusable path."""
-    assembler = OracleAssembler(mesh, material)
-    if temps is None:
-        temps = np.full(mesh.n_nodes, float(initial_temperature))
-    temps = np.asarray(temps, dtype=np.float64)
-    k = assembler.stiffness(coords=coords, temps=temps)
-
-    perfusion = perfusion or PerfusionParams()
-    bc = bc or BoundaryConditions()
-    state = build_thermal_state(
-        mesh, precompute(mesh), material, perfusion, bc,
-        initial_temperature=initial_temperature,
-    )
-    return AssembledSystem(
-        K=k,
-        C=state.lumped_mass,
-        K_b=state.perfusion_diag,
-        source=state.perfusion_source + state.metabolic,
-        external=state.external_heat,
-        dirichlet_mask=state.dirichlet_mask,
-        dirichlet_values=state.dirichlet_values,
-    )
 
 
 def dense_lambda_max(

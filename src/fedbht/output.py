@@ -80,11 +80,14 @@ def _write_text(path, head: str, body):
 
 
 def write_record_outputs(out_dir, mesh: Mesh, record: SimulationRecord):
-    """Write every snapshot (CSV + VTK) and the probe history.
+    """Write every snapshot (CSV + VTK) and the probe history; returns the
+    snapshot names written.
 
-    The geometry text (CSV row prefixes, VTK points and cells) is formatted
-    once per call; each snapshot formats its temperature column once and
-    writes it into both files.
+    Snapshots taken at the same step time (two snapshot times within one
+    step, or the divergence snapshot) are one field: its files are written
+    once and its name listed once. The geometry text (CSV row prefixes, VTK
+    points and cells) is formatted once per call; each snapshot formats its
+    temperature column once and writes it into both files.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -92,7 +95,11 @@ def write_record_outputs(out_dir, mesh: Mesh, record: SimulationRecord):
         prefixes = [f"{i},{x:.17g},{y:.17g},{z:.17g},"
                     for i, (x, y, z) in enumerate(mesh.nodes.tolist())]
         vtk_head = _vtk_geometry(mesh)
+    last_time = None
     for t, temps in zip(record.snapshot_times, record.snapshots):
+        if t == last_time:
+            continue
+        last_time = t
         base = snapshot_basename(t)
         column = ("%.17g\n" * len(temps)) % tuple(temps.tolist())
         _write_text(os.path.join(out_dir, base + ".csv"), "node_index,x,y,z,T\n",
@@ -118,15 +125,16 @@ def write_manifest(path, config_echo: dict, record: SimulationRecord, snapshot_n
     strategy, and whether the thermal mass was updated every step.
     """
     variant = record.variant
+    estimate = record.stability  # None when the run made no estimate
     manifest = {
         "config": config_echo,
         "dt": record.dt,
         "n_steps": record.n_steps,
         "n_elements": record.n_elements,
-        "lambda_max": record.lambda_max,
-        "dt_critical": record.dt_critical,
-        "stability_iterations": record.stability_iterations,
-        "stability_converged": record.stability_converged,
+        "lambda_max": getattr(estimate, "lambda_max", None),
+        "dt_critical": getattr(estimate, "dt_critical", None),
+        "stability_iterations": getattr(estimate, "iterations", None),
+        "stability_converged": getattr(estimate, "converged", None),
         "diverged": record.diverged,
         "divergence_step": record.divergence_step,
         "snapshots": list(snapshot_names),

@@ -13,16 +13,23 @@ Dirichlet nodes do not participate: their rows and columns are projected
 out of the operator. Temperature-dependent conductivities are frozen at
 the supplied operating field before iterating (the operator must be
 linear).
+
+:func:`guard_time_step` holds the one rule that judges a step size against
+an estimate.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .deformation import DeformationState
+from .errors import StabilityError
 from .kernels import ConductionOperator
+
+log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERATIONS = 10_000
@@ -35,6 +42,10 @@ class StabilityEstimate:
     dt_critical: float
     iterations: int
     converged: bool
+
+    def admits(self, dt: float) -> bool:
+        """Whether a step of dt is within the critical step."""
+        return dt <= self.dt_critical
 
 
 def power_iteration(
@@ -126,30 +137,23 @@ def estimate_critical_dt(
     )
 
 
-def sample_critical_dt(operator: ConductionOperator, state, provider, times):
-    """Estimates of the critical step at each of ``times``.
-
-    state is the run's ThermalState: its lumped mass, exchange diagonal,
-    Dirichlet mask and temperatures (the operating field). The conduction
-    operator sees the provider's deformation at each time. When the
-    operator ignores deformation or the provider does not move, every time
-    gives the same estimate and only the first is sampled.
-
-    Returns (tightest, samples): the estimate with the smallest critical
-    step and the list of (time, estimate) pairs, in the order sampled.
-    """
-    deformed = operator.variant.uses_deformation
-    if not (deformed and provider.time_varying):
-        times = times[:1]
-    samples = []
-    for t in times:
-        deformation = provider.displacements_at(t, operator.mesh) if deformed else None
-        est = estimate_critical_dt(
-            operator, state.lumped_mass, state.perfusion_diag,
-            dirichlet_mask=state.dirichlet_mask,
-            deformation=deformation,
-            operating_temps=state.T,
+def guard_time_step(dt: float, estimate: StabilityEstimate) -> None:
+    """Refuse a step the estimate does not admit (StabilityError). Warn when
+    the estimate did not converge, since it then errs on the unsafe side,
+    and when dt is above 90 % of the critical step."""
+    if not estimate.converged:
+        log.warning(
+            "stability estimate did not converge in %d iterations; "
+            "the critical step %g s may be too large",
+            estimate.iterations, estimate.dt_critical,
         )
-        samples.append((float(t), est))
-    tightest = min((est for _, est in samples), key=lambda est: est.dt_critical)
-    return tightest, samples
+    if not estimate.admits(dt):
+        raise StabilityError(
+            f"dt = {dt:g} s exceeds estimated critical step "
+            f"{estimate.dt_critical:g} s; shrink dt or override explicitly"
+        )
+    if dt > 0.9 * estimate.dt_critical:
+        log.warning(
+            "dt = %g s is above 90%% of the critical step %g s",
+            dt, estimate.dt_critical,
+        )

@@ -285,6 +285,26 @@ def test_unconverged_stability_estimate_is_flagged(scenario_path, tmp_path, monk
     assert capsys.readouterr().out.count("(3 iterations) NOT CONVERGED") == 2
 
 
+@pytest.mark.parametrize("above", [False, True])
+def test_run_and_stability_report_share_the_dt_rule(scenario_path, tmp_path, monkeypatch,
+                                                    caplog, capsys, above):
+    # with a critical step of exactly 0.1 s, dt = 0.1 runs (with the 90 %
+    # warning) and the next float up is refused; the report agrees
+    estimate = stability.StabilityEstimate(lambda_max=20.0, dt_critical=0.1,
+                                           iterations=1, converged=True)
+    monkeypatch.setattr(stability, "estimate_critical_dt", lambda *a, **kw: estimate)
+    dt = float(np.nextafter(0.1, 1.0)) if above else 0.1
+    path = rewrite(scenario_path, tmp_path, lambda doc: doc["schedule"].update(dt=dt))
+    with caplog.at_level(logging.WARNING, logger="fedbht"):
+        code = cli_main(["run", path, "--out", str(tmp_path / "o")])
+    assert code == (2 if above else 0)
+    assert ("above 90% of the critical step" in caplog.text) is not above
+    capsys.readouterr()
+    assert cli_main(["stability", path]) == 0
+    verdict = "EXCEEDS" if above else "within"
+    assert f"schedule dt = {dt:g} s {verdict} the critical step" in capsys.readouterr().out
+
+
 def test_cli_verify_forward_replay(scenario_path, tmp_path, capsys):
     out = tmp_path / "hist"
     code = cli_main(["verify", scenario_path, "--scheme", "forward",

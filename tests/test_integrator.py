@@ -96,12 +96,20 @@ def test_build_state_perfusion_terms():
     pre = precompute(mesh)
     mat = make_material()
     perf = PerfusionParams(w_b=2.0, c_b=3617.0, T_a=37.0, Q_met=420.0)
-    state = build_thermal_state(mesh, pre, mat, perf, NO_BC, 37.0)
+    # a pinned node and a schedulable heater leave the perfusion terms alone
+    bc = BoundaryConditions(
+        dirichlet=(DirichletBC(nodes=np.array([5], dtype=np.intp), temperature=37.0),),
+        fluxes=(FluxBC(nodes=np.array([0, 1], dtype=np.intp), watts_per_node=0.5),),
+        films=())
+    state = build_thermal_state(mesh, pre, mat, perf, bc, 37.0)
     vols = node_volumes(mesh, pre)
     np.testing.assert_allclose(state.perfusion_diag, 2.0 * 3617.0 * vols, rtol=1e-13)
     np.testing.assert_allclose(state.perfusion_source,
                                2.0 * 3617.0 * 37.0 * vols, rtol=1e-13)
     np.testing.assert_allclose(state.metabolic, 420.0 * vols, rtol=1e-13)
+    assert np.flatnonzero(state.dirichlet_mask).tolist() == [5]
+    assert state.external_heat[0] == 0.5 and state.external_heat[2] == 0.0
+    assert np.all(state.lumped_mass > 0) and np.all(state.perfusion_diag > 0)
 
 
 def test_perfusion_equilibrium_is_exact():

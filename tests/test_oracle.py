@@ -21,7 +21,6 @@ from fedbht.material import PerfusionParams
 from fedbht.mesh import Mesh, precompute
 from fedbht.oracle import (
     OracleAssembler,
-    assemble,
     brute_force_element_load,
     hex_gauss_rule,
     quadrature_volume,
@@ -139,6 +138,7 @@ def test_assembled_stiffness_properties():
     mesh = random_tet_mesh(n_cells=2, seed=15, jitter=0.2)
     mat = make_material(k=0.54)
     k = OracleAssembler(mesh, mat).stiffness()
+    assert k.shape == (mesh.n_nodes, mesh.n_nodes)
     dense = k.toarray()
     np.testing.assert_allclose(dense, dense.T, atol=1e-14)
     np.testing.assert_allclose(dense.sum(axis=1), 0.0, atol=1e-13)
@@ -230,23 +230,6 @@ def test_oracle_imports_no_production_element_code():
                 # lumping and the update are the oracle's own
                 assert not names & {"lumped_thermal_mass", "node_volumes",
                                     "_equal_split", "step", "*"}, names
-
-
-def test_assemble_bundles_balance_terms():
-    mesh = random_tet_mesh(n_cells=2, seed=19, jitter=0.1)
-    mat = make_material()
-    perf = PerfusionParams(w_b=1.0, c_b=3617.0, T_a=37.0, Q_met=100.0)
-    heater = np.array([0, 1], dtype=np.intp)
-    bc = BoundaryConditions(
-        dirichlet=(DirichletBC(nodes=np.array([5], dtype=np.intp), temperature=37.0),),
-        fluxes=(FluxBC(nodes=heater, watts_per_node=0.5),),
-        films=())
-    system = assemble(mesh, mat, perfusion=perf, bc=bc)
-    assert system.K.shape == (mesh.n_nodes, mesh.n_nodes)
-    assert system.dirichlet_mask[5]
-    assert system.external[0] == pytest.approx(0.5)
-    assert np.all(system.C > 0)
-    assert np.all(system.K_b > 0)
 
 
 def test_independent_lumped_mass_agrees(tissue_material):

@@ -1,5 +1,7 @@
 """Byte equality of the block-formatted snapshot writers with per-line ones."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,12 @@ from fedbht.integrator import BoundaryConditions, FluxBC, Schedule, SimulationRe
 from fedbht.kernels import Variant
 from fedbht.material import PerfusionParams
 from fedbht.mesh import precompute
-from fedbht.output import read_snapshot_csv, snapshot_basename, write_record_outputs
+from fedbht.output import (
+    read_snapshot_csv,
+    snapshot_basename,
+    write_manifest,
+    write_record_outputs,
+)
 
 from conftest import make_material, mixed_block, random_tet_mesh
 
@@ -145,6 +152,45 @@ def test_diverged_record_partial_outputs(tmp_path):
     assert record.diverged and len(record.snapshots) == 2
     assert record.probe_values.shape[0] == record.divergence_step + 1
     assert_matches_reference(tmp_path, mesh, record)
+
+
+def quiet_run(schedule, **kw):
+    mesh = random_tet_mesh(n_cells=1, seed=3, jitter=0.0, lengths=(0.03,) * 3)
+    record = run(mesh, precompute(mesh), make_material(k=0.5), PerfusionParams(),
+                 BoundaryConditions(dirichlet=(), fluxes=(), films=()),
+                 IdentityDeformation(), schedule, Variant.CLASSICAL_ISO_TEMP_INDEP, **kw)
+    return mesh, record
+
+
+def test_snapshots_of_one_step_are_written_once(tmp_path):
+    # 0.6 and 0.9 both fire at t = 1.0: the record keeps both snapshots, the
+    # output directory and the manifest hold the step's field once
+    mesh, record = quiet_run(Schedule(dt=0.5, total_time=2.0, snapshot_times=(0.6, 0.9)))
+    assert record.snapshot_times == [1.0, 1.0]
+    out = tmp_path / "o"
+    names = write_record_outputs(out, mesh, record)
+    assert names == ["snapshot_1000"]
+    assert sorted(p.name for p in out.iterdir()) == ["snapshot_1000.csv", "snapshot_1000.vtk"]
+    write_manifest(out / "manifest.json", {}, record, names)
+    assert json.loads((out / "manifest.json").read_text())["snapshots"] == ["snapshot_1000"]
+
+
+STABILITY_KEYS = ("lambda_max", "dt_critical", "stability_iterations", "stability_converged")
+
+
+def test_manifest_stability_keys_come_from_the_record(tmp_path):
+    schedule = Schedule(dt=0.5, total_time=1.0)
+    for dt_override in (False, True):
+        _, record = quiet_run(schedule, dt_override=dt_override)
+        write_manifest(tmp_path / "manifest.json", {}, record, [])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        est = record.stability
+        if dt_override:
+            assert est is None
+            assert [manifest[key] for key in STABILITY_KEYS] == [None] * 4
+        else:
+            assert [manifest[key] for key in STABILITY_KEYS] == [
+                est.lambda_max, est.dt_critical, est.iterations, est.converged]
 
 
 def test_read_snapshot_csv_roundtrips_bitwise(tmp_path):

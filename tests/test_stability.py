@@ -1,13 +1,21 @@
+import logging
+
 import numpy as np
 import pytest
 
 from fedbht.deformation import AffineDeformation, DeformationState
+from fedbht.errors import StabilityError
 from fedbht.integrator import BoundaryConditions, DirichletBC, build_thermal_state
 from fedbht.kernels import ConductionOperator, Variant
 from fedbht.material import PerfusionParams
 from fedbht.mesh import precompute
 from fedbht.oracle import OracleAssembler, dense_lambda_max
-from fedbht.stability import estimate_critical_dt, power_iteration
+from fedbht.stability import (
+    StabilityEstimate,
+    estimate_critical_dt,
+    guard_time_step,
+    power_iteration,
+)
 
 from conftest import make_material, random_tet_mesh
 
@@ -152,3 +160,24 @@ def test_property_temps_freeze_material_state(tissue_material):
     assert est_65.lambda_max > est_37.lambda_max
     ratio = est_65.lambda_max / est_37.lambda_max
     assert ratio == pytest.approx(0.57 / 0.53, rel=1e-6)
+
+
+def test_guard_admits_the_critical_step_and_refuses_the_next_float(caplog):
+    est = StabilityEstimate(lambda_max=8.0, dt_critical=0.25, iterations=5, converged=True)
+    above = np.nextafter(0.25, 1.0)
+    assert est.admits(0.25) and not est.admits(above)
+    with caplog.at_level(logging.WARNING, logger="fedbht"):
+        guard_time_step(0.225, est)  # exactly 90 %: silent
+        assert caplog.text == ""
+        guard_time_step(0.25, est)
+        assert "above 90% of the critical step" in caplog.text
+        with pytest.raises(StabilityError, match="exceeds estimated critical step"):
+            guard_time_step(above, est)
+
+
+def test_guard_warns_on_an_unconverged_estimate(caplog):
+    est = StabilityEstimate(lambda_max=8.0, dt_critical=0.25, iterations=3, converged=False)
+    with caplog.at_level(logging.WARNING, logger="fedbht"):
+        guard_time_step(0.1, est)
+    assert "did not converge in 3 iterations" in caplog.text
+    assert "above 90%" not in caplog.text
