@@ -86,9 +86,7 @@ def _bench_fixture(seed: int):
     coords = np.array(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     ) * scale
-    mesh = Mesh(nodes=coords, tets=np.array([[0, 1, 2, 3]], dtype=np.intp),
-                hexes=np.zeros((0, 8), dtype=np.intp))
-    (tets,) = precompute(mesh).families
+    (tets,) = precompute(Mesh(nodes=coords, tets=[[0, 1, 2, 3]])).families
     grads = tets.grads[0]
     volume = float(tets.weights[0])
 

@@ -26,7 +26,8 @@ operator caches and how it applies it:
 
   frozen stiffness  iii (classical_aniso_temp_indep) and
                     v (classical_iso_temp_indep): conductivity is constant,
-                    so A_e = w J^-1 D(T_ref) J^-T is cached at build time.
+                    so the reference memo Q = J^-T is reduced at build time
+                    to A_e = w Q^T D(T_ref) Q = w J^-1 D(T_ref) J^-T.
   pullback          i (deformed_aniso_temp_dep), ii (classical_aniso_temp_dep)
                     and iv (classical_iso_temp_dep): the conduction integral
                     pulled back to the reference configuration through the
@@ -35,29 +36,28 @@ operator caches and how it applies it:
                     y = Q^T (w det F k(T)) Q z with k(T) evaluated at the
                     element mean temperature (a scalar for isotropic
                     tables, a tensor D otherwise). At rest F = I, Q is
-                    exactly J^-T and the pullback is the classical element;
-                    ii and iv keep that reference geometry for the whole
-                    run, i follows the deformation.
+                    exactly J^-T and the pullback is the classical element.
 
 Element loads are the positive-semidefinite form K_e @ T_e; the explicit
 update subtracts them, which makes pure conduction dissipative. On a
 uniform field z, and with it every load, is exactly zero.
 
-The geometry memo starts from the reference configuration (Q = J^-T,
-w * det F = w, zero displacements); ii and iv ignore the deformation and
-never leave it. Variant i keeps a private copy of the last displacement
-field and rebuilds Q and w * det F only when the field changes by value; a
-missing deformation is a zero displacement field. A rebuild takes
-H = dn^T u per displacement component through the same gather: J + H is
-the deformed element's natural Jacobian F J, so Q = (J + H)^-T (adjugate
-inverse) and det F = det(J + H) / det J, floor-checked per element. J comes
-from the same gather of the node coordinates, so a rebuild at zero
-displacement gives the reference memo bit for bit.
+The geometry is the precompute's J alone; no node coordinate is read.
+Every variant starts from the reference memo Q = J^-T and det J, built
+with the adjugate inverse a rebuild uses (deformation.inv_det_3x3). The
+frozen variants reduce it to A_e; ii and iv keep it, with w * det F = w,
+for the whole run. Variant i also keeps J, det J and a private copy of the
+last displacement field (zero at first; a missing deformation is zero),
+and rebuilds the memo only when that field changes by value: H = dn^T u
+per displacement component through the same gather, J + H = F J, so
+Q = (J + H)^-T and det F = det(J + H) / det J, floor-checked per element.
+At zero displacement J + H is J, and a rebuild gives the reference memo
+bit for bit.
 
-A call works in the block's preallocated buffers and makes no per-element
-temporaries beyond the property lookup; a geometry rebuild also allocates
-J + H and the temporaries of its inverse. Every (n,) row of the 3x3 stage starts on a cache line,
-so its speed does not depend on where the allocator puts its buffers.
+A call works in the block's preallocated buffers; only the property lookup
+and a geometry rebuild (J + H and its inverse) allocate per element. Every
+(n,) row of the 3x3 stage starts on a cache line, so its speed does not
+depend on where the allocator puts its buffers.
 """
 
 from __future__ import annotations
@@ -137,24 +137,23 @@ class _Block:
                            # pullback: the memo Q = F^-T J^-T [spatial, natural]
     nodal: np.ndarray      # (k, n) gathered nodal values, then the element loads
     work: np.ndarray       # (8, n) scratch rows: z and the mean, the 3x3 output, tmp
-    # pullback (i, ii, iv) only
-    jac: np.ndarray | None = None     # (3, 3, n) J [reference, natural]
-    det_j: np.ndarray | None = None   # (n,) det J
-    wdet: np.ndarray | None = None    # (n,) the memo weight * det F
+    wdet: np.ndarray | None = None    # (n,) pullback only: the memo weight * det F
+    jac: np.ndarray | None = None     # (3, 3, n) variant i only: J [reference, natural]
+    det_j: np.ndarray | None = None   # (n,) variant i only: det J
 
 
 class ConductionOperator:
     """Matrix-free conduction operator for one mesh/material/variant.
 
     Build once per run; :meth:`apply` evaluates the global load vector
-    K(T) @ T. Variants iii and v apply a frozen per-element 3x3 A_e; i, ii
-    and iv run the pullback from a geometry memo (Q = F^-T J^-T and
-    weight * det F) built at the reference configuration. Only variant i
-    reads the deformation: it rebuilds the memo against a private copy of
-    the last displacement field when that field changes, so calls with an
-    unchanged deformation apply the memo as it is. The memo and the
-    kernel's buffers belong to the operator: one operator serves one
-    caller at a time.
+    K(T) @ T; ``mesh`` gives only the node count, ``precomp`` the geometry.
+    Variants iii and v apply a frozen per-element 3x3 A_e; i, ii and iv run
+    the pullback from a geometry memo (Q = F^-T J^-T and weight * det F)
+    built at the reference configuration. Only variant i reads the
+    deformation: it rebuilds the memo against a private copy of the last
+    displacement field when that field changes, so calls with an unchanged
+    deformation apply the memo as it is. The memo and the kernel's buffers
+    belong to the operator: one operator serves one caller at a time.
     """
 
     def __init__(
@@ -167,7 +166,6 @@ class ConductionOperator:
     ):
         if variant.requires_isotropic and not material.isotropic:
             raise ValueError(f"variant {variant.value} requires isotropic conductivity")
-        self.mesh = mesh
         self.material = material
         self.variant = variant
         self.reference_temperature = float(reference_temperature)
@@ -187,22 +185,19 @@ class ConductionOperator:
                 family.weights, _aligned_rows((3, 3), n), np.empty((npe, n)),
                 _aligned_rows((8,), n),
             )
+            # the reference memo Q = J^-T, as a rebuild at zero displacement makes it
+            _, det_j = inv_det_3x3(family.jac, out=np.transpose(block.factor, (2, 1, 0)))
             if variant.full_precompute:
-                jinv_t = family.jinv_t
-                a = family.weights[:, None, None] * (jinv_t.transpose(0, 2, 1) @ d0 @ jinv_t)
+                q = np.transpose(block.factor, (2, 0, 1))  # (n, 3, 3) [element, spatial, natural]
+                a = family.weights[:, None, None] * (q.transpose(0, 2, 1) @ d0 @ q)
                 block.factor[...] = a.transpose(1, 2, 0)
             else:
-                # J through the kernel's own gather, and the memo as a
-                # rebuild at zero displacement would make it
-                block.jac = _aligned_rows((3, 3), n)
-                for j in range(3):
-                    _gather_natural(block, mesh.nodes[:, j], block.work[:4])
-                    block.jac[j] = block.work[:3]
-                _, block.det_j = inv_det_3x3(
-                    np.moveaxis(block.jac, 2, 0), out=np.transpose(block.factor, (2, 1, 0))
-                )
                 block.wdet = _aligned_rows((), n)
                 block.wdet[...] = family.weights
+                if variant.uses_deformation:
+                    block.jac = _aligned_rows((3, 3), n)
+                    block.jac[...] = family.jac.transpose(1, 2, 0)
+                    block.det_j = det_j
             self._blocks.append(block)
         self._memo_disp: np.ndarray | None = np.zeros((self.n_nodes, 3))
 

@@ -17,8 +17,9 @@ seen from +z), nodes 4-7 the top face directly above them.
 Node-set files carry one zero-based node index per line.
 
 A Mesh checks on construction that coordinates are finite and indices in
-range. :func:`precompute` checks that every element has positive measure
-(signed tet volume, centre-point Jacobian determinant for hexes);
+range. :func:`precompute` keeps each family's Jacobians J and weights
+and checks that every element has positive measure (signed tet volume,
+centre-point Jacobian determinant for hexes);
 :func:`load_mesh` and ``blockmesh.make_block_mesh`` call it, other meshes
 are checked when first precomputed. :func:`parse_mesh` reads a file
 without that check, for callers that precompute the mesh next and keep
@@ -116,6 +117,10 @@ class Mesh:
             raise GeometryError("non-finite node coordinates")
         for etype in ELEMENT_TYPES:
             conn = np.asarray(getattr(self, etype.attr), dtype=np.intp)
+            if conn.size and (conn.ndim != 2 or conn.shape[1] != etype.width):
+                raise TopologyError(
+                    f"{etype.kind} connectivity must be (n, {etype.width}), got {conn.shape}"
+                )
             conn = np.ascontiguousarray(conn.reshape(-1, etype.width))
             setattr(self, etype.attr, conn)
             bad = (conn < 0) | (conn >= self.n_nodes)
@@ -145,9 +150,8 @@ class ElementFamily(NamedTuple):
     kind: the ElementType's kind, "tet4" or "hex8".
     conn: (n, k) node indices, the mesh's own array.
     dn: (k, 3) the ElementType's natural shape derivatives, rows = nodes.
-    jinv_t: (n, 3, 3) J^-T, the inverse transpose of the element map
-        Jacobian at the integration point; it maps natural derivatives to
-        reference-coordinate gradients.
+    jac: (n, 3, 3) J = coords^T dn, the element map Jacobian at the
+        integration point, [reference, natural]; nothing here inverts it.
     weights: (n,) integration weights in m^3 (tet4 V, hex8 8 det J0), used
         alike by the conduction operator and the equal-split lumping.
     """
@@ -155,14 +159,15 @@ class ElementFamily(NamedTuple):
     kind: str
     conn: np.ndarray
     dn: np.ndarray
-    jinv_t: np.ndarray
+    jac: np.ndarray
     weights: np.ndarray
 
     @property
     def grads(self) -> np.ndarray:
         """(n, 3, k) shape-function gradients w.r.t. reference coordinates
-        at the integration point, J^-T dn^T; column a belongs to node a."""
-        return self.jinv_t @ self.dn.T
+        at the integration point, J^-T dn^T solved from J; column a belongs
+        to node a."""
+        return np.linalg.solve(self.jac.transpose(0, 2, 1), self.dn.T[np.newaxis])
 
 
 @dataclass
@@ -178,7 +183,7 @@ class ElementPrecomp:
 
 
 def precompute(mesh: Mesh) -> ElementPrecomp:
-    """Compute the inverse-transpose Jacobians and integration weights.
+    """Compute the element map Jacobians and integration weights.
 
     Raises GeometryError (naming the family, element index and value) for
     any element whose measure is non-positive or degenerate.
@@ -195,9 +200,7 @@ def precompute(mesh: Mesh) -> ElementPrecomp:
                 f"{etype.measure} {measure[elem]:.3e} m^3 (node order must give det > 0)"
             )
         families.append(ElementFamily(
-            etype.kind, conn, etype.dn, np.linalg.inv(jac).transpose(0, 2, 1),
-            etype.weight_factor * measure,
-        ))
+            etype.kind, conn, etype.dn, jac, etype.weight_factor * measure))
     return ElementPrecomp(families=tuple(families))
 
 

@@ -27,7 +27,8 @@ PROBE_CHUNK = 64
 
 
 def snapshot_basename(time_s: float) -> str:
-    return f"snapshot_{int(round(time_s * 1000.0))}"
+    """snapshot_<ms>, ms rounded to 1e-6: 3 * 0.1 s gives snapshot_300, 0.8 ms snapshot_0.8."""
+    return f"snapshot_{round(time_s * 1000.0, 6):.15g}"
 
 
 def read_snapshot_csv(path) -> tuple[np.ndarray, np.ndarray]:

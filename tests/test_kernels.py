@@ -113,6 +113,23 @@ def test_factored_loads_match_element_matrices(variant, tissue_material):
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.roman)
+def test_operator_geometry_comes_from_the_precompute(variant, tissue_material):
+    # the mesh gives the operator its node count only: with the same
+    # precompute, other node coordinates must give the same loads
+    rng = np.random.default_rng(12)
+    for mesh in _test_meshes():
+        pre = precompute(mesh)
+        other = Mesh(nodes=1.5 * mesh.nodes, tets=mesh.tets, hexes=mesh.hexes)
+        temps = 37.0 + 20.0 * rng.random(mesh.n_nodes)
+        moved = DeformationState(0.02 * rng.normal(size=(mesh.n_nodes, 3)))
+        for mat in _materials_for(variant, tissue_material):
+            ops = [ConductionOperator(m, pre, mat, variant) for m in (mesh, other)]
+            for state in (None, moved):
+                loads, other_loads = (op.apply(temps, deformation=state) for op in ops)
+                assert np.array_equal(loads, other_loads), mesh.n_elements
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.roman)
 def test_loads_sum_to_zero(variant):
     # conduction redistributes heat, it must not create or destroy it
     mesh = random_tet_mesh(n_cells=2, seed=7, jitter=0.2)

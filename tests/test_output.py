@@ -175,6 +175,24 @@ def test_snapshots_of_one_step_are_written_once(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["snapshots"] == ["snapshot_1000"]
 
 
+def test_snapshot_names_below_a_millisecond_are_distinct(tmp_path):
+    # at dt = 0.4 ms, names in whole milliseconds would give the steps at
+    # 0.8 and 1.2 ms one file pair, snapshot_1
+    assert [snapshot_basename(t) for t in (0.0, 3 * 0.1, 0.25, 20.0)] == [
+        "snapshot_0", "snapshot_300", "snapshot_250", "snapshot_20000"]
+    steps = [n * 0.0004 for n in range(5000)]
+    assert len({snapshot_basename(t) for t in steps}) == len(steps)
+    mesh = mixed_block()
+    first = 37.0 + np.arange(mesh.n_nodes) / mesh.n_nodes
+    record = SimulationRecord(dt=0.0004, n_steps=3, snapshot_times=steps[2:4],
+                              snapshots=[first, first + 1.0])
+    names = write_record_outputs(tmp_path, mesh, record)
+    assert names == ["snapshot_0.8", "snapshot_1.2"]
+    for name, temps in zip(names, record.snapshots):
+        assert read_snapshot_csv(tmp_path / f"{name}.csv")[1].tobytes() == temps.tobytes()
+        assert (tmp_path / f"{name}.vtk").is_file()
+
+
 STABILITY_KEYS = ("lambda_max", "dt_critical", "stability_iterations", "stability_converged")
 
 
