@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshFormatError, SingularDeformationError
-from .mesh import Mesh
+from .mesh import Mesh, read_rows
 
 # Deformation gradients with det F at or below this (or NaN) are treated
 # as inverted/collapsed elements rather than valid compressions.
@@ -116,56 +116,55 @@ class TrajectoryDeformation:
 
 def load_trajectory(path, n_nodes: int) -> TrajectoryDeformation:
     """Parse a trajectory file. See the module docstring for the format."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+
+    def frame_rows(start, count):
+        return read_rows(lines, start, count, 3, np.float64, "displacement row",
+                         "displacement components", header=_is_keyframe)
+
+    def miscounted(n_rows, stop):
+        # named at the next KEYFRAME header, or as line 0 at the end of the file
+        return MeshFormatError(
+            f"keyframe at t={times[-1]:g} has {n_rows} rows, expected {n_nodes}",
+            stop + 1 if stop < len(lines) else 0,
+        )
+
     times = []
     frames = []
-    current: list | None = None
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if parts[0].upper() == "KEYFRAME":
-                if current is not None and len(current) != n_nodes:
-                    raise MeshFormatError(
-                        f"keyframe at t={times[-1]:g} has {len(current)} rows, "
-                        f"expected {n_nodes}",
-                        lineno,
-                    )
-                if len(parts) != 2:
-                    raise MeshFormatError("KEYFRAME header needs a time", lineno)
-                try:
-                    times.append(float(parts[1]))
-                except ValueError:
-                    raise MeshFormatError(
-                        f"invalid keyframe time {parts[1]!r}", lineno
-                    ) from None
-                current = []
-                frames.append(current)
-                continue
-            if current is None:
-                raise MeshFormatError("displacement row before any KEYFRAME", lineno)
-            if len(parts) != 3:
-                raise MeshFormatError(
-                    f"expected 3 displacement components, got {len(parts)}", lineno
-                )
-            try:
-                current.append([float(p) for p in parts])
-            except ValueError:
-                raise MeshFormatError(f"invalid displacement row {text!r}", lineno) from None
+    idx = 0
+    while idx < len(lines):
+        text = lines[idx].split("#", 1)[0].strip()
+        idx += 1
+        if not text:
+            continue
+        parts = text.split()
+        if not _is_keyframe(parts):
+            if not times:
+                raise MeshFormatError("displacement row before any KEYFRAME", idx)
+            extra, stop = frame_rows(idx - 1, len(lines))  # rows past a full keyframe
+            raise miscounted(n_nodes + len(extra), stop)
+        if len(parts) != 2:
+            raise MeshFormatError("KEYFRAME header needs a time", idx)
+        try:
+            times.append(float(parts[1]))
+        except ValueError:
+            raise MeshFormatError(f"invalid keyframe time {parts[1]!r}", idx) from None
+        frame, idx = frame_rows(idx, n_nodes)
+        if len(frame) < n_nodes:
+            raise miscounted(len(frame), idx)
+        frames.append(frame)
 
     if not times:
         raise MeshFormatError("trajectory file has no keyframes", 0)
-    if len(frames[-1]) != n_nodes:
-        raise MeshFormatError(
-            f"keyframe at t={times[-1]:g} has {len(frames[-1])} rows, expected {n_nodes}",
-            0,
-        )
     try:
         return TrajectoryDeformation(times, np.array(frames, dtype=np.float64))
     except ValueError as err:
         raise MeshFormatError(str(err), 0) from None
+
+
+def _is_keyframe(fields) -> bool:
+    return fields[0].upper() == "KEYFRAME"
 
 
 def inverse_and_det(f: np.ndarray) -> tuple[np.ndarray, float]:
@@ -174,41 +173,11 @@ def inverse_and_det(f: np.ndarray) -> tuple[np.ndarray, float]:
     Raises SingularDeformationError unless det F > 1e-9 (inverted,
     collapsed or non-finite configuration).
     """
-    inv, det = inv_det_3x3(f[np.newaxis])
-    d = float(det[0])
+    f = np.asarray(f, dtype=np.float64)
+    cof = np.cross(f[[1, 2, 0]], f[[2, 0, 1]])  # row s: f[s+1] x f[s+2]
+    d = float(f[0] @ cof[0])
     if not d > DET_FLOOR:  # NaN fails too
         raise SingularDeformationError(
             f"deformation gradient determinant {d:.3e} is not above {DET_FLOOR:g}"
         )
-    return inv[0], d
-
-
-def inv_det_3x3(f: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Batched adjugate inverse and determinant of (n, 3, 3) matrices.
-
-    The inverse is written to ``out`` when given. No singularity check
-    here; callers own the det floor so they can attach element indices to
-    the error.
-    """
-    a = f[:, 0, 0]; b = f[:, 0, 1]; c = f[:, 0, 2]
-    d = f[:, 1, 0]; e = f[:, 1, 1]; g = f[:, 1, 2]
-    h = f[:, 2, 0]; i = f[:, 2, 1]; j = f[:, 2, 2]
-
-    c00 = e * j - g * i
-    c01 = g * h - d * j
-    c02 = d * i - e * h
-    det = a * c00 + b * c01 + c * c02
-
-    inv = np.empty_like(f) if out is None else out
-    inv[:, 0, 0] = c00
-    inv[:, 0, 1] = c * i - b * j
-    inv[:, 0, 2] = b * g - c * e
-    inv[:, 1, 0] = c01
-    inv[:, 1, 1] = a * j - c * h
-    inv[:, 1, 2] = c * d - a * g
-    inv[:, 2, 0] = c02
-    inv[:, 2, 1] = b * h - a * i
-    inv[:, 2, 2] = a * e - b * d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv /= det[:, None, None]
-    return inv, det
+    return cof.T / d, d

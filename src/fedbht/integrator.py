@@ -14,6 +14,13 @@ Lumping distributes each element's rho*c*V equally to its nodes (row-sum
 lumping, exact for linear tets). Perfusion uses the same equal split of
 w_b*c_b*V; concentrated film conditions add coefficient*area directly to
 the node they sit on.
+
+:func:`lumped_thermal_mass` lumps the mass at t = 0. When the run updates
+it, the conduction operator lumps it anew in every step from the element
+means of the same gather that feeds the conduction loads (its ``mass``
+output), so the field is gathered once per step. The update then adds
+the sources precombined once per heater state and allocates only the new
+field.
 """
 
 from __future__ import annotations
@@ -132,7 +139,11 @@ class Schedule:
 
 @dataclass
 class ThermalState:
-    """Per-node vectors of the discrete balance plus Dirichlet bookkeeping."""
+    """Per-node vectors of the discrete balance plus Dirichlet bookkeeping.
+
+    Construction indexes the Dirichlet nodes and their values once, for the
+    reset in :func:`step`, and allocates the update's scratch row.
+    """
 
     T: np.ndarray
     lumped_mass: np.ndarray
@@ -142,6 +153,16 @@ class ThermalState:
     external_heat: np.ndarray
     dirichlet_mask: np.ndarray
     dirichlet_values: np.ndarray  # full length; meaningful where mask is set
+
+    def __post_init__(self):
+        self._dirichlet_nodes = np.flatnonzero(self.dirichlet_mask)
+        self._dirichlet_fixed = self.dirichlet_values[self._dirichlet_nodes]
+        self._work = np.empty(len(self.dirichlet_mask))
+
+    def sources(self, source_on: bool = True) -> np.ndarray:
+        """perfusion_source + metabolic + external_heat, added in that
+        order; the external heating counts as zero with the heater off."""
+        return self.perfusion_source + self.metabolic + (self.external_heat if source_on else 0.0)
 
 
 @dataclass
@@ -311,25 +332,28 @@ def build_thermal_state(
 
 
 def step(state: ThermalState, loads: np.ndarray, dt: float,
-         step_index: int = 0, time: float | None = None) -> np.ndarray:
-    """One forward-Euler update; returns the new temperature vector.
+         step_index: int = 0, time: float | None = None,
+         sources: np.ndarray | None = None) -> np.ndarray:
+    """One forward-Euler update; returns the new temperature vector, the
+    only array it allocates.
 
-    The conduction loads enter with a minus sign (dissipative). Dirichlet
-    nodes are reset after the update and therefore win over any exchange
-    term. Raises DivergenceError on non-finite output.
+    sources is ``state.sources()``; a caller that takes many steps passes
+    it precombined, once per heater state. The conduction loads enter with
+    a minus sign (dissipative). Dirichlet nodes are reset after the update
+    and therefore win over any exchange term. Raises DivergenceError on
+    non-finite output.
     """
+    if sources is None:
+        sources = state.sources()
+    work = state._work
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = (
-            state.perfusion_source
-            + state.metabolic
-            + state.external_heat
-            - loads
-            - state.perfusion_diag * state.T
-        )
-        t_new = state.T + (dt / state.lumped_mass) * rhs
-    if state.dirichlet_mask.any():
-        t_new[state.dirichlet_mask] = state.dirichlet_values[state.dirichlet_mask]
-    if not np.all(np.isfinite(t_new)):
+        # T + (dt / C) * ((sources - loads) - Kb T), rounded as written
+        t_new = np.multiply(state.perfusion_diag, state.T)
+        np.subtract(np.subtract(sources, loads, out=work), t_new, out=t_new)
+        t_new *= np.divide(dt, state.lumped_mass, out=work)
+        t_new += state.T
+    t_new[state._dirichlet_nodes] = state._dirichlet_fixed
+    if not np.isfinite(t_new).all():
         raise DivergenceError(step_index, time)
     return t_new
 
@@ -365,7 +389,7 @@ def run(
         provider = IdentityDeformation()
 
     timings = {"stability": 0.0, "deformation": 0.0, "thermal": 0.0,
-               "conduction": 0.0, "mass_update": 0.0, "bookkeeping": 0.0}
+               "conduction": 0.0, "bookkeeping": 0.0}
     moving = variant.uses_deformation and provider.time_varying
     deformation = None
     if variant.uses_deformation:
@@ -396,13 +420,12 @@ def run(
         update_thermal_mass=update_thermal_mass,
     )
 
-    base_external = state.external_heat
-    zeros_external = np.zeros_like(base_external)
+    sources = {on: state.sources(on) for on in (False, True)}
+    mass = state.lumped_mass if update_thermal_mass else None  # updated by the operator
 
     try:
         for n, t_now, source_on, snapshots_due in schedule.walk():
             t0 = _time.perf_counter()
-            state.external_heat = base_external if source_on else zeros_external
             record.capture(t_now, state.T, snapshots_due)
             timings["bookkeeping"] += _time.perf_counter() - t0
             if n == record.n_steps:
@@ -413,15 +436,11 @@ def run(
                 deformation = provider.displacements_at(t_now, mesh)
                 timings["deformation"] += _time.perf_counter() - t0
 
-            if update_thermal_mass:
-                t0 = _time.perf_counter()
-                state.lumped_mass = lumped_thermal_mass(mesh, precomp, material, state.T)
-                timings["mass_update"] += _time.perf_counter() - t0
-
             t0 = _time.perf_counter()
-            loads = operator.apply(state.T, deformation=deformation)
+            loads = operator.apply(state.T, deformation=deformation, mass=mass)
             timings["conduction"] += _time.perf_counter() - t0
-            state.T = step(state, loads, schedule.dt, step_index=n, time=t_now)
+            state.T = step(state, loads, schedule.dt, step_index=n, time=t_now,
+                           sources=sources[source_on])
             timings["thermal"] += _time.perf_counter() - t0
     except DivergenceError as err:
         record.diverged = True

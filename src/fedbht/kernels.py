@@ -21,6 +21,12 @@ component-major (component, element) arrays:
   back      loads = dn y, one small matmul into the (k, n) rows;
   scatter   np.bincount into the global vector.
 
+A caller that steps with temperature-dependent density or heat capacity
+also asks for the row-sum lumped thermal mass. It comes from the same
+pass: each element's rho(T) c(T) w / k at the mean row of the gather of
+the stepped field, written into the spent (k, n) rows before the 3x3 stage
+and summed by the same scatter.
+
 The five variants are a study of cost; they differ only in which 3x3 the
 operator caches and how it applies it:
 
@@ -44,20 +50,24 @@ uniform field z, and with it every load, is exactly zero.
 
 The geometry is the precompute's J alone; no node coordinate is read.
 Every variant starts from the reference memo Q = J^-T and det J, built
-with the adjugate inverse a rebuild uses (deformation.inv_det_3x3). The
-frozen variants reduce it to A_e; ii and iv keep it, with w * det F = w,
-for the whole run. Variant i also keeps J, det J and a private copy of the
-last displacement field (zero at first; a missing deformation is zero),
-and rebuilds the memo only when that field changes by value: H = dn^T u
-per displacement component through the same gather, J + H = F J, so
-Q = (J + H)^-T and det F = det(J + H) / det J, floor-checked per element.
-At zero displacement J + H is J, and a rebuild gives the reference memo
-bit for bit.
+with the in-place adjugate inverse a rebuild uses (_inverse_transpose:
+the nine cofactors, det and the division by det, on (n,) rows like the
+3x3 stage). The frozen variants reduce it to A_e; ii and iv keep it,
+with w * det F = w, for the whole run. Variant i also keeps J, det J, a
+J + H buffer and a private copy of the last displacement field (zero at
+first; a missing deformation is zero), and rebuilds the memo only when
+that field changes by value: H = dn^T u per displacement component
+through the same gather, J + H = F J, so Q = (J + H)^-T and
+det F = det(J + H) / det J, floor-checked per element. At zero
+displacement J + H is J, and a rebuild gives the reference memo bit for
+bit.
 
-A call works in the block's preallocated buffers; only the property lookup
-and a geometry rebuild (J + H and its inverse) allocate per element. Every
-(n,) row of the 3x3 stage starts on a cache line, so its speed does not
-depend on where the allocator puts its buffers.
+A call works in the block's preallocated buffers, a geometry rebuild
+included; only the property lookups allocate per element: k(T) (for a
+tensor also its scaled copy) and, with the thermal mass, rho(T) and
+c(T). Every (n,) row of the 3x3 stage and of the geometry starts on a
+cache line, so its speed does not depend on where the allocator puts its
+buffers.
 """
 
 from __future__ import annotations
@@ -67,7 +77,7 @@ from enum import Enum
 
 import numpy as np
 
-from .deformation import DET_FLOOR, DeformationState, inv_det_3x3
+from .deformation import DET_FLOOR, DeformationState
 from .errors import SingularDeformationError
 from .material import MaterialModel
 from .mesh import ElementPrecomp, Mesh
@@ -140,6 +150,7 @@ class _Block:
     wdet: np.ndarray | None = None    # (n,) pullback only: the memo weight * det F
     jac: np.ndarray | None = None     # (3, 3, n) variant i only: J [reference, natural]
     det_j: np.ndarray | None = None   # (n,) variant i only: det J
+    moved: np.ndarray | None = None   # (3, 3, n) variant i only: the rebuild's J + H
 
 
 class ConductionOperator:
@@ -186,7 +197,8 @@ class ConductionOperator:
                 _aligned_rows((8,), n),
             )
             # the reference memo Q = J^-T, as a rebuild at zero displacement makes it
-            _, det_j = inv_det_3x3(family.jac, out=np.transpose(block.factor, (2, 1, 0)))
+            det_j = np.empty(n)
+            _inverse_transpose(family.jac.transpose(1, 2, 0), block.factor, det_j, block.work[7])
             if variant.full_precompute:
                 q = np.transpose(block.factor, (2, 0, 1))  # (n, 3, 3) [element, spatial, natural]
                 a = family.weights[:, None, None] * (q.transpose(0, 2, 1) @ d0 @ q)
@@ -198,18 +210,25 @@ class ConductionOperator:
                     block.jac = _aligned_rows((3, 3), n)
                     block.jac[...] = family.jac.transpose(1, 2, 0)
                     block.det_j = det_j
+                    block.moved = _aligned_rows((3, 3), n)
             self._blocks.append(block)
         self._memo_disp: np.ndarray | None = np.zeros((self.n_nodes, 3))
 
     # -- public API ---------------------------------------------------------
 
-    def apply(self, temps, deformation: DeformationState | None = None, property_temps=None):
+    def apply(self, temps, deformation: DeformationState | None = None, property_temps=None,
+              mass=None):
         """Global conduction loads K(T) @ temps.
 
         property_temps, when given, supplies the field at which temperature-
         dependent properties are evaluated (the stability estimator freezes
         properties at the operating state while probing with eigenvector
         iterates). Defaults to ``temps``.
+
+        mass, when given, is an (n_nodes,) array that receives the row-sum
+        lumped thermal mass of ``temps`` (never of property_temps): each
+        element's rho(T) c(T) weight, with T its mean temperature from the
+        same gather as the loads, shared equally among its nodes.
         """
         temps = np.asarray(temps, dtype=np.float64)
         if temps.shape != (self.n_nodes,):
@@ -237,21 +256,23 @@ class ConductionOperator:
                 rebuild = disp
 
         out = np.zeros(self.n_nodes)
+        lumped = None if mass is None else np.zeros(self.n_nodes)
         for block in self._blocks:
-            loads = self._block_loads(block, temps, prop, rebuild)
-            out += np.bincount(
-                block.conn_t.ravel(), weights=loads.ravel(), minlength=self.n_nodes
-            )
+            out += _scatter(block, self._block_loads(block, temps, prop, rebuild, lumped),
+                            self.n_nodes)
         if rebuild is not None:
             self._memo_disp = rebuild.copy()
+        if mass is not None:
+            mass[...] = lumped
         return out
 
     # -- internals ----------------------------------------------------------
 
-    def _block_loads(self, block: _Block, temps, prop, rebuild):
+    def _block_loads(self, block: _Block, temps, prop, rebuild, lumped):
         """(k, n) loads of one block: gather, z = dn^T x, the 3x3, dn y.
         rebuild, the (n_nodes, 3) displacements, is given only when the
-        pullback's geometry memo must be rebuilt."""
+        pullback's geometry memo must be rebuilt; lumped, when given,
+        accumulates the block's lumped thermal mass."""
         work = block.work
         z, mean, tmp = work[:3], work[3], work[7]
         # a diverging field overflows here; integrator.step detects it
@@ -259,12 +280,21 @@ class ConductionOperator:
             if rebuild is not None:
                 _pullback_geometry(block, rebuild.T)
             _gather_natural(block, prop, work[:4])
-            if self.variant.full_precompute:
-                y = _mat3(block.factor, z, work[4:7], tmp)
-            else:
+            if not self.variant.full_precompute:
                 k = self.material.conductivity.evaluate(mean)
                 if prop is not temps:
                     _gather_natural(block, temps, work[:4])
+            if lumped is not None:
+                # mean holds the means of temps until the 3x3 stage; the
+                # gathered nodal rows are spent, so they carry the shares
+                rho_c = self.material.density.evaluate(mean)
+                rho_c *= self.material.specific_heat.evaluate(mean)
+                rho_c *= block.weights
+                block.nodal[...] = np.divide(rho_c, block.nodal.shape[0], out=rho_c)
+                lumped += _scatter(block, block.nodal, self.n_nodes)
+            if self.variant.full_precompute:
+                y = _mat3(block.factor, z, work[4:7], tmp)
+            else:
                 y = _pullback(block, k, self.material.isotropic)
             np.matmul(block.dn, y, out=block.nodal)
         return block.nodal
@@ -282,20 +312,26 @@ def _gather_natural(block: _Block, values, rows):
     np.matmul(block.forward, nodal, out=rows)
 
 
+def _scatter(block: _Block, rows, n_nodes: int):
+    """Nodal sums of the block's (k, n) per-node rows, through the
+    component-major connectivity."""
+    return np.bincount(block.conn_t.ravel(), weights=rows.ravel(), minlength=n_nodes)
+
+
 def _pullback_geometry(block: _Block, disp_t):
     """Geometry stage: the memo Q = (J + H)^-T = F^-T J^-T, with H = dn^T u
     the displacement's natural gradient, and weight * det F, where
     det F = det(J + H) / det J is floor-checked per element. A failed check
     leaves the memo overwritten; the caller then rebuilds on its next call."""
-    work = block.work
-    jac = _aligned_rows((3, 3), block.conn_t.shape[1])  # J + H, [spatial, natural]
+    work, moved = block.work, block.moved  # J + H, [spatial, natural]
     for j in range(3):
         _gather_natural(block, disp_t[j], work[:4])
-        np.add(block.jac[j], work[:3], out=jac[j])
-    _, det = inv_det_3x3(np.moveaxis(jac, 2, 0), out=np.transpose(block.factor, (2, 1, 0)))
+        np.add(block.jac[j], work[:3], out=moved[j])
+    det = work[3]
+    _inverse_transpose(moved, block.factor, det, work[7])
     det /= block.det_j
-    bad = ~(det > DET_FLOOR)  # NaN fails too
-    if np.any(bad):
+    if not det.min() > DET_FLOOR:  # NaN fails too
+        bad = ~(det > DET_FLOOR)
         elem = int(np.argmax(bad))
         raise SingularDeformationError(
             f"{block.kind} element {elem}: deformation gradient determinant "
@@ -339,6 +375,22 @@ def _aligned_rows(lead: tuple, n: int, dtype=np.float64):
     raw = np.empty(count * stride + step, dtype=dtype)
     skip = (-raw.ctypes.data % _ROW_ALIGN) // itemsize
     return raw[skip:skip + count * stride].reshape(*lead, stride)[..., :n]
+
+
+def _inverse_transpose(m, out, det, tmp):
+    """out = m^-T and det = det m per element, over (3, 3, n) rows: row s
+    of the cofactor matrix is m[s+1] x m[s+2], det expands along m[0], and
+    the cofactors are then divided by det. No singularity check here;
+    callers own the det floor so they can name the element."""
+    for s in range(3):
+        u, v = m[(s + 1) % 3], m[(s + 2) % 3]
+        for c in range(3):
+            a, b = (c + 1) % 3, (c + 2) % 3
+            np.multiply(u[a], v[b], out=out[s, c])
+            out[s, c] -= np.multiply(u[b], v[a], out=tmp)
+    _dot(m[0], out[0], det, tmp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= det
 
 
 def _mat3(m, vecs, out, tmp, transpose=False):

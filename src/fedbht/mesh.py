@@ -23,7 +23,9 @@ centre-point Jacobian determinant for hexes);
 :func:`load_mesh` and ``blockmesh.make_block_mesh`` call it, other meshes
 are checked when first precomputed. :func:`parse_mesh` reads a file
 without that check, for callers that precompute the mesh next and keep
-the result (``config.load_scenario``).
+the result (``config.load_scenario``). Its sections, and the keyframes of
+``deformation.load_trajectory``, go through :func:`read_rows`, which
+converts a section with one numpy call.
 
 What differs between element families (nodes per element, derivatives at
 the integration point, weight, degenerate check, file keyword, VTK cell
@@ -116,12 +118,22 @@ class Mesh:
         if not np.all(np.isfinite(self.nodes)):
             raise GeometryError("non-finite node coordinates")
         for etype in ELEMENT_TYPES:
-            conn = np.asarray(getattr(self, etype.attr), dtype=np.intp)
+            conn = np.asarray(getattr(self, etype.attr))
             if conn.size and (conn.ndim != 2 or conn.shape[1] != etype.width):
                 raise TopologyError(
                     f"{etype.kind} connectivity must be (n, {etype.width}), got {conn.shape}"
                 )
-            conn = np.ascontiguousarray(conn.reshape(-1, etype.width))
+            conn = conn.reshape(-1, etype.width)
+            if conn.dtype.kind == "f":  # a cast alone would truncate 1.7 to node 1
+                with np.errstate(invalid="ignore"):
+                    bad = conn.astype(np.intp) != conn  # NaN and inf too
+                if np.any(bad):
+                    elem = int(np.argmax(bad.any(axis=1)))
+                    raise TopologyError(
+                        f"{etype.kind} element {elem} has non-integer node index "
+                        f"{conn[elem][bad[elem]][0]:g}"
+                    )
+            conn = np.ascontiguousarray(conn, dtype=np.intp)
             setattr(self, etype.attr, conn)
             bad = (conn < 0) | (conn >= self.n_nodes)
             if np.any(bad):
@@ -217,20 +229,17 @@ def parse_mesh(path) -> Mesh:
     """Parse a mesh file; element measures are not checked until the mesh
     is precomputed."""
     # section keyword -> (values per entry, value type, Mesh attribute)
-    layout = {"NODES": (3, float, "nodes")}
-    layout.update({t.kind.upper(): (t.width, int, t.attr) for t in ELEMENT_TYPES})
+    layout = {"NODES": (3, np.float64, "nodes")}
+    layout.update({t.kind.upper(): (t.width, np.intp, t.attr) for t in ELEMENT_TYPES})
     sections = {}
 
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
 
-    def strip(line: str) -> str:
-        return line.split("#", 1)[0].strip()
-
     idx = 0
     n_lines = len(lines)
     while idx < n_lines:
-        text = strip(lines[idx])
+        text = lines[idx].split("#", 1)[0].strip()
         lineno = idx + 1
         idx += 1
         if not text:
@@ -248,41 +257,76 @@ def parse_mesh(path) -> Mesh:
         if count < 0:
             raise MeshFormatError(f"negative {keyword} count", lineno)
 
-        width, conv, attr = layout[keyword]
-        rows = []
-        while len(rows) < count:
-            if idx >= n_lines:
-                raise MeshFormatError(
-                    f"{keyword} section declares {count} entries but file ends "
-                    f"after {len(rows)}",
-                    n_lines,
-                )
-            text = strip(lines[idx])
-            lineno = idx + 1
-            idx += 1
-            if not text:
-                continue
-            fields = text.split()
-            if len(fields) != width:
-                raise MeshFormatError(
-                    f"expected {width} values in {keyword} entry, got {len(fields)}",
-                    lineno,
-                )
-            try:
-                rows.append([conv(f) for f in fields])
-            except ValueError:
-                raise MeshFormatError(
-                    f"invalid {keyword} entry {text!r}", lineno
-                ) from None
-
+        width, dtype, attr = layout[keyword]
+        rows, idx = read_rows(lines, idx, count, width, dtype,
+                              f"{keyword} entry", f"values in {keyword} entry")
+        if len(rows) < count:
+            raise MeshFormatError(
+                f"{keyword} section declares {count} entries but file ends "
+                f"after {len(rows)}",
+                n_lines,
+            )
         if attr in sections:
-            raise MeshFormatError(f"duplicate {keyword} section", lineno)
-        sections[attr] = np.array(rows, dtype=conv).reshape(count, width)
+            raise MeshFormatError(f"duplicate {keyword} section", idx)
+        sections[attr] = rows
 
     if "nodes" not in sections:
         raise MeshFormatError("missing NODES section", n_lines)
 
     return Mesh(**sections)
+
+
+def read_rows(lines, start, count, width, dtype, entry, values, header=None):
+    """Read up to ``count`` rows of ``width`` values from lines[start:].
+
+    Blank lines and ``#`` comments are skipped. Reading stops early at the
+    end of the file or, when ``header`` is given, at a line whose fields
+    it accepts. Returns the (rows, width) array of ``dtype`` and the index
+    of the first line not read. A row of another width raises
+    MeshFormatError "expected <width> <values>, got <n>", a value that does
+    not parse "invalid <entry> '<row>'", each with the row's line number.
+
+    The common case, ``count`` plain rows in a row, is split once and
+    converted by one np.array call; only a comment, a blank line, a header
+    or a failed conversion makes it scan the lines one by one.
+    """
+    stop = start + count
+    block = lines[start:stop]
+    text = "".join(block)
+    if (len(block) == count and "#" not in text
+            and set(map(len, map(str.split, block))) <= {width}):
+        try:
+            return np.array(text.split(), dtype=dtype).reshape(count, width), stop
+        except (ValueError, OverflowError):
+            pass  # a header or an invalid value: the scan below finds it
+    rows, linenos = [], []
+    stop = start
+    misfit = None  # raised after the rows before it, which may hold an earlier fault
+    while len(rows) < count and stop < len(lines):
+        row = lines[stop].split("#", 1)[0].strip()
+        fields = row.split()
+        if fields and header is not None and header(fields):
+            break
+        stop += 1
+        if not fields:
+            continue
+        if len(fields) != width:
+            misfit = MeshFormatError(f"expected {width} {values}, got {len(fields)}", stop)
+            break
+        rows.append(row)
+        linenos.append(stop)
+    try:
+        array = np.array(" ".join(rows).split(), dtype=dtype).reshape(len(rows), width)
+    except (ValueError, OverflowError):
+        for row, lineno in zip(rows, linenos):
+            try:
+                np.array(row.split(), dtype=dtype)
+            except (ValueError, OverflowError):
+                raise MeshFormatError(f"invalid {entry} {row!r}", lineno) from None
+        raise
+    if misfit is not None:
+        raise misfit
+    return array, stop
 
 
 def write_mesh(path, mesh: Mesh):

@@ -5,11 +5,11 @@ from fedbht.deformation import (
     AffineDeformation,
     IdentityDeformation,
     TrajectoryDeformation,
-    inv_det_3x3,
     inverse_and_det,
     load_trajectory,
 )
-from fedbht.errors import SingularDeformationError
+from fedbht.errors import MeshFormatError, SingularDeformationError
+from fedbht.kernels import _inverse_transpose
 
 from conftest import random_tet_mesh
 
@@ -69,6 +69,33 @@ def test_trajectory_file_roundtrip(tmp_path):
     np.testing.assert_allclose(traj.frames, frames, rtol=0)
 
 
+def test_trajectory_file_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "motion.traj"
+    path.write_text("# two nodes\nKEYFRAME 0\n0 0 0\n\n1 2 3  # moved\n"
+                    "KEYFRAME 2.5  # later\n# rows follow\n4 5 6\n7 8 9\n")
+    traj = load_trajectory(path, 2)
+    np.testing.assert_array_equal(traj.times, [0.0, 2.5])
+    np.testing.assert_array_equal(traj.frames, [[[0, 0, 0], [1, 2, 3]], [[4, 5, 6], [7, 8, 9]]])
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("KEYFRAME 0\n0 0 0\nKEYFRAME 1\n0 0 0\n0 0 0\n", 3, "keyframe at t=0 has 1 rows, expected 2"),
+    ("KEYFRAME 0\n0 0 0\nKEYFRAME 1 2\n0 0 0\n", 3, "keyframe at t=0 has 1 rows, expected 2"),
+    ("KEYFRAME 0\n0 0 0\n0 0 0\nKEYFRAME 1\n0 0 0\n", 0, "keyframe at t=1 has 1 rows, expected 2"),
+    ("KEYFRAME 0\n0 0 0\n0 0 0\n0 0 0\nKEYFRAME 1\n", 5, "keyframe at t=0 has 3 rows, expected 2"),
+    ("0 0 0\nKEYFRAME 0\n0 0 0\n0 0 0\n", 1, "displacement row before any KEYFRAME"),
+    ("KEYFRAME 0\n0 0 x\n0 0 0\n", 2, "invalid displacement row '0 0 x'"),
+    ("KEYFRAME 0\n0 0 0\n0 0\n", 3, "expected 3 displacement components, got 2"),
+])
+def test_trajectory_errors_name_the_line(tmp_path, text, line, message):
+    path = tmp_path / "bad.traj"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError) as err:
+        load_trajectory(path, 2)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_inverse_and_det_guards():
     f = np.diag([1.0, 1.0, 0.0])
     with pytest.raises(SingularDeformationError):
@@ -86,6 +113,12 @@ def test_batched_inverse_matches_lapack():
     dets = np.linalg.det(f)
     keep = dets > 0.1
     f = f[keep]
-    inv, det = inv_det_3x3(f)
+    n = len(f)
+    q, det = np.empty((3, 3, n)), np.empty(n)
+    _inverse_transpose(f.transpose(1, 2, 0), q, det, np.empty(n))  # q[s, k, e] = inv(f_e)[k, s]
     np.testing.assert_allclose(det, np.linalg.det(f), rtol=1e-10)
-    np.testing.assert_allclose(inv, np.linalg.inv(f), rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(q.transpose(2, 1, 0), np.linalg.inv(f), rtol=1e-9, atol=1e-12)
+    for fe, qe, de in zip(f, q.transpose(2, 1, 0), det):
+        inv, d = inverse_and_det(fe)
+        np.testing.assert_allclose(inv, qe, rtol=1e-12, atol=1e-14)
+        assert d == pytest.approx(de, rel=1e-12)

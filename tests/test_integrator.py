@@ -325,6 +325,36 @@ def test_update_thermal_mass_follows_tables(tissue_material):
     assert frozen.final_temps.max() > base.final_temps.max()
 
 
+def test_thermal_mass_is_rewritten_only_when_updated(tissue_material, monkeypatch):
+    import fedbht.integrator as integrator
+
+    mesh = random_tet_mesh(n_cells=2, seed=14, jitter=0.1, lengths=(0.03,) * 3)
+    pre = precompute(mesh)
+    bc = BoundaryConditions(
+        dirichlet=(), films=(),
+        fluxes=(FluxBC(nodes=np.array([0], dtype=np.intp), watts_per_node=0.05),))
+    states = []
+
+    def keep_state(*args, **kwargs):
+        states.append(build_thermal_state(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(integrator, "build_thermal_state", keep_state)
+    sched = Schedule(dt=2.0, total_time=20.0, snapshot_times=(18.0,))
+    for update in (False, True):
+        rec = run(mesh, pre, tissue_material, PerfusionParams(), bc, IdentityDeformation(),
+                  sched, Variant.CLASSICAL_ISO_TEMP_DEP, update_thermal_mass=update)
+        assert rec.final_temps.max() > 37.1
+    frozen, updated = states
+    initial = lumped_thermal_mass(mesh, pre, tissue_material, np.full(mesh.n_nodes, 37.0))
+    assert np.array_equal(frozen.lumped_mass, initial)
+    # the last step used the mass of the field it stepped from, t = 18 s
+    np.testing.assert_allclose(
+        updated.lumped_mass, lumped_thermal_mass(mesh, pre, tissue_material, rec.snapshots[0]),
+        rtol=8 * np.finfo(np.float64).eps, atol=0.0)
+    assert not np.allclose(updated.lumped_mass, initial, rtol=1e-9, atol=0.0)
+
+
 def test_mixed_mesh_transient_runs(unit_tet, unit_cube_hex):
     import numpy as np
     from fedbht.mesh import Mesh

@@ -8,6 +8,7 @@ import fedbht.kernels
 from fedbht.blockmesh import make_block_mesh
 from fedbht.deformation import DeformationState
 from fedbht.errors import SingularDeformationError
+from fedbht.integrator import lumped_thermal_mass
 from fedbht.kernels import ConductionOperator, Variant
 from fedbht.material import MaterialModel, PropertyTable, TensorPropertyTable
 from fedbht.mesh import Mesh, precompute
@@ -326,27 +327,32 @@ def test_resting_fallback_bitwise_equals_identity_deformation(tissue_material):
 
 def test_geometry_memo_matches_fresh_operator():
     # A -> B -> A (and back through rest): a memoised operator must give the
-    # bits of one that has never seen another deformation
-    mesh = random_tet_mesh(n_cells=3, seed=41, jitter=0.2)
-    pre = precompute(mesh)
+    # bits of one that has never seen another deformation; the rebuild at
+    # zero displacement gives the constructor's memo
     mat = make_material(k=0.5)
     rng = np.random.default_rng(41)
-    temps = 37.0 + 2.0 * rng.random(mesh.n_nodes)
-    a = DeformationState(0.02 * rng.normal(size=(mesh.n_nodes, 3)))
-    b = DeformationState(0.02 * rng.normal(size=(mesh.n_nodes, 3)))
-    op = ConductionOperator(mesh, pre, mat, Variant.DEFORMED_ANISO_TEMP_DEP)
-    results = []
-    for state in (a, b, a, a, None, a):
-        fresh = ConductionOperator(mesh, pre, mat, Variant.DEFORMED_ANISO_TEMP_DEP)
-        loads = op.apply(temps, deformation=state)
-        assert np.array_equal(loads, fresh.apply(temps, deformation=state))
-        results.append(loads)
-    assert not np.array_equal(results[0], results[1])
+    for mesh in (random_tet_mesh(n_cells=3, seed=41, jitter=0.2),
+                 make_block_mesh(3, 2, 2, element="hex8", jitter=0.15, seed=41),
+                 mixed_block()):
+        pre = precompute(mesh)
+        temps = 37.0 + 2.0 * rng.random(mesh.n_nodes)
+        a = DeformationState(0.02 * rng.normal(size=(mesh.n_nodes, 3)))
+        b = DeformationState(0.02 * rng.normal(size=(mesh.n_nodes, 3)))
+        rest = DeformationState(np.zeros((mesh.n_nodes, 3)))
+        op = ConductionOperator(mesh, pre, mat, Variant.DEFORMED_ANISO_TEMP_DEP)
+        results = []
+        for state in (a, b, a, a, None, a, rest):
+            fresh = ConductionOperator(mesh, pre, mat, Variant.DEFORMED_ANISO_TEMP_DEP)
+            loads = op.apply(temps, deformation=state)
+            assert np.array_equal(loads, fresh.apply(temps, deformation=state))
+            results.append(loads)
+        assert not np.array_equal(results[0], results[1])
+        assert np.array_equal(results[-1], results[4])
 
-    # a rebuild that fails on a collapsed element must not leave a stale memo
-    with pytest.raises(SingularDeformationError):
-        op.apply(temps, deformation=DeformationState(-mesh.nodes))
-    assert np.array_equal(op.apply(temps, deformation=a), results[0])
+        # a rebuild that fails on a collapsed element must not leave a stale memo
+        with pytest.raises(SingularDeformationError):
+            op.apply(temps, deformation=DeformationState(-mesh.nodes))
+        assert np.array_equal(op.apply(temps, deformation=a), results[0])
 
 
 def test_geometry_memo_sees_in_place_changes():
@@ -475,6 +481,45 @@ def test_single_element_kernels_agree_with_operator(unit_tet, unit_cube_hex, sim
         op = ConductionOperator(mesh, pre, simple_material, Variant.DEFORMED_ANISO_TEMP_DEP)
         np.testing.assert_allclose(direct, op.apply(temps, deformation=DeformationState(disp)),
                                    rtol=1e-13)
+
+
+# the fused mass sums each node's element shares in component-major order
+# and takes the kernel's element mean, so it may differ from the
+# element-major lumping by a few rounding steps
+MASS_RTOL = 8 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.roman)
+def test_fused_mass_matches_lumped_thermal_mass(variant, tissue_material):
+    rng = np.random.default_rng(61)
+    for mesh in (random_tet_mesh(n_cells=2, seed=61, jitter=0.2),
+                 make_block_mesh(3, 2, 2, element="hex8", jitter=0.15, seed=61),
+                 mixed_block()):
+        pre = precompute(mesh)
+        temps = 37.0 + 25.0 * rng.random(mesh.n_nodes)
+        moved = DeformationState(0.01 * rng.normal(size=(mesh.n_nodes, 3)))
+        op = ConductionOperator(mesh, pre, tissue_material, variant)
+        mass = np.full(mesh.n_nodes, np.nan)
+        loads = op.apply(temps, deformation=moved, mass=mass)
+        np.testing.assert_allclose(mass, lumped_thermal_mass(mesh, pre, tissue_material, temps),
+                                   rtol=MASS_RTOL, atol=0.0)
+        assert np.array_equal(loads, op.apply(temps, deformation=moved))
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.roman)
+def test_fused_mass_follows_temps_not_property_temps(variant, tissue_material):
+    mesh = mixed_block()
+    pre = precompute(mesh)
+    rng = np.random.default_rng(62)
+    temps = 37.0 + 25.0 * rng.random(mesh.n_nodes)
+    frozen = np.full(mesh.n_nodes, 60.0)
+    op = ConductionOperator(mesh, pre, tissue_material, variant)
+    mass, own = np.empty(mesh.n_nodes), np.empty(mesh.n_nodes)
+    loads = op.apply(temps, property_temps=frozen, mass=mass)
+    op.apply(temps, mass=own)
+    assert np.array_equal(mass, own)
+    assert np.array_equal(loads, op.apply(temps, property_temps=frozen))
+    assert not np.allclose(mass, lumped_thermal_mass(mesh, pre, tissue_material, frozen))
 
 
 def test_apply_validates_shapes(unit_tet, simple_material):

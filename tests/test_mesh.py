@@ -140,6 +140,18 @@ def test_connectivity_width_is_checked():
         assert mesh.tets.shape == (0, 4) and mesh.hexes.shape == (0, 8)
 
 
+def test_non_integer_connectivity_is_rejected():
+    nodes = np.eye(4, 3)
+    with pytest.raises(TopologyError, match="tet4 element 0 has non-integer node index 1.7"):
+        Mesh(nodes=nodes, tets=[[0, 1.7, 2.2, 3.9]])
+    hexes = np.arange(16.0).reshape(2, 8)
+    hexes[1, 5] = np.nan
+    with pytest.raises(TopologyError, match="hex8 element 1 has non-integer node index nan"):
+        Mesh(nodes=np.zeros((16, 3)), hexes=hexes)
+    mesh = Mesh(nodes=nodes, tets=[[0.0, 1.0, 2.0, 3.0]], hexes=np.zeros((0, 8)))
+    assert mesh.tets.dtype == np.intp and mesh.tets.tolist() == [[0, 1, 2, 3]]
+
+
 def test_inverted_tet_rejected():
     nodes = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, -1.0]])
     mesh = Mesh(nodes=nodes, tets=np.array([[0, 1, 2, 3]], dtype=np.intp),
@@ -179,6 +191,39 @@ def test_parse_comments_and_section_order(tmp_path):
     )
     mesh = load_mesh(path)
     assert mesh.n_nodes == 4 and mesh.tets.shape == (1, 4)
+
+
+def test_parse_skips_comments_and_blank_lines_inside_a_section(tmp_path):
+    path = tmp_path / "ok.mesh"
+    path.write_text(
+        "NODES 4\n0 0 0\n# a comment\n1 0 0  # trailing\n\n   \n0 1 0\n0 0 1\n"
+        "TET4 1\n\n0 1 2 3\n"
+    )
+    mesh = parse_mesh(path)
+    np.testing.assert_array_equal(mesh.nodes, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    np.testing.assert_array_equal(mesh.tets, [[0, 1, 2, 3]])
+
+
+_TET_NODES = "NODES 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("NODES 3\n0 0 0\n1 0 0\n", 3, "NODES section declares 3 entries but file ends after 2"),
+    ("NODES 2\n0 0 0\n# end\n\n", 4, "NODES section declares 2 entries but file ends after 1"),
+    ("NODES 2\n0 0 0\n1 0\n", 3, "expected 3 values in NODES entry, got 2"),
+    ("NODES 2\n0 0 0 1\n0 0\n", 2, "expected 3 values in NODES entry, got 4"),
+    (_TET_NODES + "TET4 1\n0 1 2\n", 7, "expected 4 values in TET4 entry, got 3"),
+    ("NODES 2\n0 0 0\n0  0 nonsense  # why\n", 3, "invalid NODES entry '0  0 nonsense'"),
+    ("NODES 3\n0 0 x\n0 0\n0 0 0\n", 2, "invalid NODES entry '0 0 x'"),
+    (_TET_NODES + "TET4 2\n0 1 2 3\n0 1 2.5 3\n", 8, "invalid TET4 entry '0 1 2.5 3'"),
+])
+def test_parse_errors_name_the_line(tmp_path, text, line, message):
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError) as err:
+        parse_mesh(path)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 def test_load_mesh_rejects_inverted_geometry(tmp_path):
