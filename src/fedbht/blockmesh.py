@@ -1,9 +1,11 @@
 """Synthetic vascularized tissue block: the bundled desk-scale scenario.
 
-A rectangular block is meshed with a structured grid (six tets per cell or
-one hex per cell). Node sets mark a cylindrical vessel wall (held at body
-temperature), a spherical heated region next to it, the perfused bulk, the
-displaced top surface and the mechanically fixed vessel. A two-keyframe
+A rectangular block is meshed with a structured grid: one hex per cell,
+its corners in :data:`mesh.HEX_SIGNS` order, or the six Kuhn tets of each
+cell from one constant corner table, all cells at once by broadcasting.
+Node sets mark a cylindrical vessel wall (held at body temperature), a
+spherical heated region next to it, the perfused bulk, the displaced top
+surface and the mechanically fixed vessel. A two-keyframe
 trajectory applies a smooth vertical compression ramp, standing in for a
 mechanical solve: the top surface moves down by the full amplitude while
 the bottom stays put, with a mild lateral taper so the deformation
@@ -22,12 +24,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deformation import TrajectoryDeformation
-from .mesh import Mesh, precompute, write_mesh, write_node_set
+from .mesh import HEX_SIGNS, Mesh, precompute, write_mesh, write_node_set
 
-# even permutations of (0, 1, 2) keep the Kuhn tets positively oriented;
-# odd ones need two nodes swapped
-_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-_PERM_PARITY = (0, 1, 1, 0, 0, 1)
+# The six Kuhn tets of a cell as rows of hex corners (HEX_SIGNS order).
+# Each walks the cell edges from corner 0 to the opposite corner 6, one axis
+# at a time; where that axis order is an odd permutation of (x, y, z), its
+# middle two corners are swapped, so that every tet has positive volume.
+_KUHN_TETS = np.array([
+    [0, 1, 2, 6],  # x y z
+    [0, 5, 1, 6],  # x z y, swapped
+    [0, 2, 3, 6],  # y x z, swapped
+    [0, 3, 7, 6],  # y z x
+    [0, 4, 5, 6],  # z x y
+    [0, 7, 4, 6],  # z y x, swapped
+])
 
 
 def make_block_mesh(
@@ -67,44 +77,15 @@ def make_block_mesh(
         shift = rng.uniform(-jitter, jitter, size=(int(interior.sum()), 3))
         nodes[interior] += shift * np.array([hx, hy, hz])
 
-    def node_id(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    tets = []
-    hexes = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                corner = {}
-                for bx in (0, 1):
-                    for by in (0, 1):
-                        for bz in (0, 1):
-                            corner[(bx, by, bz)] = node_id(i + bx, j + by, k + bz)
-                if element == "hex8":
-                    hexes.append([
-                        corner[(0, 0, 0)], corner[(1, 0, 0)],
-                        corner[(1, 1, 0)], corner[(0, 1, 0)],
-                        corner[(0, 0, 1)], corner[(1, 0, 1)],
-                        corner[(1, 1, 1)], corner[(0, 1, 1)],
-                    ])
-                    continue
-                for perm, parity in zip(_PERMS, _PERM_PARITY):
-                    path = [(0, 0, 0)]
-                    current = [0, 0, 0]
-                    for axis in perm:
-                        current = list(current)
-                        current[axis] = 1
-                        path.append(tuple(current))
-                    tet = [corner[p] for p in path]
-                    if parity:
-                        tet[1], tet[2] = tet[2], tet[1]
-                    tets.append(tet)
-
-    mesh = Mesh(
-        nodes=nodes,
-        tets=np.array(tets, dtype=np.intp) if tets else np.zeros((0, 4), dtype=np.intp),
-        hexes=np.array(hexes, dtype=np.intp) if hexes else np.zeros((0, 8), dtype=np.intp),
-    )
+    # each cell's hex corners: the ids of its lowest corner plus the
+    # offsets of the HEX_SIGNS corners
+    ids = np.arange(nodes.shape[0], dtype=np.intp).reshape(nx + 1, ny + 1, nz + 1)
+    bx, by, bz = ((HEX_SIGNS.T + 1) // 2).astype(np.intp)
+    hexes = ids[:-1, :-1, :-1].reshape(-1, 1) + (bx * (ny + 1) + by) * (nz + 1) + bz
+    if element == "hex8":
+        mesh = Mesh(nodes=nodes, hexes=hexes)
+    else:
+        mesh = Mesh(nodes=nodes, tets=hexes[:, _KUHN_TETS].reshape(-1, 4))
     precompute(mesh)  # fail fast if the jitter inverted anything
     return mesh
 

@@ -46,6 +46,7 @@ from .deformation import (
 )
 from .errors import ConfigError, FedbhtError
 from .integrator import (
+    SCHEDULE_ACTIONS,
     BoundaryConditions,
     DirichletBC,
     FilmBC,
@@ -70,7 +71,6 @@ class ScenarioConfig:
 
     mesh: Mesh
     precomp: ElementPrecomp
-    node_sets: dict
     material: MaterialModel
     perfusion: PerfusionParams
     boundary: BoundaryConditions
@@ -263,7 +263,7 @@ def _load_schedule(doc: dict) -> Schedule:
         if not isinstance(ev, dict):
             raise ConfigError(f"schedule.events[{i}]", "expected an object")
         action = ev.get("action")
-        if action not in ("source_on", "source_off"):
+        if action not in SCHEDULE_ACTIONS:
             raise ConfigError(
                 f"schedule.events[{i}].action", f"unknown action {action!r}"
             )
@@ -354,7 +354,6 @@ def load_scenario(path: str) -> ScenarioConfig:
     return ScenarioConfig(
         mesh=mesh,
         precomp=precomp,
-        node_sets=node_sets,
         material=material,
         perfusion=perfusion,
         boundary=boundary,

@@ -43,6 +43,9 @@ from .stability import StabilityEstimate
 # Fire events/snapshots whose time is within this of the current step time.
 TIME_EPS = 1e-12
 
+# the schedule event actions: switch the schedulable heaters on or off
+SCHEDULE_ACTIONS = ("source_on", "source_off")
+
 
 @dataclass
 class DirichletBC:
@@ -84,7 +87,7 @@ class BoundaryConditions:
 @dataclass
 class Schedule:
     """Time stepping plan. Events are (time, action) with action one of
-    source_on / source_off.
+    SCHEDULE_ACTIONS.
 
     The run takes n_steps = ceil(total_time / dt) steps of dt from t = 0
     and ends at n_steps * dt. An event or snapshot at time t fires at the
@@ -108,7 +111,7 @@ class Schedule:
         self.snapshot_times = tuple(sorted(float(t) for t in self.snapshot_times))
         self.events = tuple(sorted((float(t), str(a)) for t, a in self.events))
         for _, action in self.events:
-            if action not in ("source_on", "source_off"):
+            if action not in SCHEDULE_ACTIONS:
                 raise ValueError(f"unknown schedule action {action!r}")
 
     @property
@@ -152,7 +155,7 @@ class ThermalState:
     metabolic: np.ndarray
     external_heat: np.ndarray
     dirichlet_mask: np.ndarray
-    dirichlet_values: np.ndarray  # full length; meaningful where mask is set
+    dirichlet_values: np.ndarray  # full length; zero where the mask is unset
 
     def __post_init__(self):
         self._dirichlet_nodes = np.flatnonzero(self.dirichlet_mask)

@@ -74,9 +74,11 @@ class MetricsReport:
     def worst_total(self) -> float:
         return _worst([c.total_relative for c in self.comparisons])
 
-    def within(self, node_tol: float, total_tol: float) -> bool:
-        # a NaN worst value compares False, so it is never within
-        return self.worst_normalized <= node_tol and self.worst_total <= total_tol
+    def within(self, node_tol: float | None, total_tol: float | None) -> bool:
+        """Whether both worst values are within their tolerance; None sets
+        no bound. A NaN worst value compares False, so it is never within."""
+        return ((node_tol is None or self.worst_normalized <= node_tol)
+                and (total_tol is None or self.worst_total <= total_tol))
 
 
 def compare_snapshots(times, candidate_snapshots, reference_snapshots) -> MetricsReport:

@@ -15,7 +15,13 @@ matrix-free production path can be checked against an independent route:
 
 Thermal mass and perfusion lumping always use reference-configuration
 volumes, matching the production convention (mass conservation makes
-rho c V deformation-invariant).
+rho c V deformation-invariant). The thermal-mass lumping is the oracle's
+own: an equal split of rho c(T) V over element volumes it derives from the
+node positions, anew in every step of an updated run and once, from the
+uniform initial field, for a frozen one. The reference transient borrows the rest of the balance from
+production's :func:`build_thermal_state`: the heater, metabolic and film
+sources, the Dirichlet field and the perfusion terms, which are lumped on
+the nodal volumes of :func:`mesh.precompute`.
 
 These paths are for testing and verification. They are simpler than the
 production operator and independent of it: element matrices come from the
@@ -334,6 +340,9 @@ def dense_lambda_max(
 # --------------------------------------------------------------------------
 # reference transient
 
+# relative residual at which the backward scheme's conjugate gradients stop
+SOLVER_RTOL = 1e-10
+
 
 def reference_transient(
     mesh: Mesh,
@@ -346,7 +355,6 @@ def reference_transient(
     initial_temperature: float = 37.0,
     update_thermal_mass: bool | None = None,
     probes=(),
-    solver_rtol: float = 1e-10,
 ) -> SimulationRecord:
     """Assembled-matrix transient on the production run's time line
     (:meth:`Schedule.walk`, recorded by :class:`SimulationRecord`).
@@ -355,7 +363,7 @@ def reference_transient(
     independent path to the same scheme); "backward" solves the implicit
     system each step with lagged (Picard) property evaluation, conjugate
     gradients on the Dirichlet-reduced SPD system, relative residual below
-    ``solver_rtol``.
+    SOLVER_RTOL.
     """
     if scheme not in ("forward", "backward"):
         raise ValueError(f"scheme must be forward or backward, got {scheme!r}")
@@ -371,26 +379,27 @@ def reference_transient(
 
     n = mesh.n_nodes
     free = ~state.dirichlet_mask
-    fixed_vals = np.where(state.dirichlet_mask, state.dirichlet_values, 0.0)
+    fixed_vals = state.dirichlet_values  # zero off the Dirichlet nodes
     record = SimulationRecord(
         dt=schedule.dt, n_steps=schedule.n_steps, probe_indices=probes,
         n_elements=mesh.n_elements, update_thermal_mass=update_thermal_mass,
     )
 
-    base_external = state.external_heat.copy()
     moving = provider.time_varying
     coords = mesh.nodes + provider.displacements_at(0.0, mesh).displacements
 
     temps = state.T.copy()
-    mass = state.lumped_mass.copy()
+    # a frozen mass is lumped from the uniform initial field, as production
+    # lumps it; an updated one is lumped anew in every step
+    mass = _oracle_lumped_mass(mesh, material, np.full(n, float(initial_temperature)),
+                               node_shares)
     dt = schedule.dt
 
     for step_index, t_now, source_on, snapshots_due in schedule.walk():
         record.capture(t_now, temps, snapshots_due)
         if step_index == record.n_steps:
             break
-        external = base_external if source_on else 0.0
-        load = state.perfusion_source + state.metabolic + external
+        load = state.sources(source_on)
 
         if update_thermal_mass:
             mass = _oracle_lumped_mass(mesh, material, temps, node_shares)
@@ -425,7 +434,7 @@ def reference_transient(
             )
             x0 = temps[free]
             solution, info = scipy.sparse.linalg.cg(
-                a_op, b_reduced, x0=x0, rtol=solver_rtol, atol=0.0, M=m_op
+                a_op, b_reduced, x0=x0, rtol=SOLVER_RTOL, atol=0.0, M=m_op
             )
             if info != 0:
                 raise RuntimeError(f"implicit solve failed to converge (info={info})")

@@ -367,10 +367,9 @@ def test_cli_metrics_compare(scenario_path, tmp_path, capsys):
                      "--node-tol", "1e-6"]) == 4
 
 
-@pytest.mark.parametrize("field, code", [("abc", 2), ("nan", 4)])
-def test_cli_metrics_fails_a_corrupt_snapshot(scenario_path, tmp_path, capsys, field, code):
-    # a field that is not a number is an input error; a NaN field makes the
-    # errors NaN, which must fail the tolerance check rather than pass it
+def corrupt_snapshot(scenario_path, tmp_path, field):
+    """A run's last snapshot with one temperature replaced by ``field``;
+    returns (corrupt copy, intact snapshot)."""
     out = tmp_path / "m"
     cli_main(["run", scenario_path, "--out", str(out)])
     snap = str(out / "snapshot_5000.csv")
@@ -379,9 +378,32 @@ def test_cli_metrics_fails_a_corrupt_snapshot(scenario_path, tmp_path, capsys, f
     fields[4] = field
     corrupt = tmp_path / "corrupt.csv"
     corrupt.write_text("\n".join(lines[:5] + [",".join(fields)] + lines[6:]) + "\n")
+    return str(corrupt), snap
+
+
+@pytest.mark.parametrize("field, code", [("abc", 2), ("nan", 4)])
+def test_cli_metrics_fails_a_corrupt_snapshot(scenario_path, tmp_path, capsys, field, code):
+    # a field that is not a number is an input error; a NaN field makes the
+    # errors NaN, which must fail the tolerance check rather than pass it
+    corrupt, snap = corrupt_snapshot(scenario_path, tmp_path, field)
     capsys.readouterr()
-    assert cli_main(["metrics", str(corrupt), snap,
+    assert cli_main(["metrics", corrupt, snap,
                      "--node-tol", "1e-6", "--total-tol", "1e-6"]) == code
+
+
+@pytest.mark.parametrize("tols, code", [
+    ([], 0),
+    (["--total-tol", "1e-6"], 4),
+    (["--node-tol", "1e-6"], 4),
+])
+def test_cli_metrics_nan_field_fails_only_a_given_bound(scenario_path, tmp_path, capsys,
+                                                        tols, code):
+    corrupt, snap = corrupt_snapshot(scenario_path, tmp_path, "nan")
+    capsys.readouterr()
+    assert cli_main(["metrics", corrupt, snap] + tols) == code
+    assert capsys.readouterr().out.splitlines() == [
+        "max normalized nan", "mean normalized nan", "total relative nan",
+    ]
 
 
 def test_cli_make_mesh_rejects_too_coarse_grid(tmp_path, capsys):

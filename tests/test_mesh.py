@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from fedbht.blockmesh import make_block_mesh
 from fedbht.errors import GeometryError, MeshFormatError, TopologyError
 from fedbht.mesh import (
     DEGENERATE_MEASURE,
@@ -54,6 +57,55 @@ def test_block_mesh_tiles_the_box():
     pre = precompute(mesh)
     assert np.all(pre.families[0].weights > 0)
     assert pre.total_volume == pytest.approx(0.2 * 0.3 * 0.1, rel=1e-12)
+
+
+def test_block_mesh_connectivity_by_hand():
+    # node (i, j, k) of a 2x1x1 block is 4 i + 2 j + k: six positively
+    # oriented tets per cell, all sharing the cell's main diagonal
+    tet = make_block_mesh(2, 1, 1)
+    assert tet.tets.tolist() == [
+        [0, 4, 6, 7], [0, 5, 4, 7], [0, 6, 2, 7], [0, 2, 3, 7], [0, 1, 5, 7], [0, 3, 1, 7],
+        [4, 8, 10, 11], [4, 9, 8, 11], [4, 10, 6, 11], [4, 6, 7, 11], [4, 5, 9, 11],
+        [4, 7, 5, 11],
+    ]
+    assert tet.hexes.shape == (0, 8)
+    # the hex corners follow HEX_SIGNS: bottom face counter-clockwise, then top
+    hexes = make_block_mesh(1, 1, 1, element="hex8")
+    assert hexes.hexes.tolist() == [[0, 4, 6, 2, 1, 5, 7, 3]]
+    assert hexes.tets.shape == (0, 4)
+
+
+def loop_block_connectivity(nx, ny, nz, element):
+    """Cell by cell: hex corners bottom face counter-clockwise, then top;
+    a cell's tets walk its edges from (0,0,0) to (1,1,1), one per axis
+    order, the middle two corners swapped for an odd order."""
+    def node(i, j, k):
+        return (i * (ny + 1) + j) * (nz + 1) + k
+
+    hex_corners = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+                   (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
+    out = []
+    for i, j, k in itertools.product(range(nx), range(ny), range(nz)):
+        if element == "hex8":
+            out.append([node(i + a, j + b, k + c) for a, b, c in hex_corners])
+            continue
+        for order in itertools.permutations(range(3)):
+            path = [(0, 0, 0)]
+            for axis in order:
+                path.append(tuple(1 if n == axis else v for n, v in enumerate(path[-1])))
+            tet = [node(i + a, j + b, k + c) for a, b, c in path]
+            if order in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):  # odd
+                tet[1], tet[2] = tet[2], tet[1]
+            out.append(tet)
+    return out
+
+
+@pytest.mark.parametrize("element", ["tet4", "hex8"])
+def test_block_mesh_connectivity_matches_cell_loop(element):
+    mesh = make_block_mesh(3, 4, 5, element=element)
+    conn = mesh.tets if element == "tet4" else mesh.hexes
+    assert conn.dtype == np.intp
+    assert conn.tolist() == loop_block_connectivity(3, 4, 5, element)
 
 
 def test_roundtrip(tmp_path):

@@ -50,6 +50,10 @@ def test_compare_snapshots_and_within():
         np.sqrt(0.3 ** 2 / (37.0 ** 2 + 40.0 ** 2)))
     assert report.within(0.2, 0.1)
     assert not report.within(0.05, 0.1)
+    # None sets no bound
+    assert report.within(None, 0.1) and report.within(0.2, None)
+    assert not report.within(0.05, None) and not report.within(None, 0.001)
+    assert report.within(None, None)
     with pytest.raises(ValueError):
         compare_snapshots(times, cand, ref[:1])
 
@@ -70,6 +74,8 @@ def test_nan_error_is_worst_and_never_within():
     assert np.isnan(report.worst_normalized)
     assert np.isnan(report.worst_total)
     assert not report.within(1.0, 1.0)
+    assert not report.within(None, 1.0) and not report.within(1.0, None)
+    assert report.within(None, None)
 
 
 def test_histogram_counts_cover_all_nodes(tmp_path):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fedbht.integrator
 import fedbht.oracle
 from fedbht.blockmesh import make_block_mesh
 from fedbht.deformation import DeformationState, IdentityDeformation
@@ -224,12 +225,33 @@ def test_oracle_imports_no_production_element_code():
             assert not (module == "fedbht" and "kernels" in names)
             assert not (module == "fedbht" and "integrator" in names)
             if module == "fedbht.deformation":
-                assert not names & {"inv_det_3x3", "*"}, names
+                assert not names & {"inverse_and_det", "*"}, names
             if module == "fedbht.integrator":
                 # the time line and the thermal state are shared; the
                 # lumping and the update are the oracle's own
                 assert not names & {"lumped_thermal_mass", "node_volumes",
                                     "_equal_split", "step", "*"}, names
+
+
+def test_frozen_oracle_mass_is_its_own(monkeypatch):
+    """A fault in the production lumping must show against the oracle, also
+    when the mass is frozen at t = 0."""
+    mesh = random_tet_mesh(n_cells=2, seed=19, jitter=0.1, lengths=(0.03,) * 3)
+    bc = BoundaryConditions(
+        dirichlet=(DirichletBC(nodes=np.array([7], dtype=np.intp), temperature=37.0),),
+        fluxes=(FluxBC(nodes=np.array([0], dtype=np.intp), watts_per_node=0.01),),
+        films=())
+    sched = Schedule(dt=0.5, total_time=5.0)
+
+    def replay():
+        return reference_transient(mesh, make_material(k=0.5), PerfusionParams(), bc,
+                                   None, sched, scheme="forward").final_temps
+
+    expected = replay()
+    production = fedbht.integrator.lumped_thermal_mass
+    monkeypatch.setattr(fedbht.integrator, "lumped_thermal_mass",
+                        lambda *args: 2.0 * production(*args))
+    assert np.array_equal(replay(), expected)
 
 
 def test_independent_lumped_mass_agrees(tissue_material):
