@@ -28,7 +28,7 @@ import numpy as np
 from . import stability
 from .blockmesh import BlockSceneParams, make_block_mesh, ramp_trajectory
 from .deformation import inverse_and_det
-from .integrator import BoundaryConditions, Schedule, lumped_thermal_mass, run
+from .integrator import BoundaryConditions, Schedule, build_thermal_state, run
 from .kernels import ConductionOperator, Variant
 from .material import (
     MaterialModel,
@@ -261,11 +261,8 @@ def bench_simulation(
         mesh = make_block_mesh(n, n, n, params.lengths)
         pre = precompute(mesh)
         operator = ConductionOperator(mesh, pre, material, variant)
-        estimate = stability.estimate_critical_dt(
-            operator,
-            lumped_mass=lumped_thermal_mass(mesh, pre, material, np.full(mesh.n_nodes, 37.0)),
-            perfusion_diag=np.zeros(mesh.n_nodes),
-        )
+        state = build_thermal_state(mesh, pre, material, perfusion, bc)
+        estimate = stability.estimate_critical_dt(operator, state)
         dt = 0.4 * estimate.dt_critical
         schedule = Schedule(dt=dt, total_time=steps * dt, snapshot_times=(), events=())
         scenes.append((mesh, pre, ramp_trajectory(mesh, params), schedule))

@@ -147,10 +147,8 @@ def _cmd_stability(args) -> int:
     estimates = []
     for t in times:
         est = stability.estimate_critical_dt(
-            operator, state.lumped_mass, state.perfusion_diag,
-            dirichlet_mask=state.dirichlet_mask,
-            deformation=cfg.deformation.displacements_at(t, cfg.mesh) if deformed else None,
-            operating_temps=state.T,
+            operator, state,
+            cfg.deformation.displacements_at(t, cfg.mesh) if deformed else None,
         )
         estimates.append(est)
         print(f"t = {t:8g} s  lambda_max = {est.lambda_max:.6g} 1/s  "

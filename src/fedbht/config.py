@@ -101,6 +101,18 @@ def _as_float(value, path: str) -> float:
     return out
 
 
+def _finite_array(value, shape: tuple, path: str, what: str) -> np.ndarray:
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(path, f"expected {what} of numbers") from None
+    if out.shape != shape:
+        raise ConfigError(path, f"expected {what}")
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(path, "must be finite")
+    return out
+
+
 def _as_bool(value, path: str) -> bool:
     # bool("false") is True: accept JSON true/false only
     if not isinstance(value, bool):
@@ -234,12 +246,10 @@ def _load_deformation(doc: dict, base_dir: str, n_nodes: int):
     if kind == "identity":
         return IdentityDeformation()
     if kind == "affine":
-        matrix = np.asarray(_require(entry, "matrix", "deformation"), dtype=float)
-        if matrix.shape != (3, 3):
-            raise ConfigError("deformation.matrix", "expected a 3x3 matrix")
-        offset = np.asarray(entry.get("offset", [0.0, 0.0, 0.0]), dtype=float)
-        if offset.shape != (3,):
-            raise ConfigError("deformation.offset", "expected a length-3 vector")
+        matrix = _finite_array(_require(entry, "matrix", "deformation"), (3, 3),
+                               "deformation.matrix", "a 3x3 matrix")
+        offset = _finite_array(entry.get("offset", [0.0, 0.0, 0.0]), (3,),
+                               "deformation.offset", "a length-3 vector")
         try:
             return AffineDeformation(matrix=matrix, offset=offset)
         except Exception as exc:
@@ -249,7 +259,7 @@ def _load_deformation(doc: dict, base_dir: str, n_nodes: int):
         path = os.path.join(base_dir, rel)
         try:
             return load_trajectory(path, n_nodes)
-        except OSError as exc:
+        except (OSError, FedbhtError) as exc:
             raise ConfigError("deformation.path", str(exc)) from None
     raise ConfigError("deformation.kind", f"unknown kind {kind!r}")
 

@@ -153,6 +153,12 @@ def load_trajectory(path, n_nodes: int) -> TrajectoryDeformation:
         frame, idx = frame_rows(idx, n_nodes)
         if len(frame) < n_nodes:
             raise miscounted(len(frame), idx)
+        finite = np.isfinite(frame).all(axis=1)
+        if not finite.all():
+            raise MeshFormatError(
+                f"keyframe at t={times[-1]:g}: node {int(np.argmin(finite))} "
+                "has a non-finite displacement"
+            )
         frames.append(frame)
 
     if not times:

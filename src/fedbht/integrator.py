@@ -15,12 +15,13 @@ lumping, exact for linear tets). Perfusion uses the same equal split of
 w_b*c_b*V; concentrated film conditions add coefficient*area directly to
 the node they sit on.
 
-:func:`lumped_thermal_mass` lumps the mass at t = 0. When the run updates
-it, the conduction operator lumps it anew in every step from the element
-means of the same gather that feeds the conduction loads (its ``mass``
-output), so the field is gathered once per step. The update then adds
-the sources precombined once per heater state and allocates only the new
-field.
+:func:`lumped_thermal_mass` lumps the mass at t = 0, from the uniform
+initial temperature before the Dirichlet values are applied; a run that
+does not update the mass keeps that one. When the run updates it, the
+conduction operator lumps it anew in every step from the element means of
+the same gather that feeds the conduction loads (its ``mass`` output), so
+the field is gathered once per step. The update then adds the sources
+precombined once per heater state and allocates only the new field.
 """
 
 from __future__ import annotations
@@ -265,23 +266,41 @@ def build_thermal_state(
     bc: BoundaryConditions,
     initial_temperature: float = 37.0,
 ) -> ThermalState:
-    """Assemble the per-node vectors of the discrete balance.
+    """Assemble the per-node vectors of the discrete balance on the
+    production lumping: :func:`thermal_state_from_volumes` on
+    :func:`node_volumes` and a mass lumped from the uniform initial field,
+    before the Dirichlet values are applied.
+    """
+    temps = np.full(mesh.n_nodes, float(initial_temperature))
+    return thermal_state_from_volumes(
+        node_volumes(mesh, precomp), lumped_thermal_mass(mesh, precomp, material, temps),
+        perfusion, bc, initial_temperature,
+    )
+
+
+def thermal_state_from_volumes(
+    vols: np.ndarray,
+    mass: np.ndarray,
+    perfusion: PerfusionParams,
+    bc: BoundaryConditions,
+    initial_temperature: float = 37.0,
+) -> ThermalState:
+    """The per-node vectors of the discrete balance from nodal volumes and
+    the t = 0 thermal mass, which the caller lumps: perfusion and Q_met on
+    the volumes, then the Dirichlet, flux and film bookkeeping.
 
     Raises ConflictError when a node is both Dirichlet and flux-loaded, and
     TopologyError when a node has zero thermal mass (referenced by no
     element).
     """
-    n = mesh.n_nodes
-    temps = np.full(n, float(initial_temperature))
-
-    mass = lumped_thermal_mass(mesh, precomp, material, temps)
     if np.any(mass <= 0.0):
         node = int(np.argmax(mass <= 0.0))
         raise TopologyError(
             f"node {node} has zero thermal mass (not referenced by any element)"
         )
 
-    vols = node_volumes(mesh, precomp)
+    n = len(vols)
+    temps = np.full(n, float(initial_temperature))
     diag = perfusion.w_b * perfusion.c_b * vols
     source = diag * perfusion.T_a
     metabolic = perfusion.Q_met * vols
@@ -402,12 +421,7 @@ def run(
     estimate = None
     if not dt_override:
         t0 = _time.perf_counter()
-        estimate = stability.estimate_critical_dt(
-            operator, state.lumped_mass, state.perfusion_diag,
-            dirichlet_mask=state.dirichlet_mask,
-            deformation=deformation,
-            operating_temps=state.T,
-        )
+        estimate = stability.estimate_critical_dt(operator, state, deformation)
         timings["stability"] = _time.perf_counter() - t0
         stability.guard_time_step(schedule.dt, estimate)
 

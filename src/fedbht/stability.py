@@ -9,10 +9,12 @@ monotonically from below. An estimate that stops short of lambda_max
 therefore gives a dt_critical = 2 / lambda that is too large: it errs on
 the unsafe side, by the relative gap left at the convergence tolerance.
 
-Dirichlet nodes do not participate: their rows and columns are projected
-out of the operator. Temperature-dependent conductivities are frozen at
-the supplied operating field before iterating (the operator must be
-linear).
+:func:`estimate_critical_dt` reads the balance from the
+:class:`~fedbht.integrator.ThermalState` it judges: C is its lumped mass,
+K_b its perfusion-and-film diagonal, and its Dirichlet nodes do not
+participate (their rows and columns are projected out of the operator).
+Temperature-dependent conductivities are frozen at the state's field T
+before iterating (the operator must be linear).
 
 :func:`guard_time_step` holds the one rule that judges a step size against
 an estimate.
@@ -22,12 +24,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .deformation import DeformationState
 from .errors import StabilityError
 from .kernels import ConductionOperator
+
+if TYPE_CHECKING:  # integrator imports this module
+    from .integrator import ThermalState
 
 log = logging.getLogger(__name__)
 
@@ -91,43 +97,33 @@ def power_iteration(
 
 def estimate_critical_dt(
     operator: ConductionOperator,
-    lumped_mass: np.ndarray,
-    perfusion_diag: np.ndarray,
-    dirichlet_mask=None,
+    state: ThermalState,
     deformation: DeformationState | None = None,
-    operating_temps=None,
     tol: float = DEFAULT_TOL,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    seed: int = DEFAULT_SEED,
 ) -> StabilityEstimate:
     """Power-iteration estimate of lambda_max and the critical step.
 
-    operating_temps fixes the field at which temperature-dependent
-    properties are evaluated (defaults to a uniform field at the
-    operator's reference temperature). The deformation, when given, enters
-    the conduction operator exactly as it does during stepping.
+    Reads four things from ``state``: the lumped mass C, the
+    perfusion-and-film diagonal K_b, the Dirichlet mask, whose nodes are
+    left out, and the field T, at which temperature-dependent properties
+    are frozen. The deformation, when given, enters the conduction
+    operator exactly as it does during stepping.
     """
-    n = operator.n_nodes
-    lumped_mass = np.asarray(lumped_mass, dtype=np.float64)
-    perfusion_diag = np.asarray(perfusion_diag, dtype=np.float64)
-    if np.any(lumped_mass <= 0.0):
+    if np.any(state.lumped_mass <= 0.0):
         raise ValueError("lumped mass must be strictly positive")
-    if operating_temps is None:
-        operating_temps = np.full(n, operator.reference_temperature)
-    else:
-        operating_temps = np.asarray(operating_temps, dtype=np.float64)
 
-    inv_sqrt_c = 1.0 / np.sqrt(lumped_mass)
+    inv_sqrt_c = 1.0 / np.sqrt(state.lumped_mass)
 
     def apply_symmetrized(v: np.ndarray) -> np.ndarray:
         w = v * inv_sqrt_c
-        y = operator.apply(w, deformation=deformation, property_temps=operating_temps)
-        y += perfusion_diag * w
+        y = operator.apply(w, deformation=deformation, property_temps=state.T)
+        y += state.perfusion_diag * w
         return y * inv_sqrt_c
 
     lam, iterations, converged = power_iteration(
-        apply_symmetrized, n,
-        tol=tol, max_iterations=max_iterations, seed=seed, mask=dirichlet_mask,
+        apply_symmetrized, operator.n_nodes,
+        tol=tol, max_iterations=max_iterations, mask=state.dirichlet_mask,
     )
     lam = max(lam, 0.0)
     dt_critical = 2.0 / lam if lam > 0.0 else np.inf

@@ -178,8 +178,7 @@ def test_spectral_estimate_matches_dense_and_brackets_stability(verdict):
     state = build_thermal_state(mesh, pre, mat, perf, bc, 37.0)
     op = ConductionOperator(mesh, pre, mat, Variant.CLASSICAL_ISO_TEMP_INDEP)
 
-    est = estimate_critical_dt(op, state.lumped_mass, state.perfusion_diag,
-                               dirichlet_mask=state.dirichlet_mask, tol=1e-9)
+    est = estimate_critical_dt(op, state, tol=1e-9)
     k = OracleAssembler(mesh, mat).stiffness()
     lam_dense = dense_lambda_max(k, state.lumped_mass, state.perfusion_diag,
                                  dirichlet_mask=state.dirichlet_mask)
@@ -187,8 +186,7 @@ def test_spectral_estimate_matches_dense_and_brackets_stability(verdict):
 
     # the stress test itself is pure conduction: no sinks to lean on
     pure = build_thermal_state(mesh, pre, mat, NO_PERFUSION, NO_BC, 37.0)
-    est_pure = estimate_critical_dt(op, pure.lumped_mass, pure.perfusion_diag,
-                                    tol=1e-9)
+    est_pure = estimate_critical_dt(op, pure, tol=1e-9)
     rng = np.random.default_rng(5)
     initial = 36.0 + 6.0 * rng.random(mesh.n_nodes)
 
@@ -309,8 +307,7 @@ def test_kernel_invariants_hold(verdict):
     flat_pre = precompute(flat)
     flat_op = ConductionOperator(flat, flat_pre, mat, Variant.CLASSICAL_ISO_TEMP_INDEP)
     flat_state = build_thermal_state(flat, flat_pre, mat, NO_PERFUSION, NO_BC, 37.0)
-    est = estimate_critical_dt(flat_op, flat_state.lumped_mass,
-                               flat_state.perfusion_diag, tol=1e-9)
+    est = estimate_critical_dt(flat_op, flat_state, tol=1e-9)
     flat_state.T = 36.0 + 6.0 * rng.random(flat.n_nodes)
     lo, hi = flat_state.T.min(), flat_state.T.max()
     dt = 0.9 / est.lambda_max

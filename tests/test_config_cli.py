@@ -15,7 +15,8 @@ from fedbht.blockmesh import BlockSceneParams, write_desk_scenario
 from fedbht.cli import main as cli_main
 from fedbht.config import load_scenario
 from fedbht.errors import ConfigError
-from fedbht.kernels import Variant
+from fedbht.integrator import Schedule, build_thermal_state, run
+from fedbht.kernels import ConductionOperator, Variant
 from fedbht.output import read_snapshot_csv
 
 
@@ -145,6 +146,39 @@ def test_inverted_mesh_is_a_mesh_path_error(scenario_path, tmp_path):
     assert err.value.field == "mesh_path"
 
 
+@pytest.mark.parametrize("bad_row, row, message", [
+    (5, "nan 0 0", "keyframe at t=1.5: node 5 has a non-finite displacement"),
+    (0, "0 0", "line 346: expected 3 displacement components, got 2"),
+])
+def test_trajectory_faults_fail_at_load_and_name_the_field(scenario_path, tmp_path,
+                                                          bad_row, row, message):
+    # the rows of the second keyframe start at line 346
+    rows = ["0 0 0"] * 7 ** 3
+    rows[bad_row] = row
+    traj = tmp_path / "bad.traj"
+    traj.write_text("KEYFRAME 0\n" + "0 0 0\n" * 7 ** 3
+                    + "KEYFRAME 1.5\n" + "\n".join(rows) + "\n")
+    path = rewrite(scenario_path, tmp_path,
+                   lambda d: d["deformation"].update(path=str(traj)))
+    with pytest.raises(ConfigError) as err:
+        load_scenario(path)
+    assert err.value.field == "deformation.path"
+    assert str(err.value).endswith(message)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("matrix", [[1, 0, 0], [0, "x", 0], [0, 0, 1]], "expected a 3x3 matrix of numbers"),
+    ("matrix", [[float("inf"), 0, 0], [0, 1, 0], [0, 0, 1]], "must be finite"),
+    ("offset", [0.0, float("nan"), 0.0], "must be finite"),
+])
+def test_affine_faults_name_the_field(scenario_path, tmp_path, field, value, message):
+    deformation = {"kind": "affine", "matrix": np.eye(3).tolist(), field: value}
+    path = rewrite(scenario_path, tmp_path, lambda d: d.update(deformation=deformation))
+    with pytest.raises(ConfigError, match=message) as err:
+        load_scenario(path)
+    assert err.value.field == f"deformation.{field}"
+
+
 def test_garbage_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not valid json")
@@ -195,11 +229,11 @@ def _cli_argv(command, scenario_path, tmp_path):
             "verify": ["verify", scenario_path, "--scheme", "forward"]}[command]
 
 
-@pytest.mark.parametrize("command, expected", [("run", 1), ("stability", 1), ("verify", 2)])
+@pytest.mark.parametrize("command, expected", [("run", 1), ("stability", 1), ("verify", 1)])
 def test_cli_precomputes_the_mesh_once(scenario_path, tmp_path, command, expected,
                                        monkeypatch):
-    # load_scenario's precompute is the one the run uses; only the oracle,
-    # which stays independent of the production path, makes its own
+    # load_scenario's precompute is the one the run uses; the oracle derives
+    # its geometry itself and calls none
     original = mesh_module.precompute
     calls = []
 
@@ -262,6 +296,43 @@ def test_cli_stability_report(scenario_path, capsys):
     assert "within the critical step" in stdout
     # deformed variant with a moving mesh is sampled at start and end
     assert stdout.count("iterations") == 2
+
+
+def test_run_report_and_direct_call_make_one_estimate(scenario_path, tmp_path, monkeypatch,
+                                                     capsys):
+    # the vessel wall is held at 45 C over a 37 C body, so the estimate
+    # freezes the conductivity at a non-uniform field
+    path = rewrite(scenario_path, tmp_path,
+                   lambda d: d["boundary"]["vessel_wall"].update(temperature=45.0))
+    cfg = load_scenario(path)
+    state = build_thermal_state(cfg.mesh, cfg.precomp, cfg.material, cfg.perfusion,
+                                cfg.boundary, cfg.initial_temperature)
+    assert state.T.min() < state.T.max()
+    operator = ConductionOperator(cfg.mesh, cfg.precomp, cfg.material, cfg.variant,
+                                  reference_temperature=cfg.initial_temperature)
+    direct = stability.estimate_critical_dt(
+        operator, state, cfg.deformation.displacements_at(0.0, cfg.mesh))
+
+    original, reported = stability.estimate_critical_dt, []
+
+    def recording(*args, **kwargs):
+        reported.append(original(*args, **kwargs))
+        return reported[-1]
+
+    monkeypatch.setattr(stability, "estimate_critical_dt", recording)
+    assert cli_main(["stability", path]) == 0
+    assert f"lambda_max = {direct.lambda_max:.6g} 1/s" in capsys.readouterr().out
+    monkeypatch.undo()
+    record = run(cfg.mesh, cfg.precomp, cfg.material, cfg.perfusion, cfg.boundary,
+                 cfg.deformation, Schedule(dt=cfg.schedule.dt, total_time=cfg.schedule.dt),
+                 cfg.variant, initial_temperature=cfg.initial_temperature)
+    assert reported[0] == direct
+    assert record.stability == direct
+
+    state.T = np.full(cfg.mesh.n_nodes, cfg.initial_temperature)
+    uniform = stability.estimate_critical_dt(
+        operator, state, cfg.deformation.displacements_at(0.0, cfg.mesh))
+    assert uniform.lambda_max != direct.lambda_max
 
 
 def test_unconverged_stability_estimate_is_flagged(scenario_path, tmp_path, monkeypatch,

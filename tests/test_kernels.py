@@ -8,9 +8,9 @@ import fedbht.kernels
 from fedbht.blockmesh import make_block_mesh
 from fedbht.deformation import DeformationState
 from fedbht.errors import SingularDeformationError
-from fedbht.integrator import lumped_thermal_mass
+from fedbht.integrator import BoundaryConditions, build_thermal_state, lumped_thermal_mass
 from fedbht.kernels import ConductionOperator, Variant
-from fedbht.material import MaterialModel, PropertyTable, TensorPropertyTable
+from fedbht.material import MaterialModel, PerfusionParams, PropertyTable, TensorPropertyTable
 from fedbht.mesh import Mesh, precompute
 from fedbht.oracle import OracleAssembler, brute_force_element_load
 from fedbht.stability import estimate_critical_dt
@@ -536,14 +536,18 @@ def test_property_temps_shape_is_validated(tissue_material, variant):
     # a property field of the wrong length must not be read through
     # clipped indices
     mesh = random_tet_mesh(n_cells=2, seed=6, jitter=0.2)
-    op = ConductionOperator(mesh, precompute(mesh), tissue_material, variant)
+    pre = precompute(mesh)
+    op = ConductionOperator(mesh, pre, tissue_material, variant)
     n = mesh.n_nodes
     temps = np.full(n, 37.0)
     for bad in (np.full(5, 40.0), np.full(n + 3, 40.0), np.full((n, 1), 40.0)):
         with pytest.raises(ValueError, match="property temperature"):
             op.apply(temps, property_temps=bad)
+    state = build_thermal_state(mesh, pre, tissue_material, PerfusionParams(),
+                                BoundaryConditions(), 37.0)
+    state.T = np.full(3, 40.0)
     with pytest.raises(ValueError, match="property temperature"):
-        estimate_critical_dt(op, np.ones(n), np.zeros(n), operating_temps=np.full(3, 40.0))
+        estimate_critical_dt(op, state)
 
 
 def test_kernels_import_no_thread_pool_or_os():

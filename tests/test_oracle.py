@@ -15,6 +15,7 @@ from fedbht.integrator import (
     FluxBC,
     Schedule,
     lumped_thermal_mass,
+    node_volumes,
     run,
 )
 from fedbht.kernels import ConductionOperator, Variant
@@ -28,6 +29,7 @@ from fedbht.oracle import (
     reference_transient,
     _oracle_lumped_mass,
     _reference_node_shares,
+    _reference_node_volumes,
 )
 
 from conftest import anisotropic_material, make_material, mixed_block, random_tet_mesh
@@ -210,7 +212,7 @@ def test_non_finite_coordinates_are_rejected(element):
 def test_oracle_imports_no_production_element_code():
     """The oracle derives its element matrices itself: it may not import the
     production kernels, the pullback's batched inverse, the production
-    lumping or the explicit update."""
+    precompute, lumping and thermal state, or the explicit update."""
     tree = ast.parse(Path(fedbht.oracle.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -226,11 +228,13 @@ def test_oracle_imports_no_production_element_code():
             assert not (module == "fedbht" and "integrator" in names)
             if module == "fedbht.deformation":
                 assert not names & {"inverse_and_det", "*"}, names
+            if module == "fedbht.mesh":
+                assert not names & {"precompute", "*"}, names
             if module == "fedbht.integrator":
-                # the time line and the thermal state are shared; the
-                # lumping and the update are the oracle's own
-                assert not names & {"lumped_thermal_mass", "node_volumes",
-                                    "_equal_split", "step", "*"}, names
+                # the time line and the balance's bookkeeping are shared;
+                # the lumping and the update are the oracle's own
+                assert not names & {"build_thermal_state", "lumped_thermal_mass",
+                                    "node_volumes", "_equal_split", "step", "*"}, names
 
 
 def test_frozen_oracle_mass_is_its_own(monkeypatch):
@@ -254,13 +258,34 @@ def test_frozen_oracle_mass_is_its_own(monkeypatch):
     assert np.array_equal(replay(), expected)
 
 
+def test_oracle_perfusion_volumes_are_its_own(monkeypatch):
+    """A fault in the production nodal volumes must show against the oracle:
+    the perfusion and metabolic terms are lumped on the oracle's volumes."""
+    mesh = random_tet_mesh(n_cells=2, seed=24, jitter=0.1, lengths=(0.03,) * 3)
+    perf = PerfusionParams(w_b=0.8, c_b=3617.0, T_a=37.0, Q_met=400.0)
+    sched = Schedule(dt=0.5, total_time=5.0)
+
+    def replay():
+        return reference_transient(mesh, make_material(k=0.5), perf, NO_BC, None, sched,
+                                   scheme="forward", initial_temperature=39.0).final_temps
+
+    expected = replay()
+    production = fedbht.integrator.node_volumes
+    monkeypatch.setattr(fedbht.integrator, "node_volumes",
+                        lambda *args: 2.0 * production(*args))
+    assert np.array_equal(replay(), expected)
+
+
 def test_independent_lumped_mass_agrees(tissue_material):
     mesh = random_tet_mesh(n_cells=3, seed=21, jitter=0.2)
     pre = precompute(mesh)
     temps = np.full(mesh.n_nodes, 48.0)
+    shares = _reference_node_shares(mesh)
     ours = lumped_thermal_mass(mesh, pre, tissue_material, temps)
-    theirs = _oracle_lumped_mass(mesh, tissue_material, temps, _reference_node_shares(mesh))
+    theirs = _oracle_lumped_mass(mesh, tissue_material, temps, shares)
     np.testing.assert_allclose(ours, theirs, rtol=1e-12)
+    np.testing.assert_allclose(node_volumes(mesh, pre), _reference_node_volumes(mesh, shares),
+                               rtol=1e-12)
 
 
 def test_oracle_thermal_mass_default_follows_tables(tissue_material):

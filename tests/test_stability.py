@@ -5,7 +5,7 @@ import pytest
 
 from fedbht.deformation import AffineDeformation, DeformationState
 from fedbht.errors import StabilityError
-from fedbht.integrator import BoundaryConditions, DirichletBC, build_thermal_state
+from fedbht.integrator import BoundaryConditions, DirichletBC, ThermalState, build_thermal_state
 from fedbht.kernels import ConductionOperator, Variant
 from fedbht.material import PerfusionParams
 from fedbht.mesh import precompute
@@ -26,7 +26,6 @@ class DiagonalOperator:
     def __init__(self, diag):
         self.diag = np.asarray(diag, dtype=float)
         self.n_nodes = self.diag.size
-        self.reference_temperature = 37.0
 
     def apply(self, temps, deformation=None, property_temps=None):
         return self.diag * temps
@@ -59,8 +58,11 @@ def test_power_iteration_zero_operator():
 def test_single_node_perfusion_rate():
     # C = 1, K_b = 2: lambda = 2 and the critical step is 2/lambda = 1
     op = DiagonalOperator([0.0])
-    est = estimate_critical_dt(op, lumped_mass=np.array([1.0]),
-                               perfusion_diag=np.array([2.0]))
+    one, zero = np.ones(1), np.zeros(1)
+    state = ThermalState(T=37.0 * one, lumped_mass=one, perfusion_diag=2.0 * one,
+                         perfusion_source=zero, metabolic=zero, external_heat=zero,
+                         dirichlet_mask=np.zeros(1, dtype=bool), dirichlet_values=zero)
+    est = estimate_critical_dt(op, state)
     assert est.lambda_max == pytest.approx(2.0, rel=1e-9)
     assert est.dt_critical == pytest.approx(1.0, rel=1e-9)
     assert est.converged
@@ -73,8 +75,8 @@ def test_seed_reproducibility():
     op = ConductionOperator(mesh, pre, mat, Variant.CLASSICAL_ISO_TEMP_INDEP)
     state = build_thermal_state(mesh, pre, mat, PerfusionParams(),
                                 BoundaryConditions((), (), ()), 37.0)
-    a = estimate_critical_dt(op, state.lumped_mass, state.perfusion_diag)
-    b = estimate_critical_dt(op, state.lumped_mass, state.perfusion_diag)
+    a = estimate_critical_dt(op, state)
+    b = estimate_critical_dt(op, state)
     assert a.lambda_max == b.lambda_max
     assert a.iterations == b.iterations
 
@@ -90,8 +92,7 @@ def test_matches_dense_eigensolve():
         fluxes=(), films=())
     state = build_thermal_state(mesh, pre, mat, perf, bc, 37.0)
     op = ConductionOperator(mesh, pre, mat, Variant.CLASSICAL_ISO_TEMP_INDEP)
-    est = estimate_critical_dt(op, state.lumped_mass, state.perfusion_diag,
-                               dirichlet_mask=state.dirichlet_mask)
+    est = estimate_critical_dt(op, state)
     k = OracleAssembler(mesh, mat).stiffness()
     lam_ref = dense_lambda_max(k, state.lumped_mass, state.perfusion_diag,
                                state.dirichlet_mask)
@@ -122,21 +123,18 @@ def test_deformation_shifts_spectral_bound_with_oracle_agreement():
         return dense_lambda_max(k, state.lumped_mass, state.perfusion_diag,
                                 none_mask)
 
-    rest = estimate_critical_dt(op, state.lumped_mass, state.perfusion_diag,
-                                tol=1e-9)
+    rest = estimate_critical_dt(op, state, tol=1e-9)
     assert rest.lambda_max == pytest.approx(dense(mesh.nodes), rel=5e-4)
 
     squeeze = AffineDeformation(matrix=0.7 * np.eye(3), offset=np.zeros(3))
-    squeezed = estimate_critical_dt(op, state.lumped_mass, state.perfusion_diag,
-                                    deformation=squeeze.displacements_at(0.0, mesh),
+    squeezed = estimate_critical_dt(op, state, squeeze.displacements_at(0.0, mesh),
                                     tol=1e-9)
     assert squeezed.lambda_max == pytest.approx(0.7 * rest.lambda_max, rel=1e-5)
     assert squeezed.lambda_max == pytest.approx(dense(0.7 * mesh.nodes), rel=5e-4)
 
     thin_f = np.diag([1.0, 1.0, 0.4])
     thin = AffineDeformation(matrix=thin_f, offset=np.zeros(3))
-    thinned = estimate_critical_dt(op, state.lumped_mass, state.perfusion_diag,
-                                   deformation=thin.displacements_at(0.0, mesh),
+    thinned = estimate_critical_dt(op, state, thin.displacements_at(0.0, mesh),
                                    tol=1e-9)
     assert thinned.lambda_max > rest.lambda_max
     assert thinned.dt_critical < rest.dt_critical
@@ -145,17 +143,15 @@ def test_deformation_shifts_spectral_bound_with_oracle_agreement():
 
 def test_property_temps_freeze_material_state(tissue_material):
     # the estimator probes with eigenvector iterates; property lookups
-    # must use the operating field, not the probe vector
+    # must use the state's field, not the probe vector
     mesh = random_tet_mesh(n_cells=2, seed=9, jitter=0.1, lengths=(0.05,) * 3)
     pre = precompute(mesh)
     op = ConductionOperator(mesh, pre, tissue_material, Variant.CLASSICAL_ISO_TEMP_DEP)
     state = build_thermal_state(mesh, pre, tissue_material, PerfusionParams(),
                                 BoundaryConditions((), (), ()), 37.0)
-    hot = np.full(mesh.n_nodes, 65.0)
-    est_37 = estimate_critical_dt(op, state.lumped_mass, state.perfusion_diag,
-                                  operating_temps=np.full(mesh.n_nodes, 37.0))
-    est_65 = estimate_critical_dt(op, state.lumped_mass, state.perfusion_diag,
-                                  operating_temps=hot)
+    est_37 = estimate_critical_dt(op, state)
+    state.T = np.full(mesh.n_nodes, 65.0)
+    est_65 = estimate_critical_dt(op, state)
     # conductivity is higher at 65 C, so the bound tightens
     assert est_65.lambda_max > est_37.lambda_max
     ratio = est_65.lambda_max / est_37.lambda_max
