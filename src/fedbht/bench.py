@@ -70,6 +70,9 @@ class KernelTiming:
     mean_seconds: float
     stderr_seconds: float
     checksum: float
+    # over the interleaved batches: a batch slowed by the host moves the
+    # mean of a ~2 us call but not the median
+    median_seconds: float
 
 
 @dataclass
@@ -194,7 +197,7 @@ def bench_element_kernels(
         results[variant] = KernelTiming(
             variant=variant, reps=reps, batch=batch,
             mean_seconds=float(per_call.mean()), stderr_seconds=stderr,
-            checksum=float(checksum),
+            checksum=float(checksum), median_seconds=float(np.median(per_call)),
         )
     return [results[v] for v in Variant]
 

@@ -10,7 +10,9 @@ matrix-free production path can be checked against an independent route:
   * global K is assembled into scipy.sparse CSR;
   * reference transients advance the assembled system with forward or
     backward Euler, re-assembling every step so lagged (Picard) property
-    evaluation matches the production semantics;
+    evaluation matches the production semantics; the element geometry is
+    derived once per node position and kept while the mesh holds, so a held
+    step only re-evaluates the conductivity at the element means T̄;
   * brute-force Gauss quadrature integrates single-element loads.
 
 Thermal mass and perfusion lumping always use reference-configuration
@@ -18,8 +20,9 @@ volumes, matching the production convention (mass conservation makes
 rho c V deformation-invariant). The lumping is the oracle's own, on
 element volumes it derives from the node positions: an equal split of V
 gives the nodal volumes that carry the perfusion and Q_met terms, and an
-equal split of rho c(T) V the thermal mass, anew in every step of an
-updated run and once, from the uniform initial field, for a frozen one.
+equal split of rho c(T̄) V the thermal mass, anew in every step of an
+updated run (at the T̄ of that step's K) and once, from the uniform
+initial field, for a frozen one.
 The reference transient borrows only the bookkeeping of production's
 :func:`integrator.thermal_state_from_volumes`: the heater, flux and film
 terms on their nodes and the Dirichlet field.
@@ -34,6 +37,7 @@ arrays, without forming per-element tensors.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -194,121 +198,173 @@ def quadrature_volume(mesh: Mesh) -> float:
 class OracleAssembler:
     """Reusable sparse assembly with a fixed sparsity pattern.
 
-    The map from element entries to CSR slots is built once; each stiffness
-    call only recomputes element matrices from the supplied coordinates and
-    temperatures. Element matrices are built entry-major: row a*k+b of a
-    family's (k*k, n) block holds entry (a, b) of all n elements.
+    The scatter from element entries to CSR slots is built once. The element
+    geometry is derived from the coordinates of a call and kept, with a
+    private copy of those coordinates, until a call brings different ones:
+    for isotropic tables the weight and the products g_a . g_b of each
+    element, for tensor tables the weight and g. A call on the same
+    coordinates (a held mesh) only gathers the element means T̄, evaluates
+    k(T̄), scales and scatters. The T̄ of the last call stay in
+    :attr:`element_means` for the thermal mass. Element matrices are built
+    entry-major: row (a, b) of a family's (k, k, n) block holds entry
+    (a, b) of all n elements.
     """
 
     def __init__(self, mesh: Mesh, material: MaterialModel):
         self.mesh = mesh
         self.material = material
         self.n = mesh.n_nodes
-        self._tet_t = np.ascontiguousarray(mesh.tets.T)
-        self._hex_t = np.ascontiguousarray(mesh.hexes.T)
-
-        families = [c for c in (self._tet_t, self._hex_t) if c.size]
-        if not families:
+        # per family: connectivity (k, e) and its geometry rule
+        self._families = [
+            (np.ascontiguousarray(conn.T), derive)
+            for conn, derive in ((mesh.tets, _tet_geometry), (mesh.hexes, _hex_geometry))
+            if conn.size
+        ]
+        if not self._families:
             raise GeometryError("mesh has no elements to assemble")
         # key[a, b, e] = row * n + col of entry (a, b) of element e
         key = np.concatenate([
-            (conn_t.astype(np.int64)[:, None] * self.n + conn_t).ravel() for conn_t in families
+            (conn_t.astype(np.int64)[:, None] * self.n + conn_t).ravel()
+            for conn_t, _ in self._families
         ])
-        order = np.argsort(key)
+        order = np.argsort(key, kind="stable")
         key = key[order]
-        first = np.r_[True, key[1:] != key[:-1]]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         unique_key = key[first]
-        del key  # frees the sorted keys before the slot map is built: lower peak memory
-        self._slot = np.empty_like(order)
-        self._slot[order] = np.cumsum(first) - 1
+        del key  # frees the sorted keys before the scatter is built: lower peak memory
+        # P[slot, entry] = 1; the stable sort lists each row's entries in
+        # ascending order, so P @ entries sums every slot in the order of
+        # a bincount over the entries
+        self._scatter = scipy.sparse.csr_matrix(
+            (np.ones(order.size), order.astype(np.int32),
+             np.r_[first, order.size].astype(np.int32)),
+            shape=(first.size, order.size),
+        )
+        del order
         self._indices = (unique_key % self.n).astype(np.int32)
         # one entry buffer for every call: a fresh one per call can leave
         # enough free heap on top for malloc to return it to the system
         # and page it in again on the next call
-        self._entries = np.empty(self._slot.size)
+        self._entries = np.empty(self._scatter.shape[1])
         counts = np.bincount(unique_key // self.n, minlength=self.n)
         self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self._coords = None  # copy of the coordinates the geometry was derived on
+        self._geometry = []  # per family: (weight, g_a . g_b pairs or g)
+        self.element_means: list[np.ndarray] = []
 
     def stiffness(self, coords: np.ndarray | None = None, temps=None) -> scipy.sparse.csr_matrix:
         """Assemble K from node positions (default: reference) and the
         temperature field used for property evaluation (default: uniform
         37 C)."""
-        mesh = self.mesh
         if coords is None:
-            coords = mesh.nodes
+            coords = self.mesh.nodes
         if temps is None:
             temps = np.full(self.n, 37.0)
-        temps = np.asarray(temps, dtype=np.float64)
-        coords_t = np.asarray(coords, dtype=np.float64).T
+        coords = np.asarray(coords, dtype=np.float64)
+        if self._coords is None or not np.array_equal(coords, self._coords):
+            self._derive_geometry(coords)
+        self.element_means = self.mean_temperatures(temps)
 
-        entries = self._entries
-        n_tet = 16 * self._tet_t.shape[1]
-        if n_tet:
-            self._tet_element_matrices(coords_t, temps, entries[:n_tet].reshape(16, -1))
-        if self._hex_t.size:
-            self._hex_element_matrices(coords_t, temps, entries[n_tet:].reshape(64, -1))
-        data = np.bincount(self._slot, weights=entries, minlength=self._indices.size)
+        start = 0
+        for (conn_t, _), geometry, tmean in zip(self._families, self._geometry,
+                                                self.element_means):
+            k = conn_t.shape[0]
+            out = self._entries[start:start + k * k * tmean.size].reshape(k, k, -1)
+            start += out.size
+            self._sandwich(*geometry, self.material.conductivity.evaluate(tmean), out)
+        data = self._scatter @ self._entries
         return scipy.sparse.csr_matrix(
             (data, self._indices, self._indptr), shape=(self.n, self.n)
         )
 
-    def _tet_element_matrices(self, coords_t, temps, out) -> None:
-        conn_t = self._tet_t
-        x0 = np.take(coords_t, conn_t[0], axis=1)  # (3, e)
-        e1, e2, e3 = (np.take(coords_t, conn_t[a], axis=1) - x0 for a in (1, 2, 3))
-        g = np.empty((3,) + conn_t.shape)  # unscaled gradients: 6 V grad N_a
-        _cross(e2, e3, g[:, 1])
-        _cross(e3, e1, g[:, 2])
-        _cross(e1, e2, g[:, 3])
-        det = e1[0] * g[0, 1] + e1[1] * g[1, 1] + e1[2] * g[2, 1]  # 6 V
-        bad = ~(det > 0)
-        if np.any(bad):
-            raise GeometryError(
-                f"tet4 element {int(np.argmax(bad))} has non-positive or non-finite "
-                "volume on the given coordinates"
-            )
-        g[:, 0] = -(g[:, 1] + g[:, 2] + g[:, 3])
-        # V grad^T D grad with grad = g / 6V
-        self._sandwich(g, 1.0 / (6.0 * det), temps, conn_t, out)
+    def mean_temperatures(self, temps) -> list[np.ndarray]:
+        """Each element's mean node temperature T̄, per family."""
+        temps = np.asarray(temps, dtype=np.float64)
+        return [np.take(temps, conn_t).mean(axis=0) for conn_t, _ in self._families]
 
-    def _hex_element_matrices(self, coords_t, temps, out) -> None:
-        x = np.take(coords_t, self._hex_t, axis=1)  # (3, 8, e)
-        jac = np.einsum("jae,ak->ejk", x, HEX_DN_CENTER)
-        with np.errstate(invalid="ignore"):  # NaN coordinates fail the check below
-            det = np.linalg.det(jac)
-        bad = ~(det > 0)
-        if np.any(bad):
-            raise GeometryError(
-                f"hex8 element {int(np.argmax(bad))} has non-positive or non-finite "
-                "centre Jacobian on the given coordinates"
-            )
-        rhs = np.broadcast_to(HEX_DN_CENTER.T, (det.size, 3, 8))
-        grads = np.linalg.solve(np.transpose(jac, (0, 2, 1)), rhs)  # (e, 3, 8)
-        g = np.ascontiguousarray(np.moveaxis(grads, 0, 2))
-        self._sandwich(g, 8.0 * det, temps, self._hex_t, out)
+    def _derive_geometry(self, coords) -> None:
+        """Weight and gradients of every element on coords; for isotropic
+        tables the gradients are kept as their pair products."""
+        self._coords = None  # a derivation that raises leaves no memo behind
+        self._geometry = []
+        coords_t = coords.T
+        for conn_t, derive in self._families:
+            g, weight = derive(coords_t, conn_t)
+            self._geometry.append((weight, _pair_products(g, g) if self.material.isotropic else g))
+        self._coords = coords.copy()
 
-    def _sandwich(self, g, weight, temps, conn_t, out) -> None:
-        """Entry-major element matrices weight * g^T D g into out (k*k, e).
+    def _sandwich(self, weight, geometry, cond, out) -> None:
+        """Element matrices weight * g^T D g into out (k, k, e).
 
-        g: (3, k, e) gradient components; D is the conductivity at each
-        element's mean temperature, a scalar for isotropic tables. D is
-        symmetric, so only the entries with a <= b are computed.
+        D is the conductivity at each element's mean temperature, a scalar
+        for isotropic tables (geometry holds the g_a . g_b) and a tensor
+        otherwise (geometry holds g, (3, k, e)). D is symmetric, so only
+        the entries with a <= b are computed.
         """
-        cond = self.material.conductivity.evaluate(np.take(temps, conn_t).mean(axis=0))
         if self.material.isotropic:
-            scale, q = weight * cond, g
+            scale, products = weight * cond, geometry
         else:
-            scale = weight
+            g = geometry
             d = np.moveaxis(cond, 0, 2)
             q = np.empty_like(g)  # D g
             for i in range(3):
                 q[i] = d[i, 0] * g[0] + d[i, 1] * g[1] + d[i, 2] * g[2]
-        k = g.shape[1]
-        for a in range(k):
-            for b in range(a, k):
-                out[a * k + b] = out[b * k + a] = scale * (
-                    g[0, a] * q[0, b] + g[1, a] * q[1, b] + g[2, a] * q[2, b]
-                )
+            scale, products = weight, _pair_products(g, q)
+        pairs = itertools.combinations_with_replacement(range(out.shape[0]), 2)
+        for pair, (a, b) in enumerate(pairs):
+            np.multiply(scale, products[pair], out=out[a, b])
+            out[b, a] = out[a, b]
+
+
+def _pair_products(g: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """g_a . q_b of (3, k, e) component rows for a <= b, one row per pair
+    (k(k+1)/2, e), the pairs in the order of combinations_with_replacement."""
+    k = g.shape[1]
+    out = np.empty((k * (k + 1) // 2, g.shape[2]))
+    term = np.empty(g.shape[2])
+    for pair, (a, b) in enumerate(itertools.combinations_with_replacement(range(k), 2)):
+        row = out[pair]  # (x + y) + z, summed in place
+        np.multiply(g[0, a], q[0, b], out=row)
+        row += np.multiply(g[1, a], q[1, b], out=term)
+        row += np.multiply(g[2, a], q[2, b], out=term)
+    return out
+
+
+def _tet_geometry(coords_t, conn_t) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled gradients g = 6 V grad N_a (3, 4, e) and the weight
+    1 / 6V, so that V grad^T D grad = weight * g^T D g."""
+    x0 = np.take(coords_t, conn_t[0], axis=1)  # (3, e)
+    e1, e2, e3 = (np.take(coords_t, conn_t[a], axis=1) - x0 for a in (1, 2, 3))
+    g = np.empty((3,) + conn_t.shape)
+    _cross(e2, e3, g[:, 1])
+    _cross(e3, e1, g[:, 2])
+    _cross(e1, e2, g[:, 3])
+    det = e1[0] * g[0, 1] + e1[1] * g[1, 1] + e1[2] * g[2, 1]  # 6 V
+    bad = ~(det > 0)
+    if np.any(bad):
+        raise GeometryError(
+            f"tet4 element {int(np.argmax(bad))} has non-positive or non-finite "
+            "volume on the given coordinates"
+        )
+    g[:, 0] = -(g[:, 1] + g[:, 2] + g[:, 3])
+    return g, 1.0 / (6.0 * det)
+
+
+def _hex_geometry(coords_t, conn_t) -> tuple[np.ndarray, np.ndarray]:
+    """Centre-point gradients (3, 8, e) and the weight 8 det J."""
+    x = np.take(coords_t, conn_t, axis=1)  # (3, 8, e)
+    jac = np.einsum("jae,ak->ejk", x, HEX_DN_CENTER)
+    with np.errstate(invalid="ignore"):  # NaN coordinates fail the check below
+        det = np.linalg.det(jac)
+    bad = ~(det > 0)
+    if np.any(bad):
+        raise GeometryError(
+            f"hex8 element {int(np.argmax(bad))} has non-positive or non-finite "
+            "centre Jacobian on the given coordinates"
+        )
+    rhs = np.broadcast_to(HEX_DN_CENTER.T, (det.size, 3, 8))
+    grads = np.linalg.solve(np.transpose(jac, (0, 2, 1)), rhs)  # (e, 3, 8)
+    return np.ascontiguousarray(np.moveaxis(grads, 0, 2)), 8.0 * det
 
 
 def _cross(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
@@ -373,13 +429,13 @@ def reference_transient(
     # verify on the 13^3 demo is 0.9 MB higher (heap layout)
     assembler = OracleAssembler(mesh, material)
     update_thermal_mass = resolve_update_thermal_mass(material, update_thermal_mass)
-    node_shares = _reference_node_shares(mesh)
+    lumping = _reference_lumping(mesh)
     # a frozen mass is lumped from the uniform initial field, as production
     # lumps it; an updated one is lumped anew in every step
+    initial_means = assembler.mean_temperatures(np.full(mesh.n_nodes, float(initial_temperature)))
     state = thermal_state_from_volumes(
-        _reference_node_volumes(mesh, node_shares),
-        _oracle_lumped_mass(mesh, material, np.full(mesh.n_nodes, float(initial_temperature)),
-                            node_shares),
+        _reference_node_volumes(lumping),
+        _oracle_lumped_mass(material, initial_means, lumping),
         perfusion, bc, initial_temperature,
     )
     if provider is None:
@@ -406,14 +462,14 @@ def reference_transient(
             break
         load = state.sources(source_on)
 
-        if update_thermal_mass:
-            mass = _oracle_lumped_mass(mesh, material, temps, node_shares)
-
         if moving:
             t_geom = t_now if scheme == "forward" else t_now + dt
             coords = mesh.nodes + provider.displacements_at(t_geom, mesh).displacements
 
         k = assembler.stiffness(coords=coords, temps=temps)
+        if update_thermal_mass:
+            # at the element means K's conductivity was just evaluated at
+            mass = _oracle_lumped_mass(material, assembler.element_means, lumping)
 
         if scheme == "forward":
             rhs = load - k @ temps - state.perfusion_diag * temps
@@ -428,14 +484,15 @@ def reference_transient(
                 y = k @ x + diag * x
                 return y[free]
 
+            # an operator without a dtype infers one from a trial matvec
             a_op = scipy.sparse.linalg.LinearOperator(
-                (int(free.sum()), int(free.sum())), matvec=matvec
+                (int(free.sum()), int(free.sum())), matvec=matvec, dtype=np.float64
             )
             coupling = k @ fixed_vals + diag * fixed_vals
             b_reduced = b_full[free] - coupling[free]
             precond_diag = (k.diagonal() + diag)[free]
             m_op = scipy.sparse.linalg.LinearOperator(
-                a_op.shape, matvec=lambda x: x / precond_diag
+                a_op.shape, matvec=lambda x: x / precond_diag, dtype=np.float64
             )
             x0 = temps[free]
             solution, info = scipy.sparse.linalg.cg(
@@ -454,40 +511,46 @@ def reference_transient(
     return record
 
 
-def _reference_node_shares(mesh: Mesh) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per element family: connectivity and each element's reference volume
-    split equally over its nodes, from first-principles geometry."""
-    shares = []
+def _reference_lumping(mesh: Mesh) -> list[scipy.sparse.csr_matrix]:
+    """Per element family, the (n_nodes, e) matrix whose entry (i, e) is
+    element e's reference volume split equally over its nodes, from
+    first-principles geometry. A row lists its elements in ascending order,
+    so a product with it sums each node's shares in element order."""
+    lumping = []
     if mesh.tets.size:
         x = mesh.nodes[mesh.tets]
         det = np.einsum(
             "ei,ei->e", x[:, 1] - x[:, 0], np.cross(x[:, 2] - x[:, 0], x[:, 3] - x[:, 0])
         )
-        shares.append((mesh.tets, (det / 6.0) / 4.0))
+        lumping.append(_equal_split(mesh.tets, (det / 6.0) / 4.0, mesh.n_nodes))
     if mesh.hexes.size:
         x = mesh.nodes[mesh.hexes]
         jac = np.einsum("eaj,ak->ejk", x, HEX_DN_CENTER)
-        shares.append((mesh.hexes, np.linalg.det(jac)))  # 8 det / 8 nodes
-    return shares
+        lumping.append(_equal_split(mesh.hexes, np.linalg.det(jac), mesh.n_nodes))  # 8 det / 8
+    return lumping
 
 
-def _reference_node_volumes(mesh: Mesh, shares) -> np.ndarray:
-    """Nodal volumes: the nodal sums of the shares from
-    _reference_node_shares."""
-    vols = np.zeros(mesh.n_nodes)
-    for conn, volume in shares:
-        vols += np.bincount(conn.ravel(), weights=np.repeat(volume, conn.shape[1]),
-                            minlength=mesh.n_nodes)
+def _equal_split(conn: np.ndarray, share: np.ndarray, n_nodes: int) -> scipy.sparse.csr_matrix:
+    n_elements, k = conn.shape
+    return scipy.sparse.csr_matrix(
+        (np.repeat(share, k), (conn.ravel(), np.repeat(np.arange(n_elements), k))),
+        shape=(n_nodes, n_elements),
+    )
+
+
+def _reference_node_volumes(lumping) -> np.ndarray:
+    """Nodal volumes: the nodal sums of the shares in _reference_lumping."""
+    vols = np.zeros(lumping[0].shape[0])
+    for split in lumping:
+        vols += split @ np.ones(split.shape[1])
     return vols
 
 
-def _oracle_lumped_mass(mesh: Mesh, material: MaterialModel, temps, shares) -> np.ndarray:
-    """Independent equal-split lumping of rho c(T) over the reference
-    volumes from _reference_node_shares."""
-    mass = np.zeros(mesh.n_nodes)
-    for conn, volume in shares:
-        tmean = temps[conn].mean(axis=1)
-        rho_c = material.density.evaluate(tmean) * material.specific_heat.evaluate(tmean)
-        mass += np.bincount(conn.ravel(), weights=np.repeat(rho_c * volume, conn.shape[1]),
-                            minlength=mesh.n_nodes)
+def _oracle_lumped_mass(material: MaterialModel, element_means, lumping) -> np.ndarray:
+    """Independent equal-split lumping of rho c(T̄) over the reference
+    volumes of _reference_lumping; element_means holds each family's T̄
+    (:meth:`OracleAssembler.mean_temperatures`)."""
+    mass = np.zeros(lumping[0].shape[0])
+    for tmean, split in zip(element_means, lumping):
+        mass += split @ (material.density.evaluate(tmean) * material.specific_heat.evaluate(tmean))
     return mass

@@ -44,6 +44,10 @@ def simple_material():
 
 @pytest.fixture
 def tissue_material():
+    return temperature_dependent_material()
+
+
+def temperature_dependent_material():
     """Liver-like tables: c and k rise with temperature."""
     return MaterialModel(
         density=PropertyTable([[37.0, 1060.0]]),

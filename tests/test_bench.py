@@ -26,6 +26,7 @@ def test_kernel_timings_are_sane(tiny_timings):
     assert [t.variant for t in tiny_timings] == list(Variant)
     for t in tiny_timings:
         assert t.mean_seconds > 0
+        assert t.median_seconds > 0
         assert t.stderr_seconds >= 0
         assert t.reps == 400
 

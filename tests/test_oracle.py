@@ -7,7 +7,7 @@ import pytest
 import fedbht.integrator
 import fedbht.oracle
 from fedbht.blockmesh import make_block_mesh
-from fedbht.deformation import DeformationState, IdentityDeformation
+from fedbht.deformation import DeformationState, IdentityDeformation, TrajectoryDeformation
 from fedbht.errors import GeometryError
 from fedbht.integrator import (
     BoundaryConditions,
@@ -20,7 +20,7 @@ from fedbht.integrator import (
 )
 from fedbht.kernels import ConductionOperator, Variant
 from fedbht.material import PerfusionParams
-from fedbht.mesh import Mesh, precompute
+from fedbht.mesh import HEX_DN_CENTER, Mesh, precompute
 from fedbht.oracle import (
     OracleAssembler,
     brute_force_element_load,
@@ -28,11 +28,17 @@ from fedbht.oracle import (
     quadrature_volume,
     reference_transient,
     _oracle_lumped_mass,
-    _reference_node_shares,
+    _reference_lumping,
     _reference_node_volumes,
 )
 
-from conftest import anisotropic_material, make_material, mixed_block, random_tet_mesh
+from conftest import (
+    anisotropic_material,
+    make_material,
+    mixed_block,
+    random_tet_mesh,
+    temperature_dependent_material,
+)
 
 NO_BC = BoundaryConditions(dirichlet=(), fluxes=(), films=())
 
@@ -209,6 +215,136 @@ def test_non_finite_coordinates_are_rejected(element):
         OracleAssembler(mesh, make_material(k=0.5)).stiffness(coords=coords)
 
 
+MEMO_MESHES = {
+    "tet4": lambda: make_block_mesh(2, 2, 2, jitter=0.15, seed=55),
+    "hex8": lambda: make_block_mesh(2, 2, 2, element="hex8", jitter=0.15, seed=56),
+    "mixed": mixed_block,
+}
+MEMO_MATERIALS = {"isotropic": temperature_dependent_material, "tensor": anisotropic_material}
+
+
+@pytest.mark.parametrize("material", MEMO_MATERIALS)
+@pytest.mark.parametrize("mesh", MEMO_MESHES)
+def test_memo_hit_matches_fresh_assembly_bitwise(mesh, material):
+    mesh, mat = MEMO_MESHES[mesh](), MEMO_MATERIALS[material]()
+    rng = np.random.default_rng(57)
+    coords = mesh.nodes + 0.02 * rng.normal(size=mesh.nodes.shape)
+    assembler = OracleAssembler(mesh, mat)
+    assembler.stiffness(coords=coords, temps=37.0 + 20.0 * rng.random(mesh.n_nodes))
+    temps = 37.0 + 20.0 * rng.random(mesh.n_nodes)
+    held = assembler.stiffness(coords=coords.copy(), temps=temps)
+    fresh = OracleAssembler(mesh, mat).stiffness(coords=coords, temps=temps)
+    assert np.array_equal(held.indptr, fresh.indptr)
+    assert np.array_equal(held.indices, fresh.indices)
+    assert np.array_equal(held.data, fresh.data)
+
+
+def test_memo_sees_coordinates_changed_in_place():
+    mesh = mixed_block()
+    mat = make_material(k=0.5)
+    coords = mesh.nodes.copy()
+    assembler = OracleAssembler(mesh, mat)
+    before = assembler.stiffness(coords=coords)
+    coords *= 1.1  # the caller's own array, moved after the first call
+    after = assembler.stiffness(coords=coords)
+    assert not np.array_equal(after.data, before.data)
+    assert np.array_equal(after.data, OracleAssembler(mesh, mat).stiffness(coords=coords).data)
+
+
+@pytest.mark.parametrize("element", ["tet4", "hex8"])
+@pytest.mark.parametrize("fault", ["nan", "inverted"])
+def test_bad_coordinates_after_a_memo_hit_are_rejected(element, fault):
+    mesh = make_block_mesh(2, 2, 2, element=element, jitter=0.1, seed=54)
+    mat = temperature_dependent_material()
+    assembler = OracleAssembler(mesh, mat)
+    assembler.stiffness(coords=mesh.nodes)
+    assembler.stiffness(coords=mesh.nodes)  # a hit
+    coords = mesh.nodes.copy()
+    if fault == "nan":
+        coords[mesh.n_nodes // 2, 2] = np.nan
+    else:
+        coords[:, 0] *= -1.0  # a mirror turns every element inside out
+    with pytest.raises(GeometryError, match=f"{element} element"):
+        assembler.stiffness(coords=coords)
+    # the failed derivation left no memo behind
+    temps = np.linspace(37.0, 60.0, mesh.n_nodes)
+    expected = OracleAssembler(mesh, mat).stiffness(coords=mesh.nodes, temps=temps)
+    assert np.array_equal(assembler.stiffness(coords=mesh.nodes, temps=temps).data,
+                          expected.data)
+
+
+@pytest.mark.parametrize("hold", [0.0, 3.0])
+def test_geometry_is_derived_once_while_the_mesh_holds(monkeypatch, hold):
+    """Six backward steps on geometry held from the start (identity) or
+    moving up to t = 3 s and held after it: each family derives its
+    geometry once per distinct node position."""
+    calls = {"cross": 0, "hex": 0}
+    cross, hex_geometry = fedbht.oracle._cross, fedbht.oracle._hex_geometry
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(fedbht.oracle, "_cross", counted("cross", cross))
+    monkeypatch.setattr(fedbht.oracle, "_hex_geometry", counted("hex", hex_geometry))
+    mesh = mixed_block()
+    provider = IdentityDeformation()
+    if hold:
+        moved = 0.02 * np.random.default_rng(58).normal(size=mesh.nodes.shape)
+        provider = TrajectoryDeformation([0.0, hold], [np.zeros_like(moved), moved])
+    reference_transient(mesh, temperature_dependent_material(), PerfusionParams(), NO_BC,
+                        provider, Schedule(dt=1.0, total_time=6.0), scheme="backward")
+    derivations = 1 if not hold else 3  # t = 1, 2 and 3 s; 4 to 6 s hold
+    assert calls == {"cross": 3 * derivations, "hex": derivations}
+
+
+@pytest.mark.parametrize("mesh", MEMO_MESHES)
+def test_mass_from_shared_means_is_the_equal_split(mesh):
+    """The mass lumped at K's own element means equals the equal split of
+    rho c(T̄) V over each element's nodes, bitwise."""
+    mesh, mat = MEMO_MESHES[mesh](), temperature_dependent_material()
+    temps = 37.0 + 20.0 * np.random.default_rng(59).random(mesh.n_nodes)
+    assembler = OracleAssembler(mesh, mat)
+    assembler.stiffness(temps=temps)
+    lumping = _reference_lumping(mesh)
+
+    mass = np.zeros(mesh.n_nodes)
+    volumes = np.zeros(mesh.n_nodes)
+    families = [conn for conn in (mesh.tets, mesh.hexes) if conn.size]
+    for conn, tmean, split in zip(families, assembler.element_means, lumping, strict=True):
+        if conn.shape[1] == 4:  # four terms sum in the same order either way
+            assert np.array_equal(tmean, temps[conn].mean(axis=1))
+        share = split[conn[:, 0], np.arange(conn.shape[0])].A1  # V / k of each element
+        rho_c = mat.density.evaluate(tmean) * mat.specific_heat.evaluate(tmean)
+        mass += np.bincount(conn.ravel(), weights=np.repeat(rho_c * share, conn.shape[1]),
+                            minlength=mesh.n_nodes)
+        volumes += np.bincount(conn.ravel(), weights=np.repeat(share, conn.shape[1]),
+                               minlength=mesh.n_nodes)
+    assert np.array_equal(_oracle_lumped_mass(mat, assembler.element_means, lumping), mass)
+    assert np.array_equal(_reference_node_volumes(lumping), volumes)
+
+
+def test_scatter_product_equals_bincount_bitwise():
+    mesh = mixed_block()
+    assembler = OracleAssembler(mesh, anisotropic_material())
+    # the slot of every entry, from the entry-major (row, col) keys
+    key = np.concatenate([
+        (conn.T.astype(np.int64)[:, None] * mesh.n_nodes + conn.T).ravel()
+        for conn in (mesh.tets, mesh.hexes)
+    ])
+    _, slot = np.unique(key, return_inverse=True)
+    rng = np.random.default_rng(60)
+    # terms of mixed sign spread over 16 decades: any change of summation
+    # order shows in the last bits
+    entries = rng.normal(size=key.size) * 10.0 ** rng.uniform(-8, 8, size=key.size)
+    assert np.array_equal(assembler._scatter @ entries,
+                          np.bincount(slot, weights=entries, minlength=slot.max() + 1))
+    k = assembler.stiffness(temps=37.0 + 20.0 * rng.random(mesh.n_nodes))
+    assert np.array_equal(k.data, np.bincount(slot, weights=assembler._entries))
+
+
 def test_oracle_imports_no_production_element_code():
     """The oracle derives its element matrices itself: it may not import the
     production kernels, the pullback's batched inverse, the production
@@ -280,11 +416,12 @@ def test_independent_lumped_mass_agrees(tissue_material):
     mesh = random_tet_mesh(n_cells=3, seed=21, jitter=0.2)
     pre = precompute(mesh)
     temps = np.full(mesh.n_nodes, 48.0)
-    shares = _reference_node_shares(mesh)
+    lumping = _reference_lumping(mesh)
     ours = lumped_thermal_mass(mesh, pre, tissue_material, temps)
-    theirs = _oracle_lumped_mass(mesh, tissue_material, temps, shares)
+    means = OracleAssembler(mesh, tissue_material).mean_temperatures(temps)
+    theirs = _oracle_lumped_mass(tissue_material, means, lumping)
     np.testing.assert_allclose(ours, theirs, rtol=1e-12)
-    np.testing.assert_allclose(node_volumes(mesh, pre), _reference_node_volumes(mesh, shares),
+    np.testing.assert_allclose(node_volumes(mesh, pre), _reference_node_volumes(lumping),
                                rtol=1e-12)
 
 
