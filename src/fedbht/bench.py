@@ -28,6 +28,7 @@ import numpy as np
 from . import stability
 from .blockmesh import BlockSceneParams, make_block_mesh, ramp_trajectory
 from .deformation import inverse_and_det
+from .errors import FedbhtError
 from .integrator import BoundaryConditions, Schedule, build_thermal_state, run
 from .kernels import ConductionOperator, Variant
 from .material import (
@@ -280,6 +281,8 @@ def bench_simulation(
                 mesh, pre, material, perfusion, bc, provider, schedule, variant,
                 update_thermal_mass=False, dt_override=True,
             )
+            if record.outcome:  # a partial run is no timing
+                raise FedbhtError(f"scaling run stopped: {record.outcome.message}")
             row[i] = record.timings["thermal"] / record.n_steps
     counts = [mesh.n_elements for mesh, *_ in scenes]
     per_step = np.median(per_run, axis=0)

@@ -10,8 +10,9 @@ Subcommands:
     make-mesh  generate the bundled block scenario (mesh, sets, ramp, JSON)
     metrics    compare two snapshot CSV files
 
-Exit codes: 0 success, 2 configuration or stability refusal, 3 the
-transient diverged, 4 verification metrics exceeded tolerance.
+Exit codes: 0 success, 2 configuration error or refused dt, 3 the
+transient failed mid-run, 4 verification metrics exceeded tolerance;
+:data:`STOPS` maps each way a run stops, and any other error, to its code.
 
 Relative paths inside a scenario file resolve against the scenario file's
 directory, including its output_dir; the --out flag resolves against the
@@ -30,16 +31,23 @@ import time
 from . import __version__, bench, metrics, output, stability
 from .blockmesh import BlockSceneParams, write_desk_scenario
 from .config import ScenarioConfig, load_scenario
-from .errors import DivergenceError, FedbhtError, StabilityError
-from .integrator import build_thermal_state, run
+from .errors import FedbhtError
+from .integrator import STOP_KINDS, build_thermal_state, run
 from .kernels import ConductionOperator, Variant
 
 log = logging.getLogger("fedbht")
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DIVERGED = 3
-EXIT_TOLERANCE = 4
+EXIT_OK, EXIT_CONFIG, EXIT_STOPPED, EXIT_TOLERANCE = 0, 2, 3, 4
+
+# the exit code and stderr lead of each run outcome kind; None: any other error
+STOPS = {"refused": (EXIT_CONFIG, "refusing to run"), "diverged": (EXIT_STOPPED, "diverged"),
+         "inverted": (EXIT_STOPPED, "inverted element"), None: (EXIT_CONFIG, "error")}
+
+
+def _stop(kind, message) -> int:
+    code, lead = STOPS[kind]
+    print(f"{lead}: {message}", file=sys.stderr)
+    return code
 
 
 def _resolve_out_dir(cfg: ScenarioConfig, scenario_path: str, override) -> str:
@@ -61,33 +69,22 @@ def _run_production(cfg: ScenarioConfig, dt_override: bool):
     )
 
 
-def _write_outputs(out_dir, cfg: ScenarioConfig, record) -> list:
-    t0 = time.perf_counter()
-    names = output.write_record_outputs(out_dir, cfg.mesh, record)
-    record.timings["output"] = time.perf_counter() - t0
-    output.write_manifest(
-        os.path.join(out_dir, "manifest.json"), cfg.raw, record, names
-    )
-    return names
-
-
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.scenario)
     out_dir = _resolve_out_dir(cfg, args.scenario, args.out)
-    try:
-        record = _run_production(cfg, args.dt_override)
-    except DivergenceError as err:
-        names = _write_outputs(out_dir, cfg, err.record)
-        print(f"diverged at step {err.step_index} (t = {err.time:g} s); "
-              f"partial outputs in {out_dir} ({len(names)} snapshots)")
-        return EXIT_DIVERGED
-    names = _write_outputs(out_dir, cfg, record)
-    print(f"completed {record.n_steps} steps of {record.dt:g} s")
+    record = _run_production(cfg, args.dt_override)
+    t0 = time.perf_counter()
+    names = output.write_record_outputs(out_dir, cfg.mesh, record)
+    record.timings["output"] = time.perf_counter() - t0
+    output.write_manifest(os.path.join(out_dir, "manifest.json"), cfg.raw, record, names)
+    stop = record.outcome
+    print(f"completed {record.n_steps} steps of {record.dt:g} s" if stop is None
+          else f"{stop.kind} at step {stop.step} (t = {stop.time:g} s)")
     if record.stability is not None:
         print(f"critical step estimate: {record.stability.dt_critical:.6g} s "
               f"(lambda_max = {record.stability.lambda_max:.6g} 1/s)")
     print(f"wrote {len(names)} snapshots and manifest.json to {out_dir}")
-    return EXIT_OK
+    return EXIT_OK if stop is None else _stop(stop.kind, stop.message)
 
 
 def _cmd_verify(args) -> int:
@@ -96,6 +93,8 @@ def _cmd_verify(args) -> int:
 
     cfg = load_scenario(args.scenario)
     record = _run_production(cfg, dt_override=False)
+    if record.outcome is not None:
+        return _stop(record.outcome.kind, record.outcome.message)
     reference = oracle.reference_transient(
         cfg.mesh, cfg.material, cfg.perfusion, cfg.boundary,
         cfg.deformation, cfg.schedule,
@@ -103,14 +102,10 @@ def _cmd_verify(args) -> int:
         initial_temperature=cfg.initial_temperature,
         update_thermal_mass=cfg.update_thermal_mass,
     )
-    if record.snapshot_times:
-        times = record.snapshot_times
-        candidate = record.snapshots
-        ref_snaps = reference.snapshots
-    else:
-        times = [cfg.schedule.total_time]
-        candidate = [record.final_temps]
-        ref_snaps = [reference.final_temps]
+    # with no snapshot times, the final fields
+    times = record.snapshot_times or [cfg.schedule.total_time]
+    candidate = record.snapshots or [record.final_temps]
+    ref_snaps = reference.snapshots or [reference.final_temps]
     report = metrics.compare_snapshots(times, candidate, ref_snaps)
     for comp in report.comparisons:
         print(f"t = {comp.time:8g} s  max normalized {comp.max_normalized:.3e}  "
@@ -287,15 +282,8 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except StabilityError as err:
-        print(f"refusing to run: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DivergenceError as err:
-        print(f"diverged: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
     except (FedbhtError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _stop(STOP_KINDS.get(type(err)), err)
 
 
 if __name__ == "__main__":

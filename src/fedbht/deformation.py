@@ -43,8 +43,6 @@ class DeformationState:
             raise ValueError(
                 f"displacements must be (n, 3), got {self.displacements.shape}"
             )
-        if not np.all(np.isfinite(self.displacements)):
-            raise ValueError("non-finite displacement values")
 
 
 class IdentityDeformation:

@@ -50,15 +50,12 @@ class ConfigError(FedbhtError):
 
 
 class DivergenceError(FedbhtError):
-    """Transient solution produced non-finite temperatures."""
+    """Transient solution produced non-finite temperatures, first at node,
+    whose temperature before that step was last_finite."""
 
-    def __init__(self, step_index: int, time: float | None = None):
-        detail = f"non-finite temperature at step {step_index}"
-        if time is not None:
-            detail += f" (t = {time:.6g} s)"
-        super().__init__(detail)
-        self.step_index = step_index
-        self.time = time
+    def __init__(self, message: str, node: int | None = None, last_finite: float | None = None):
+        super().__init__(message)
+        self.node, self.last_finite = node, last_finite
 
 
 class StabilityError(FedbhtError):

@@ -8,7 +8,8 @@ with C the lumped thermal mass, Fhat the conduction loads from
 :mod:`fedbht.kernels`, Kb/Gb the perfusion and film exchange terms, Q the
 metabolic sources and H the external heating. Forward Euler advances the
 field; Dirichlet nodes are reset to their prescribed values after every
-update, which takes priority over any exchange term on the same node.
+update, which takes priority over any exchange term on the same node. A
+run stopped early (:data:`STOP_KINDS`) returns its record with an outcome.
 
 Lumping distributes each element's rho*c*V equally to its nodes (row-sum
 lumping, exact for linear tets). Perfusion uses the same equal split of
@@ -28,14 +29,15 @@ from __future__ import annotations
 
 import math
 import time as _time
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import stability
 from .deformation import IdentityDeformation
-from .errors import ConflictError, DivergenceError, TopologyError
+from .errors import (ConflictError, DivergenceError, SingularDeformationError,
+                     StabilityError, TopologyError)
 from .kernels import ConductionOperator, Variant
 from .material import MaterialModel, PerfusionParams
 from .mesh import ElementPrecomp, Mesh
@@ -46,6 +48,13 @@ TIME_EPS = 1e-12
 
 # the schedule event actions: switch the schedulable heaters on or off
 SCHEDULE_ACTIONS = ("source_on", "source_off")
+
+# the errors that stop a run, by the kind of Outcome each records; an Outcome
+# also holds the step that failed and its start time, the message, and a
+# divergence's first non-finite node and its last finite temperature
+STOP_KINDS = {StabilityError: "refused", DivergenceError: "diverged",
+              SingularDeformationError: "inverted"}
+Outcome = namedtuple("Outcome", "kind step time message node last_finite")
 
 
 @dataclass
@@ -186,8 +195,7 @@ class SimulationRecord:
     probe_values: np.ndarray | None = None
     timings: dict = field(default_factory=dict)
     final_temps: np.ndarray | None = None
-    diverged: bool = False
-    divergence_step: int | None = None
+    outcome: Outcome | None = None  # None when the run finished
     stability: StabilityEstimate | None = None  # None when run made no estimate
     n_elements: int = 0
     variant: Variant | None = None
@@ -206,6 +214,14 @@ class SimulationRecord:
             self.snapshots.append(temps.copy())
         if self.probe_indices:
             self._probe_rows.append(temps[self._probe_index])
+
+    @property
+    def diverged(self) -> bool:
+        return self.outcome is not None and self.outcome.kind == "diverged"
+
+    @property
+    def divergence_step(self) -> int | None:
+        return self.outcome.step if self.diverged else None
 
     def finish(self, temps: np.ndarray):
         """Store the last field and the probe history captured so far."""
@@ -363,7 +379,7 @@ def step(state: ThermalState, loads: np.ndarray, dt: float,
     it precombined, once per heater state. The conduction loads enter with
     a minus sign (dissipative). Dirichlet nodes are reset after the update
     and therefore win over any exchange term. Raises DivergenceError on
-    non-finite output.
+    non-finite output, naming its first non-finite node.
     """
     if sources is None:
         sources = state.sources()
@@ -376,7 +392,11 @@ def step(state: ThermalState, loads: np.ndarray, dt: float,
         t_new += state.T
     t_new[state._dirichlet_nodes] = state._dirichlet_fixed
     if not np.isfinite(t_new).all():
-        raise DivergenceError(step_index, time)
+        node = int(np.argmin(np.isfinite(t_new)))
+        when = "" if time is None else f" (t = {time:.6g} s)"
+        raise DivergenceError(
+            f"non-finite temperature at step {step_index}{when}: node {node}, "
+            f"last finite temperature {state.T[node]:.6g}", node, float(state.T[node]))
     return t_new
 
 
@@ -398,10 +418,10 @@ def run(
 
     Unless dt_override is set, the power-iteration critical step is
     estimated at t = 0, kept as ``record.stability`` and judged by
-    :func:`stability.guard_time_step`, which raises StabilityError when dt
-    exceeds it. On divergence the error re-raised to the caller carries
-    the partial record (``err.record``) with the last finite field
-    appended as a snapshot.
+    :func:`stability.guard_time_step`. The record is returned also when
+    one of STOP_KINDS stops the run: ``record.outcome`` then says how,
+    where and why, and a mid-run stop keeps the last good field as a
+    snapshot.
     """
     state = build_thermal_state(mesh, precomp, material, perfusion, bc, initial_temperature)
     operator = ConductionOperator(
@@ -418,20 +438,12 @@ def run(
         t0 = _time.perf_counter()
         deformation = provider.displacements_at(0.0, mesh)
         timings["deformation"] += _time.perf_counter() - t0
-    estimate = None
-    if not dt_override:
-        t0 = _time.perf_counter()
-        estimate = stability.estimate_critical_dt(operator, state, deformation)
-        timings["stability"] = _time.perf_counter() - t0
-        stability.guard_time_step(schedule.dt, estimate)
-
     update_thermal_mass = resolve_update_thermal_mass(material, update_thermal_mass)
     record = SimulationRecord(
         dt=schedule.dt,
         n_steps=schedule.n_steps,
         probe_indices=probes,
         timings=timings,
-        stability=estimate,
         n_elements=mesh.n_elements,
         variant=variant,
         update_thermal_mass=update_thermal_mass,
@@ -440,7 +452,13 @@ def run(
     sources = {on: state.sources(on) for on in (False, True)}
     mass = state.lumped_mass if update_thermal_mass else None  # updated by the operator
 
+    n, t_now = 0, 0.0  # where a stop before the first step is recorded
     try:
+        if not dt_override:
+            t0 = _time.perf_counter()
+            record.stability = stability.estimate_critical_dt(operator, state, deformation)
+            timings["stability"] = _time.perf_counter() - t0
+            stability.guard_time_step(schedule.dt, record.stability)
         for n, t_now, source_on, snapshots_due in schedule.walk():
             t0 = _time.perf_counter()
             record.capture(t_now, state.T, snapshots_due)
@@ -459,14 +477,13 @@ def run(
             state.T = step(state, loads, schedule.dt, step_index=n, time=t_now,
                            sources=sources[source_on])
             timings["thermal"] += _time.perf_counter() - t0
-    except DivergenceError as err:
-        record.diverged = True
-        record.divergence_step = err.step_index
-        record.snapshot_times.append(err.step_index * schedule.dt)
-        record.snapshots.append(state.T.copy())  # last finite field
-        record.finish(state.T)
-        err.record = record
-        raise
-
+    except tuple(STOP_KINDS) as err:
+        kind = STOP_KINDS[type(err)]
+        where = f" at step {n} (t = {t_now:g} s)" if kind == "inverted" else ""  # apply knows no step
+        record.outcome = Outcome(kind, n, t_now, f"{err}{where}", getattr(err, "node", None),
+                                 getattr(err, "last_finite", None))
+        if kind != "refused":
+            record.snapshot_times.append(t_now)
+            record.snapshots.append(state.T.copy())  # the last good field
     record.finish(state.T)
     return record

@@ -505,7 +505,7 @@ def reference_transient(
 
         temps[state.dirichlet_mask] = state.dirichlet_values[state.dirichlet_mask]
         if not np.all(np.isfinite(temps)):
-            raise DivergenceError(step_index, t_now)
+            raise DivergenceError(f"reference step {step_index} (t = {t_now:.6g} s) is non-finite")
 
     record.finish(temps)
     return record

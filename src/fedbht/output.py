@@ -138,6 +138,7 @@ def write_manifest(path, config_echo: dict, record: SimulationRecord, snapshot_n
         "stability_converged": getattr(estimate, "converged", None),
         "diverged": record.diverged,
         "divergence_step": record.divergence_step,
+        "outcome": record.outcome._asdict() if record.outcome else None,
         "snapshots": list(snapshot_names),
         "provenance": {
             "fedbht_version": __version__,

@@ -14,7 +14,7 @@ from fedbht import stability
 from fedbht.blockmesh import BlockSceneParams, write_desk_scenario
 from fedbht.cli import main as cli_main
 from fedbht.config import load_scenario
-from fedbht.errors import ConfigError
+from fedbht.errors import ConfigError, DivergenceError
 from fedbht.integrator import Schedule, build_thermal_state, run
 from fedbht.kernels import ConductionOperator, Variant
 from fedbht.output import read_snapshot_csv
@@ -412,13 +412,83 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
                      source_off_time=1e9))
     out = tmp_path / "partial"
     code = cli_main(["run", scene, "--out", str(out), "--dt-override"])
-    stdout = capsys.readouterr().out
+    stdout, stderr = capsys.readouterr()
     assert code == 3, stdout
     assert "diverged at step" in stdout
     with open(out / "manifest.json") as fh:
         manifest = json.load(fh)
     assert manifest["diverged"] is True
     assert manifest["divergence_step"] is not None
+    outcome = manifest["outcome"]
+    assert outcome["kind"] == "diverged" and outcome["step"] == manifest["divergence_step"]
+    assert f"node {outcome['node']}, last finite temperature" in stderr
+    assert np.isfinite(outcome["last_finite"])
+
+
+def test_cli_inverted_element_stops_with_partial_outputs(tmp_path, capsys):
+    # the ramp squeezes the 6^3 block through zero thickness before t = 10 s
+    scene = write_desk_scenario(tmp_path / "collapse",
+                                BlockSceneParams(nx=6, ny=6, nz=6, ramp_amplitude=-0.09, dt=0.1))
+    out = tmp_path / "partial"
+    code = cli_main(["run", scene, "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert code == 3, stderr
+    with open(out / "manifest.json") as fh:
+        manifest = json.load(fh)
+    outcome = manifest["outcome"]
+    assert outcome["kind"] == "inverted" and manifest["diverged"] is False
+    step, time = outcome["step"], outcome["time"]
+    assert 0 < step < manifest["n_steps"] and time == pytest.approx(step * 0.1)
+    assert outcome["message"].startswith("tet4 element ")
+    assert outcome["message"].endswith(f" at step {step} (t = {time:g} s)")
+    assert f"inverted element: {outcome['message']}" in stderr
+    assert f"inverted at step {step}" in stdout
+    last = f"snapshot_{round(time * 1000):d}"
+    assert manifest["snapshots"] == ["snapshot_5000", last]
+    _, temps = read_snapshot_csv(out / f"{last}.csv")
+    assert np.all(np.isfinite(temps))
+
+
+def test_cli_refusal_writes_its_manifest(tmp_path, monkeypatch, capsys):
+    scene = write_desk_scenario(tmp_path / "fast",
+                                small_params(dt=1000.0, total_time=5000.0,
+                                             snapshot_times=(5000.0,),
+                                             source_off_time=1000.0))
+    original, reported = stability.estimate_critical_dt, []
+    monkeypatch.setattr(stability, "estimate_critical_dt",
+                        lambda *a, **kw: reported.append(original(*a, **kw)) or reported[-1])
+    out = tmp_path / "o"
+    assert cli_main(["run", scene, "--out", str(out)]) == 2
+    assert "refusing to run" in capsys.readouterr().err
+    with open(out / "manifest.json") as fh:
+        manifest = json.load(fh)
+    (estimate,) = reported
+    assert manifest["lambda_max"] == estimate.lambda_max
+    assert manifest["dt_critical"] == estimate.dt_critical
+    assert manifest["stability_iterations"] == estimate.iterations
+    assert manifest["stability_converged"] is estimate.converged
+    assert manifest["outcome"]["kind"] == "refused" and manifest["snapshots"] == []
+    assert manifest["outcome"]["message"].startswith("dt = 1000 s exceeds")
+
+
+def test_cli_verify_reference_divergence_exit_code(scenario_path, monkeypatch, capsys):
+    from fedbht import oracle
+
+    def diverging(*args, **kwargs):
+        raise DivergenceError("reference step 3 (t = 0.3 s) is non-finite")
+
+    monkeypatch.setattr(oracle, "reference_transient", diverging)
+    assert cli_main(["verify", scenario_path]) == 3
+    assert "diverged: reference step 3 (t = 0.3 s)" in capsys.readouterr().err
+
+
+def test_cli_verify_refuses_like_run(tmp_path, capsys):
+    scene = write_desk_scenario(tmp_path / "fast",
+                                small_params(dt=1000.0, total_time=5000.0,
+                                             snapshot_times=(5000.0,),
+                                             source_off_time=1000.0))
+    assert cli_main(["verify", scene]) == 2
+    assert "refusing to run: dt = 1000 s exceeds" in capsys.readouterr().err
 
 
 def test_cli_metrics_compare(scenario_path, tmp_path, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fedbht.deformation import IdentityDeformation
-from fedbht.errors import ConflictError, DivergenceError, StabilityError, TopologyError
+from fedbht.deformation import IdentityDeformation, TrajectoryDeformation
+from fedbht.errors import ConflictError, DivergenceError, TopologyError
 from fedbht.integrator import (
     BoundaryConditions,
     DirichletBC,
@@ -60,6 +60,20 @@ def test_step_flags_divergence():
     state = make_state(T=np.array([1e308]))
     with pytest.raises(DivergenceError):
         step(state, loads=np.array([-1e308]), dt=10.0, step_index=7, time=3.5)
+
+
+def test_divergence_names_first_non_finite_node():
+    # node 1 overflows, node 3 turns NaN; node 1 is the first to go
+    n = 4
+    state = make_state(T=np.array([38.0, 1e308, 38.0, 40.0]), lumped_mass=np.ones(n),
+                       perfusion_diag=np.zeros(n), perfusion_source=np.zeros(n),
+                       metabolic=np.zeros(n), external_heat=np.zeros(n),
+                       dirichlet_mask=np.zeros(n, dtype=bool), dirichlet_values=np.zeros(n))
+    loads = np.array([0.0, -1e308, 0.0, np.nan])
+    with pytest.raises(DivergenceError, match=r"step 7 \(t = 3\.5 s\): node 1, "
+                                              r"last finite temperature 1e\+308") as err:
+        step(state, loads, dt=10.0, step_index=7, time=3.5)
+    assert err.value.node == 1 and err.value.last_finite == 1e308
 
 
 def test_unit_tet_lumped_mass(unit_tet, simple_material):
@@ -292,20 +306,37 @@ def test_dirichlet_wins_over_film():
 
 
 def test_stability_refusal_and_override_path():
-    with pytest.raises(StabilityError):
-        run_small(Schedule(dt=1e9, total_time=4e9))
+    _, refused = run_small(Schedule(dt=1e9, total_time=4e9))
+    assert refused.outcome.kind == "refused"
     # overriding lets the unstable amplification run until it overflows; a
     # uniform field has exactly zero conduction loads, so one heated node
     # seeds the growing mode
     kick = BoundaryConditions(
         dirichlet=(), films=(),
         fluxes=(FluxBC(nodes=np.array([0], dtype=np.intp), watts_per_node=1.0),))
-    with pytest.raises(DivergenceError) as err:
-        run_small(Schedule(dt=1e9, total_time=1e11), bc=kick, dt_override=True)
-    rec = err.value.record
+    _, rec = run_small(Schedule(dt=1e9, total_time=1e11), bc=kick, dt_override=True)
     assert rec.diverged and rec.divergence_step is not None
     assert len(rec.snapshots) >= 1
     assert np.all(np.isfinite(rec.snapshots[-1]))
+
+
+def test_nan_keyframe_stops_the_run_at_the_inverted_element():
+    # a keyframe built through the API is not checked for finiteness: the
+    # pullback's det floor stops the run at the first step that reads it
+    mesh = random_tet_mesh(n_cells=2, seed=12, jitter=0.1, lengths=(0.03,) * 3)
+    frames = np.zeros((2, mesh.n_nodes, 3))
+    frames[1, 9, 2] = np.nan
+    deformation = TrajectoryDeformation([0.0, 10.0], frames)
+    sched = Schedule(dt=1.0, total_time=5.0, snapshot_times=(5.0,))
+    rec = run(mesh, precompute(mesh), make_material(k=0.5), PerfusionParams(), NO_BC,
+              deformation, sched, Variant.DEFORMED_ANISO_TEMP_DEP, probes=(0,))
+    first_bad = int(np.argmax((mesh.tets == 9).any(axis=1)))
+    assert rec.outcome.kind == "inverted" and (rec.outcome.step, rec.outcome.time) == (1, 1.0)
+    assert rec.outcome.message.startswith(f"tet4 element {first_bad}: ")
+    assert rec.outcome.message.endswith(" at step 1 (t = 1 s)")
+    assert not rec.diverged and rec.divergence_step is None
+    assert rec.snapshot_times == [1.0] and np.all(rec.snapshots[0] == 37.0)
+    assert rec.probe_values.shape == (2, 1)
 
 
 def test_update_thermal_mass_follows_tables(tissue_material):

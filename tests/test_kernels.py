@@ -434,8 +434,9 @@ def test_singular_deformation_names_global_element():
 
 
 def test_nan_written_into_displacements_names_global_element():
-    # DeformationState keeps the caller's array, so NaN can arrive after its
-    # own finiteness check; the det floor must still catch it
+    # DeformationState does not check its values, and keeps the caller's
+    # array: a NaN written into it reaches the pullback, whose det floor
+    # must catch it
     mesh = random_tet_mesh(n_cells=5, seed=13, jitter=0.2)  # 750 tets
     pre = precompute(mesh)
     first_use = np.full(mesh.n_nodes, mesh.n_elements)
