@@ -38,7 +38,6 @@ from .integrator import (
     Schedule,
     SimulationRecord,
     build_thermal_state,
-    lumped_thermal_mass,
     run,
 )
 from .kernels import ConductionOperator, Variant
@@ -97,7 +96,6 @@ __all__ = [
     "load_node_set",
     "load_scenario",
     "load_trajectory",
-    "lumped_thermal_mass",
     "normalized_error",
     "power_iteration",
     "precompute",

@@ -102,8 +102,8 @@ def _cmd_verify(args) -> int:
         initial_temperature=cfg.initial_temperature,
         update_thermal_mass=cfg.update_thermal_mass,
     )
-    # with no snapshot times, the final fields
-    times = record.snapshot_times or [cfg.schedule.total_time]
+    # with no snapshot times, the final fields, at the time the walk ends
+    times = record.snapshot_times or [record.n_steps * record.dt]
     candidate = record.snapshots or [record.final_temps]
     ref_snaps = reference.snapshots or [reference.final_temps]
     report = metrics.compare_snapshots(times, candidate, ref_snaps)

@@ -121,18 +121,18 @@ def _as_bool(value, path: str) -> bool:
 
 
 def _scalar_table(entry, path: str) -> PropertyTable:
-    if isinstance(entry, (int, float)):
-        return PropertyTable.constant(float(entry))
-    if not isinstance(entry, list) or not entry:
+    # JSON true is a Python int: only a real number is a constant table
+    number = isinstance(entry, (int, float)) and not isinstance(entry, bool)
+    if not number and (not isinstance(entry, list) or not entry):
         raise ConfigError(path, "expected a number or [[T, value], ...] list")
     rows = []
-    for i, row in enumerate(entry):
+    for i, row in enumerate([] if number else entry):
         if not isinstance(row, list) or len(row) != 2:
             raise ConfigError(f"{path}[{i}]", "expected a [T, value] pair")
         rows.append((_as_float(row[0], f"{path}[{i}][0]"),
                      _as_float(row[1], f"{path}[{i}][1]")))
     try:
-        return PropertyTable(rows)
+        return PropertyTable.constant(entry) if number else PropertyTable(rows)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 

@@ -16,13 +16,13 @@ lumping, exact for linear tets). Perfusion uses the same equal split of
 w_b*c_b*V; concentrated film conditions add coefficient*area directly to
 the node they sit on.
 
-:func:`lumped_thermal_mass` lumps the mass at t = 0, from the uniform
-initial temperature before the Dirichlet values are applied; a run that
-does not update the mass keeps that one. When the run updates it, the
-conduction operator lumps it anew in every step from the element means of
-the same gather that feeds the conduction loads (its ``mass`` output), so
-the field is gathered once per step. The update then adds the sources
-precombined once per heater state and allocates only the new field.
+The t = 0 mass is lumped from the uniform initial temperature T0, before
+the Dirichlet values are applied, so each element carries rho(T0) c(T0) V;
+a run that does not update the mass keeps that one. When the run updates
+it, the conduction operator, the only lumping of a general field, lumps it
+anew in every step from the element means of the same gather that feeds
+the conduction loads (its ``mass`` output). The update then adds the
+sources precombined once per heater state and allocates only the new field.
 """
 
 from __future__ import annotations
@@ -245,31 +245,16 @@ def resolve_update_thermal_mass(material: MaterialModel,
 
 def node_volumes(mesh: Mesh, precomp: ElementPrecomp) -> np.ndarray:
     """Equal-split nodal volumes: tet V/4 per node, hex 8 det(J0)/8."""
-    return _equal_split(mesh, precomp, lambda family: family.weights)
+    return _equal_split(mesh, precomp, 1.0)
 
 
-def lumped_thermal_mass(
-    mesh: Mesh, precomp: ElementPrecomp, material: MaterialModel, temps
-) -> np.ndarray:
-    """Row-sum lumped rho(T) c(T) V, element properties at the element mean
-    temperature."""
-    temps = np.asarray(temps, dtype=np.float64)
-
-    def element_mass(family):
-        tmean = temps[family.conn].mean(axis=1)
-        rho_c = material.density.evaluate(tmean) * material.specific_heat.evaluate(tmean)
-        return rho_c * family.weights
-
-    return _equal_split(mesh, precomp, element_mass)
-
-
-def _equal_split(mesh: Mesh, precomp: ElementPrecomp, per_element) -> np.ndarray:
-    """Nodal sums of per_element(family), an (n,) value per element, each
-    element's value shared equally among its nodes."""
+def _equal_split(mesh: Mesh, precomp: ElementPrecomp, factor: float) -> np.ndarray:
+    """Nodal sums of factor times each element's weight, shared equally
+    among the element's nodes."""
     out = np.zeros(mesh.n_nodes)
     for family in precomp.families:
         npe = family.conn.shape[1]
-        share = np.repeat(per_element(family) / npe, npe)
+        share = np.repeat((factor * family.weights) / npe, npe)
         out += np.bincount(family.conn.ravel(), weights=share, minlength=mesh.n_nodes)
     return out
 
@@ -284,12 +269,13 @@ def build_thermal_state(
 ) -> ThermalState:
     """Assemble the per-node vectors of the discrete balance on the
     production lumping: :func:`thermal_state_from_volumes` on
-    :func:`node_volumes` and a mass lumped from the uniform initial field,
-    before the Dirichlet values are applied.
+    :func:`node_volumes` and the t = 0 mass, rho(T0) c(T0) w split equally,
+    since every element mean of the uniform initial field T0 is T0.
     """
-    temps = np.full(mesh.n_nodes, float(initial_temperature))
+    t0 = float(initial_temperature)
+    rho_c = material.density.evaluate(t0) * material.specific_heat.evaluate(t0)
     return thermal_state_from_volumes(
-        node_volumes(mesh, precomp), lumped_thermal_mass(mesh, precomp, material, temps),
+        node_volumes(mesh, precomp), _equal_split(mesh, precomp, rho_c),
         perfusion, bc, initial_temperature,
     )
 

@@ -275,9 +275,10 @@ def test_kernel_invariants_hold(verdict):
         if rel_gap(scaled, s * rest) > 1e-12:
             failures.append(f"volumetric scaling {s} inexact")
 
-    from fedbht.integrator import DirichletBC, FluxBC, lumped_thermal_mass
+    from fedbht.integrator import DirichletBC, FluxBC, build_thermal_state
 
-    mass = lumped_thermal_mass(mesh, pre, mat, np.full(mesh.n_nodes, 37.0))
+    mass = build_thermal_state(mesh, pre, mat, PerfusionParams(), BoundaryConditions(),
+                               37.0).lumped_mass
     expected_mass = 1060.0 * 3600.0 * pre.total_volume
     if abs(mass.sum() - expected_mass) > 1e-10 * expected_mass:
         failures.append("lumped mass total differs from rho c V")

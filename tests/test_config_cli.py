@@ -108,6 +108,18 @@ def test_non_increasing_table_rejected(scenario_path, tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("density", float("nan")),
+    ("conductivity", float("inf")),
+    ("density", True),  # json reads true; it is no density of 1
+])
+def test_bare_number_tables_must_be_finite_numbers(scenario_path, tmp_path, capsys, key, value):
+    path = rewrite(scenario_path, tmp_path, lambda d: d["material"].update({key: value}))
+    assert cli_main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"material.{key}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("dt_override", "false"),
     ("update_thermal_mass", "true"),
@@ -385,6 +397,19 @@ def test_cli_verify_forward_replay(scenario_path, tmp_path, capsys):
     assert code == 0, stdout
     assert "OK" in stdout
     assert (out / "error_histogram.csv").exists()
+
+
+def test_cli_verify_labels_final_fields_with_the_end_of_the_walk(scenario_path, tmp_path,
+                                                                   capsys):
+    # 0.05 s at dt 0.02 s takes 3 steps: the final fields are those at 0.06 s
+    path = rewrite(scenario_path, tmp_path, lambda d: d["schedule"].update(
+        dt=0.02, total_time=0.05, snapshot_times=[]))
+    out = tmp_path / "hist"
+    assert cli_main(["verify", path, "--scheme", "forward", "--out", str(out)]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("t = ")]
+    assert line.startswith(f"t = {3 * 0.02:8g} s ")
+    rows = (out / "error_histogram.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {f"{3 * 0.02:.17g}"}
 
 
 def test_cli_verify_tolerance_exceeded(scenario_path, capsys):

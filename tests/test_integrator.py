@@ -11,12 +11,11 @@ from fedbht.integrator import (
     Schedule,
     ThermalState,
     build_thermal_state,
-    lumped_thermal_mass,
     node_volumes,
     run,
     step,
 )
-from fedbht.kernels import Variant
+from fedbht.kernels import ConductionOperator, Variant
 from fedbht.material import MaterialModel, PerfusionParams, PropertyTable
 from fedbht.mesh import precompute
 from fedbht.oracle import reference_transient
@@ -24,6 +23,12 @@ from fedbht.oracle import reference_transient
 from conftest import make_material, mixed_block, random_tet_mesh
 
 NO_BC = BoundaryConditions(dirichlet=(), fluxes=(), films=())
+
+
+def initial_mass(mesh, pre, material, temperature=37.0):
+    """The lumped thermal mass of a run starting uniform at temperature."""
+    return build_thermal_state(mesh, pre, material, PerfusionParams(), NO_BC,
+                               temperature).lumped_mass
 
 
 def make_state(**overrides):
@@ -78,7 +83,7 @@ def test_divergence_names_first_non_finite_node():
 
 def test_unit_tet_lumped_mass(unit_tet, simple_material):
     mesh, pre = unit_tet
-    mass = lumped_thermal_mass(mesh, pre, simple_material, np.full(4, 37.0))
+    mass = initial_mass(mesh, pre, simple_material)
     # rho c V / 4 = 1060 * 3600 * (1/6) / 4
     np.testing.assert_allclose(mass, 159000.0, rtol=1e-13)
 
@@ -96,12 +101,11 @@ def test_lumped_mass_splits_like_node_volumes():
     # agree bit for bit; tissue values differ from it by rounding only
     mesh = mixed_block()
     pre = precompute(mesh)
-    temps = np.full(mesh.n_nodes, 37.0)
     vols = node_volumes(mesh, pre)
     assert vols.sum() == pytest.approx(pre.total_volume, rel=1e-12)
-    mass = lumped_thermal_mass(mesh, pre, make_material(rho=1024.0, c=4096.0), temps)
+    mass = initial_mass(mesh, pre, make_material(rho=1024.0, c=4096.0))
     np.testing.assert_array_equal(mass, 1024.0 * 4096.0 * vols)
-    mass = lumped_thermal_mass(mesh, pre, make_material(), temps)
+    mass = initial_mass(mesh, pre, make_material())
     np.testing.assert_allclose(mass, 1060.0 * 3600.0 * vols, rtol=1e-15, atol=0)
 
 
@@ -236,7 +240,7 @@ def test_source_events_toggle_external_heat():
     sched = Schedule(dt=1.0, total_time=4.0, events=((2.0, "source_off"),))
     rec = run(mesh, pre, mat, PerfusionParams(), bc, IdentityDeformation(),
               sched, Variant.CLASSICAL_ISO_TEMP_INDEP, probes=(0,))
-    mass = lumped_thermal_mass(mesh, pre, mat, np.full(mesh.n_nodes, 37.0))[0]
+    mass = initial_mass(mesh, pre, mat)[0]
     trace = rec.probe_values[:, 0]
     # heater active for steps over [0,1) and [1,2) only
     np.testing.assert_allclose(np.diff(trace), [1.0 / mass, 1.0 / mass, 0.0, 0.0],
@@ -276,7 +280,7 @@ def test_time_line_is_the_same_in_both_drivers():
     theirs = reference_transient(mesh, mat, PerfusionParams(), bc,
                                  IdentityDeformation(), sched, scheme="forward",
                                  probes=(0,))
-    mass = lumped_thermal_mass(mesh, pre, mat, np.full(mesh.n_nodes, 37.0))[0]
+    mass = initial_mass(mesh, pre, mat)[0]
     for rec in (ours, theirs):
         assert rec.snapshot_times == [0.0, 1.0, 1.0, 2.5]
         np.testing.assert_array_equal(rec.snapshots[1], rec.snapshots[2])
@@ -377,12 +381,13 @@ def test_thermal_mass_is_rewritten_only_when_updated(tissue_material, monkeypatc
                   sched, Variant.CLASSICAL_ISO_TEMP_DEP, update_thermal_mass=update)
         assert rec.final_temps.max() > 37.1
     frozen, updated = states
-    initial = lumped_thermal_mass(mesh, pre, tissue_material, np.full(mesh.n_nodes, 37.0))
+    initial = initial_mass(mesh, pre, tissue_material)
     assert np.array_equal(frozen.lumped_mass, initial)
-    # the last step used the mass of the field it stepped from, t = 18 s
-    np.testing.assert_allclose(
-        updated.lumped_mass, lumped_thermal_mass(mesh, pre, tissue_material, rec.snapshots[0]),
-        rtol=8 * np.finfo(np.float64).eps, atol=0.0)
+    # the last step used the operator's mass of the field it stepped from, t = 18 s
+    fused = np.empty(mesh.n_nodes)
+    ConductionOperator(mesh, pre, tissue_material,
+                       Variant.CLASSICAL_ISO_TEMP_DEP).apply(rec.snapshots[0], mass=fused)
+    assert np.array_equal(updated.lumped_mass, fused)
     assert not np.allclose(updated.lumped_mass, initial, rtol=1e-9, atol=0.0)
 
 

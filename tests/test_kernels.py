@@ -8,11 +8,12 @@ import fedbht.kernels
 from fedbht.blockmesh import make_block_mesh
 from fedbht.deformation import DeformationState
 from fedbht.errors import SingularDeformationError
-from fedbht.integrator import BoundaryConditions, build_thermal_state, lumped_thermal_mass
+from fedbht.integrator import BoundaryConditions, build_thermal_state
 from fedbht.kernels import ConductionOperator, Variant
 from fedbht.material import MaterialModel, PerfusionParams, PropertyTable, TensorPropertyTable
 from fedbht.mesh import Mesh, precompute
-from fedbht.oracle import OracleAssembler, brute_force_element_load
+from fedbht.oracle import (OracleAssembler, brute_force_element_load, _oracle_lumped_mass,
+                           _reference_lumping)
 from fedbht.stability import estimate_critical_dt
 
 from conftest import anisotropic_material, make_material, mixed_block, random_tet_mesh
@@ -485,8 +486,8 @@ def test_single_element_kernels_agree_with_operator(unit_tet, unit_cube_hex, sim
 
 
 # the fused mass sums each node's element shares in component-major order
-# and takes the kernel's element mean, so it may differ from the
-# element-major lumping by a few rounding steps
+# on production's weights and takes the kernel's element mean, so it may
+# differ from the oracle's element-major lumping by a few rounding steps
 MASS_RTOL = 8 * np.finfo(np.float64).eps
 
 
@@ -502,8 +503,9 @@ def test_fused_mass_matches_lumped_thermal_mass(variant, tissue_material):
         op = ConductionOperator(mesh, pre, tissue_material, variant)
         mass = np.full(mesh.n_nodes, np.nan)
         loads = op.apply(temps, deformation=moved, mass=mass)
-        np.testing.assert_allclose(mass, lumped_thermal_mass(mesh, pre, tissue_material, temps),
-                                   rtol=MASS_RTOL, atol=0.0)
+        means = OracleAssembler(mesh, tissue_material).mean_temperatures(temps)
+        reference = _oracle_lumped_mass(tissue_material, means, _reference_lumping(mesh))
+        np.testing.assert_allclose(mass, reference, rtol=MASS_RTOL, atol=0.0)
         assert np.array_equal(loads, op.apply(temps, deformation=moved))
 
 
@@ -520,7 +522,9 @@ def test_fused_mass_follows_temps_not_property_temps(variant, tissue_material):
     op.apply(temps, mass=own)
     assert np.array_equal(mass, own)
     assert np.array_equal(loads, op.apply(temps, property_temps=frozen))
-    assert not np.allclose(mass, lumped_thermal_mass(mesh, pre, tissue_material, frozen))
+    at_frozen = build_thermal_state(mesh, pre, tissue_material, PerfusionParams(),
+                                    BoundaryConditions(), 60.0).lumped_mass
+    assert not np.allclose(mass, at_frozen)
 
 
 def test_apply_validates_shapes(unit_tet, simple_material):

@@ -85,6 +85,34 @@ def test_material_rejects_nonpositive_scalar_inside_range():
         )
 
 
+def test_material_rejects_a_dip_between_grid_points():
+    # negative only near 51 degrees, between any fixed sampling of the range
+    dip = PropertyTable([[0.0, 1000.0], [51.0, -5.0], [52.0, 1000.0]])
+    assert dip.evaluate(51.0) == -5.0
+    with pytest.raises(ValueError, match=r"density must stay positive .* \(fails at 51 C\)"):
+        MaterialModel(density=dip, specific_heat=PropertyTable.constant(3500.0))
+
+
+def test_material_rejects_a_tensor_dip_between_grid_points():
+    # the off-diagonal peaks at 51 degrees, where the tensor is indefinite,
+    # and is zero outside 50.5..51.5
+    tensor = TensorPropertyTable({
+        "xx": [[37.0, 0.1]], "yy": [[37.0, 0.1]], "zz": [[37.0, 0.1]],
+        "xy": [[0.0, 0.0], [50.5, 0.0], [51.0, 0.5], [51.5, 0.0], [120.0, 0.0]],
+    })
+    with pytest.raises(NotSPDError, match="at 51 C"):
+        MaterialModel(density=PropertyTable.constant(1000.0),
+                      specific_heat=PropertyTable.constant(3500.0), conductivity=tensor)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_tables_must_be_finite(value):
+    with pytest.raises(ValueError, match="finite"):
+        PropertyTable.constant(value)
+    with pytest.raises(ValueError, match="finite"):
+        PropertyTable([[37.0, 1.0], [value, 2.0]])
+
+
 def test_isotropy_flag(simple_material):
     assert simple_material.isotropic
     k = simple_material.conductivity_matrix(40.0)

@@ -14,7 +14,7 @@ from fedbht.integrator import (
     DirichletBC,
     FluxBC,
     Schedule,
-    lumped_thermal_mass,
+    build_thermal_state,
     node_volumes,
     run,
 )
@@ -369,8 +369,8 @@ def test_oracle_imports_no_production_element_code():
             if module == "fedbht.integrator":
                 # the time line and the balance's bookkeeping are shared;
                 # the lumping and the update are the oracle's own
-                assert not names & {"build_thermal_state", "lumped_thermal_mass",
-                                    "node_volumes", "_equal_split", "step", "*"}, names
+                assert not names & {"build_thermal_state", "node_volumes", "_equal_split",
+                                    "step", "*"}, names
 
 
 def test_frozen_oracle_mass_is_its_own(monkeypatch):
@@ -388,8 +388,8 @@ def test_frozen_oracle_mass_is_its_own(monkeypatch):
                                    None, sched, scheme="forward").final_temps
 
     expected = replay()
-    production = fedbht.integrator.lumped_thermal_mass
-    monkeypatch.setattr(fedbht.integrator, "lumped_thermal_mass",
+    production = fedbht.integrator._equal_split
+    monkeypatch.setattr(fedbht.integrator, "_equal_split",
                         lambda *args: 2.0 * production(*args))
     assert np.array_equal(replay(), expected)
 
@@ -417,7 +417,8 @@ def test_independent_lumped_mass_agrees(tissue_material):
     pre = precompute(mesh)
     temps = np.full(mesh.n_nodes, 48.0)
     lumping = _reference_lumping(mesh)
-    ours = lumped_thermal_mass(mesh, pre, tissue_material, temps)
+    ours = build_thermal_state(mesh, pre, tissue_material, PerfusionParams(), NO_BC,
+                               48.0).lumped_mass
     means = OracleAssembler(mesh, tissue_material).mean_temperatures(temps)
     theirs = _oracle_lumped_mass(tissue_material, means, lumping)
     np.testing.assert_allclose(ours, theirs, rtol=1e-12)
@@ -478,8 +479,6 @@ def test_backward_scheme_against_hand_iteration():
     rec = reference_transient(mesh, mat, perf, NO_BC, IdentityDeformation(),
                               sched, scheme="backward",
                               initial_temperature=45.0, probes=(0,))
-    from fedbht.integrator import build_thermal_state, node_volumes
-
     state = build_thermal_state(mesh, pre, mat, perf, NO_BC, 45.0)
     c0 = state.lumped_mass[0]
     kb0 = state.perfusion_diag[0]
@@ -502,8 +501,6 @@ def test_backward_matches_dense_direct_solve():
     sched = Schedule(dt=50.0, total_time=50.0)  # one implicit step
     rec = reference_transient(mesh, mat, PerfusionParams(), bc,
                               IdentityDeformation(), sched, scheme="backward")
-
-    from fedbht.integrator import build_thermal_state
 
     state = build_thermal_state(mesh, pre, mat, PerfusionParams(), bc, 37.0)
     k = OracleAssembler(mesh, mat).stiffness().toarray()
