@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deformation import TrajectoryDeformation
+from .integrator import Schedule
 from .mesh import HEX_SIGNS, Mesh, precompute, write_mesh, write_node_set
 
 # The six Kuhn tets of a cell as rows of hex corners (HEX_SIGNS order).
@@ -58,6 +59,8 @@ def make_block_mesh(
     """
     if element not in ("tet4", "hex8"):
         raise ValueError(f"element must be tet4 or hex8, got {element!r}")
+    if min(nx, ny, nz) < 1:
+        raise ValueError(f"cells per axis must be positive, got {(nx, ny, nz)}")
     lx, ly, lz = (float(v) for v in lengths)
     hx, hy, hz = lx / nx, ly / ny, lz / nz
 
@@ -237,6 +240,7 @@ def write_desk_scenario(out_dir, params: BlockSceneParams | None = None) -> str:
     """Write mesh, node sets, trajectory and scenario JSON; returns the
     scenario path."""
     params = params or BlockSceneParams()
+    Schedule(params.dt, params.total_time)  # a dt run would refuse fails before any write
     mesh = make_block_mesh(
         params.nx, params.ny, params.nz, params.lengths, element=params.element
     )

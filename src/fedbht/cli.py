@@ -179,11 +179,11 @@ def _cmd_bench(args) -> int:
 
 def _cmd_make_mesh(args) -> int:
     params = BlockSceneParams()
-    if args.cells:
+    if args.cells is not None:
         params.nx = params.ny = params.nz = args.cells
-    if args.dt:
+    if args.dt is not None:
         params.dt = args.dt
-    if args.total_time:
+    if args.total_time is not None:
         params.total_time = args.total_time
     path = write_desk_scenario(args.out_dir, params)
     print(f"wrote scenario {path}")

@@ -4,6 +4,10 @@ Relative paths inside the file (mesh, node sets, trajectory) resolve
 against the directory containing the scenario file itself, so a scenario
 directory can be moved or archived as a unit.
 
+Each value is read as one JSON kind: a number is a finite JSON number,
+never a string nor true/false. A key the loader does not read is refused,
+and every fault raises ConfigError naming its field.
+
 Top-level keys:
 
     mesh_path            required, mesh file
@@ -21,8 +25,7 @@ Top-level keys:
     deformation          {"kind": "identity"} |
                          {"kind": "affine", "matrix": 3x3, "offset": [3]} |
                          {"kind": "trajectory", "path": ...}
-    schedule             {dt, total_time, snapshot_times, events,
-                          initial_source_on}
+    schedule             {dt, total_time, snapshot_times, events}
     variant              formulation name or roman numeral, default "i"
     probes               node indices sampled every step
     update_thermal_mass  bool or null (auto: on when tables vary)
@@ -33,15 +36,13 @@ Top-level keys:
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .deformation import (
     AffineDeformation,
     IdentityDeformation,
-    TrajectoryDeformation,
     load_trajectory,
 )
 from .errors import ConfigError, FedbhtError
@@ -55,6 +56,7 @@ from .integrator import (
 )
 from .kernels import Variant
 from .material import (
+    TENSOR_COMPONENTS,
     MaterialModel,
     PerfusionParams,
     PropertyTable,
@@ -85,220 +87,195 @@ class ScenarioConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
-    return doc[key]
+_REQUIRED = object()
+
+# the kinds _read accepts, as its messages name them
+_KINDS = {float: "a number", int: "an integer node index", str: "a string",
+          bool: "true or false", (bool, type(None)): "true or false, or null",
+          list: "a list", dict: "an object"}
 
 
-def _as_float(value, path: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"expected a number, got {value!r}") from None
-    if not np.isfinite(out):
-        raise ConfigError(path, "must be finite")
-    return out
-
-
-def _finite_array(value, shape: tuple, path: str, what: str) -> np.ndarray:
-    try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"expected {what} of numbers") from None
-    if out.shape != shape:
-        raise ConfigError(path, f"expected {what}")
-    if not np.all(np.isfinite(out)):
-        raise ConfigError(path, "must be finite")
-    return out
-
-
-def _as_bool(value, path: str) -> bool:
-    # bool("false") is True: accept JSON true/false only
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected true or false, got {value!r}")
+def _read(value, kind, field: str):
+    """value as one JSON kind. float is a finite number, never a string nor
+    a bool (JSON true loads as a Python int); int is an integer, never a
+    bool; the other kinds are their Python types."""
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or kind in (float, int) and isinstance(value, bool):
+        raise ConfigError(field, f"expected {_KINDS[kind]}, got {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(field, "must be finite")
     return value
 
 
-def _scalar_table(entry, path: str) -> PropertyTable:
-    # JSON true is a Python int: only a real number is a constant table
-    number = isinstance(entry, (int, float)) and not isinstance(entry, bool)
-    if not number and (not isinstance(entry, list) or not entry):
-        raise ConfigError(path, "expected a number or [[T, value], ...] list")
-    rows = []
-    for i, row in enumerate([] if number else entry):
-        if not isinstance(row, list) or len(row) != 2:
-            raise ConfigError(f"{path}[{i}]", "expected a [T, value] pair")
-        rows.append((_as_float(row[0], f"{path}[{i}][0]"),
-                     _as_float(row[1], f"{path}[{i}][1]")))
+class _Section:
+    """One JSON object or list of the scenario, at its field path.
+
+    :meth:`get` reads one key of an object as one kind, :meth:`items` every
+    entry of a list; :meth:`close` refuses the keys no get asked for, so the
+    reads themselves are the schema.
+    """
+
+    def __init__(self, doc, path: str = ""):
+        self.doc, self.path, self._asked = doc, path, set()
+
+    def field(self, key) -> str:
+        if isinstance(key, int):
+            return f"{self.path}[{key}]"
+        return f"{self.path}.{key}" if self.path else key
+
+    def get(self, key: str, kind, default=_REQUIRED):
+        self._asked.add(key)
+        if key not in self.doc:
+            if default is _REQUIRED:
+                raise ConfigError(self.field(key), "missing required key")
+            return default
+        return _read(self.doc[key], kind, self.field(key))
+
+    def section(self, key: str, kind=dict, default=_REQUIRED) -> _Section:
+        return _Section(self.get(key, kind, default), self.field(key))
+
+    def items(self, kind, size: int | None = None) -> list:
+        """Every entry of a list as kind, and exactly size of them if given;
+        an entry read as a list or an object comes back as a _Section."""
+        if size is not None and len(self.doc) != size:
+            raise ConfigError(self.path, f"expected {size} entries, got {len(self.doc)}")
+        values = [_read(value, kind, self.field(i)) for i, value in enumerate(self.doc)]
+        if kind in (list, dict):
+            return [_Section(value, self.field(i)) for i, value in enumerate(values)]
+        return values
+
+    def close(self) -> None:
+        unknown = [key for key in self.doc if key not in self._asked]
+        if unknown:
+            raise ConfigError(self.field(unknown[0]), "unknown key")
+
+
+def _scalar_table(section: _Section, key: str) -> PropertyTable:
+    """section[key] as a bare number (a constant) or [[T, value], ...] rows."""
     try:
-        return PropertyTable.constant(entry) if number else PropertyTable(rows)
+        if isinstance(section.doc.get(key), list):
+            rows = section.section(key, list).items(list)
+            return PropertyTable([row.items(float, 2) for row in rows])
+        return PropertyTable.constant(section.get(key, float))
     except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+        raise ConfigError(section.field(key), str(exc)) from None
 
 
-def _conductivity_table(entry, path: str):
-    if isinstance(entry, dict):
-        components = {}
-        for comp, rows in entry.items():
-            components[comp] = _scalar_table(rows, f"{path}.{comp}")
+def _load_material(entry: _Section) -> MaterialModel:
+    density = _scalar_table(entry, "density")
+    heat = _scalar_table(entry, "specific_heat")
+    if isinstance(entry.doc.get("conductivity"), dict):
+        tensor = entry.section("conductivity")
+        components = {c: _scalar_table(tensor, c) for c in TENSOR_COMPONENTS if c in tensor.doc}
+        tensor.close()
         try:
-            return TensorPropertyTable(components)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(path, str(exc)) from None
-    return _scalar_table(entry, path)
-
-
-def _load_material(doc: dict) -> MaterialModel:
-    entry = _require(doc, "material", "")
-    if not isinstance(entry, dict):
-        raise ConfigError("material", "expected an object")
-    density = _scalar_table(_require(entry, "density", "material"), "material.density")
-    heat = _scalar_table(
-        _require(entry, "specific_heat", "material"), "material.specific_heat"
-    )
-    cond = _conductivity_table(
-        _require(entry, "conductivity", "material"), "material.conductivity"
-    )
+            cond = TensorPropertyTable(components)
+        except ValueError as exc:
+            raise ConfigError(tensor.path, str(exc)) from None
+    else:
+        cond = _scalar_table(entry, "conductivity")
+    entry.close()
     try:
         return MaterialModel(density=density, specific_heat=heat, conductivity=cond)
-    except Exception as exc:
+    except (ValueError, FedbhtError) as exc:
         raise ConfigError("material", str(exc)) from None
 
 
-def _load_perfusion(doc: dict) -> PerfusionParams:
-    entry = doc.get("perfusion", {})
-    if not isinstance(entry, dict):
-        raise ConfigError("perfusion", "expected an object")
+def _load_perfusion(entry: _Section) -> PerfusionParams:
+    values = {key: entry.get(key, float, default) for key, default in
+              (("w_b", 0.0), ("c_b", 3617.0), ("T_a", 37.0), ("Q_met", 0.0))}
+    entry.close()
     try:
-        return PerfusionParams(
-            w_b=_as_float(entry.get("w_b", 0.0), "perfusion.w_b"),
-            c_b=_as_float(entry.get("c_b", 3617.0), "perfusion.c_b"),
-            T_a=_as_float(entry.get("T_a", 37.0), "perfusion.T_a"),
-            Q_met=_as_float(entry.get("Q_met", 0.0), "perfusion.Q_met"),
-        )
+        return PerfusionParams(**values)
     except ValueError as exc:
         raise ConfigError("perfusion", str(exc)) from None
 
 
-def _load_condition(entry, nodes, path: str, dirichlet, fluxes, films):
-    if not isinstance(entry, dict):
-        raise ConfigError(path, "expected a condition object")
-    kind = entry.get("kind")
+def _load_condition(entry: _Section, nodes, dirichlet, fluxes, films):
+    kind = entry.get("kind", str)
     if kind == "dirichlet":
-        dirichlet.append(DirichletBC(
-            nodes=nodes,
-            temperature=_as_float(
-                _require(entry, "temperature", path), f"{path}.temperature"
-            ),
-        ))
+        dirichlet.append(DirichletBC(nodes=nodes, temperature=entry.get("temperature", float)))
     elif kind == "flux":
         fluxes.append(FluxBC(
             nodes=nodes,
-            watts_per_node=_as_float(
-                _require(entry, "watts_per_node", path), f"{path}.watts_per_node"
-            ),
-            schedulable=_as_bool(entry.get("schedulable", True), f"{path}.schedulable"),
+            watts_per_node=entry.get("watts_per_node", float),
+            schedulable=entry.get("schedulable", bool, True),
         ))
     elif kind == "film":
         films.append(FilmBC(
             nodes=nodes,
-            coefficient=_as_float(
-                _require(entry, "coefficient", path), f"{path}.coefficient"
-            ),
-            sink_temperature=_as_float(
-                _require(entry, "sink_temperature", path), f"{path}.sink_temperature"
-            ),
-            area_per_node=_as_float(
-                entry.get("area_per_node", 1.0), f"{path}.area_per_node"
-            ),
+            coefficient=entry.get("coefficient", float),
+            sink_temperature=entry.get("sink_temperature", float),
+            area_per_node=entry.get("area_per_node", float, 1.0),
         ))
     else:
-        raise ConfigError(
-            f"{path}.kind", f"unknown condition kind {kind!r}"
-        )
+        raise ConfigError(entry.field("kind"), f"unknown condition kind {kind!r}")
+    entry.close()
 
 
-def _load_boundary(doc: dict, node_sets: dict) -> BoundaryConditions:
-    entry = doc.get("boundary", {})
-    if not isinstance(entry, dict):
-        raise ConfigError("boundary", "expected an object keyed by node set name")
+def _load_boundary(entry: _Section, node_sets: dict) -> BoundaryConditions:
     dirichlet, fluxes, films = [], [], []
-    for set_name, condition in entry.items():
-        path = f"boundary.{set_name}"
+    for set_name in entry.doc:
         if set_name not in node_sets:
-            raise ConfigError(path, "refers to an undeclared node set")
-        nodes = node_sets[set_name]
-        items = condition if isinstance(condition, list) else [condition]
-        for i, item in enumerate(items):
-            sub = f"{path}[{i}]" if isinstance(condition, list) else path
-            _load_condition(item, nodes, sub, dirichlet, fluxes, films)
+            raise ConfigError(entry.field(set_name), "refers to an undeclared node set")
+        if isinstance(entry.doc[set_name], list):
+            conditions = entry.section(set_name, list).items(dict)
+        else:
+            conditions = [entry.section(set_name)]
+        for condition in conditions:
+            _load_condition(condition, node_sets[set_name], dirichlet, fluxes, films)
     return BoundaryConditions(
         dirichlet=tuple(dirichlet), fluxes=tuple(fluxes), films=tuple(films)
     )
 
 
-def _load_deformation(doc: dict, base_dir: str, n_nodes: int):
-    entry = doc.get("deformation", {"kind": "identity"})
-    if not isinstance(entry, dict):
-        raise ConfigError("deformation", "expected an object")
-    kind = entry.get("kind", "identity")
+def _load_deformation(entry: _Section, base_dir: str, n_nodes: int):
+    kind = entry.get("kind", str, "identity")
     if kind == "identity":
-        return IdentityDeformation()
-    if kind == "affine":
-        matrix = _finite_array(_require(entry, "matrix", "deformation"), (3, 3),
-                               "deformation.matrix", "a 3x3 matrix")
-        offset = _finite_array(entry.get("offset", [0.0, 0.0, 0.0]), (3,),
-                               "deformation.offset", "a length-3 vector")
+        deformation = IdentityDeformation()
+    elif kind == "affine":
+        matrix = [row.items(float, 3) for row in entry.section("matrix", list).items(list, 3)]
+        offset = entry.section("offset", list, [0.0, 0.0, 0.0]).items(float, 3)
         try:
-            return AffineDeformation(matrix=matrix, offset=offset)
-        except Exception as exc:
+            deformation = AffineDeformation(matrix=matrix, offset=offset)
+        except FedbhtError as exc:
             raise ConfigError("deformation", str(exc)) from None
-    if kind == "trajectory":
-        rel = _require(entry, "path", "deformation")
-        path = os.path.join(base_dir, rel)
+    elif kind == "trajectory":
+        path = os.path.join(base_dir, entry.get("path", str))
         try:
-            return load_trajectory(path, n_nodes)
+            deformation = load_trajectory(path, n_nodes)
         except (OSError, FedbhtError) as exc:
             raise ConfigError("deformation.path", str(exc)) from None
-    raise ConfigError("deformation.kind", f"unknown kind {kind!r}")
+    else:
+        raise ConfigError("deformation.kind", f"unknown kind {kind!r}")
+    entry.close()
+    return deformation
 
 
-def _load_schedule(doc: dict) -> Schedule:
-    entry = _require(doc, "schedule", "")
-    if not isinstance(entry, dict):
-        raise ConfigError("schedule", "expected an object")
+def _load_schedule(entry: _Section) -> Schedule:
     events = []
-    for i, ev in enumerate(entry.get("events", [])):
-        if not isinstance(ev, dict):
-            raise ConfigError(f"schedule.events[{i}]", "expected an object")
-        action = ev.get("action")
+    for event in entry.section("events", list, []).items(dict):
+        action = event.get("action", str)
         if action not in SCHEDULE_ACTIONS:
-            raise ConfigError(
-                f"schedule.events[{i}].action", f"unknown action {action!r}"
-            )
-        events.append((
-            _as_float(_require(ev, "time", f"schedule.events[{i}]"),
-                      f"schedule.events[{i}].time"),
-            action,
-        ))
+            raise ConfigError(event.field("action"), f"unknown action {action!r}")
+        events.append((event.get("time", float), action))
+        event.close()
     try:
-        return Schedule(
-            dt=_as_float(_require(entry, "dt", "schedule"), "schedule.dt"),
-            total_time=_as_float(
-                _require(entry, "total_time", "schedule"), "schedule.total_time"
-            ),
-            snapshot_times=tuple(
-                _as_float(t, f"schedule.snapshot_times[{i}]")
-                for i, t in enumerate(entry.get("snapshot_times", []))
-            ),
+        schedule = Schedule(
+            dt=entry.get("dt", float),
+            total_time=entry.get("total_time", float),
+            snapshot_times=tuple(entry.section("snapshot_times", list, []).items(float)),
             events=tuple(events),
-            initial_source_on=_as_bool(
-                entry.get("initial_source_on", True), "schedule.initial_source_on"
-            ),
         )
     except ValueError as exc:
         raise ConfigError("schedule", str(exc)) from None
+    entry.close()
+    return schedule
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -314,54 +291,46 @@ def load_scenario(path: str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("", "scenario file must contain a JSON object")
 
+    top = _Section(doc)
     base_dir = os.path.dirname(os.path.abspath(path))
-    mesh_rel = _require(doc, "mesh_path", "")
+    mesh_path = os.path.join(base_dir, top.get("mesh_path", str))
     try:
-        mesh = parse_mesh(os.path.join(base_dir, mesh_rel))
+        mesh = parse_mesh(mesh_path)
         precomp = precompute(mesh)
     except (OSError, FedbhtError) as exc:
         raise ConfigError("mesh_path", str(exc)) from None
 
+    sets = top.section("node_sets", dict, {})
     node_sets = {}
-    sets_entry = doc.get("node_sets", {})
-    if not isinstance(sets_entry, dict):
-        raise ConfigError("node_sets", "expected an object of name -> path")
-    for name, rel in sets_entry.items():
+    for name in sets.doc:
+        set_path = os.path.join(base_dir, sets.get(name, str))
         try:
-            node_sets[name] = load_node_set(os.path.join(base_dir, rel), mesh.n_nodes)
+            node_sets[name] = load_node_set(set_path, mesh.n_nodes)
         except (OSError, ValueError, FedbhtError) as exc:
-            raise ConfigError(f"node_sets.{name}", str(exc)) from None
+            raise ConfigError(sets.field(name), str(exc)) from None
 
-    material = _load_material(doc)
-    perfusion = _load_perfusion(doc)
-    boundary = _load_boundary(doc, node_sets)
-    deformation = _load_deformation(doc, base_dir, mesh.n_nodes)
-    schedule = _load_schedule(doc)
+    material = _load_material(top.section("material"))
+    perfusion = _load_perfusion(top.section("perfusion", dict, {}))
+    boundary = _load_boundary(top.section("boundary", dict, {}), node_sets)
+    deformation = _load_deformation(top.section("deformation", dict, {}), base_dir,
+                                    mesh.n_nodes)
+    schedule = _load_schedule(top.section("schedule"))
 
-    variant_name = doc.get("variant", "i")
     try:
-        variant = Variant.from_string(str(variant_name))
+        variant = Variant.from_string(top.get("variant", str, "i"))
     except ValueError as exc:
         raise ConfigError("variant", str(exc)) from None
 
-    probes = []
-    for i, p in enumerate(doc.get("probes", [])):
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ConfigError(f"probes[{i}]", "expected an integer node index")
-        if not 0 <= p < mesh.n_nodes:
-            raise ConfigError(f"probes[{i}]", f"node index {p} out of range")
-        probes.append(p)
+    probes = top.section("probes", list, [])
+    for i, node in enumerate(probes.items(int)):
+        if not 0 <= node < mesh.n_nodes:
+            raise ConfigError(probes.field(i), f"node index {node} out of range")
 
-    utm = doc.get("update_thermal_mass", None)
-    if utm is not None:
-        utm = _as_bool(utm, "update_thermal_mass")
-
-    initial = _as_float(doc.get("initial_temperature", 37.0), "initial_temperature")
-    output_dir = doc.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
+    output_dir = top.get("output_dir", str, "out")
+    if not output_dir:
         raise ConfigError("output_dir", "expected a non-empty string")
 
-    return ScenarioConfig(
+    config = ScenarioConfig(
         mesh=mesh,
         precomp=precomp,
         material=material,
@@ -370,10 +339,12 @@ def load_scenario(path: str) -> ScenarioConfig:
         deformation=deformation,
         schedule=schedule,
         variant=variant,
-        initial_temperature=initial,
-        probes=tuple(probes),
-        update_thermal_mass=utm,
-        dt_override=_as_bool(doc.get("dt_override", False), "dt_override"),
+        initial_temperature=top.get("initial_temperature", float, 37.0),
+        probes=tuple(probes.doc),
+        update_thermal_mass=top.get("update_thermal_mass", (bool, type(None)), None),
+        dt_override=top.get("dt_override", bool, False),
         output_dir=output_dir,
         raw=doc,
     )
+    top.close()
+    return config

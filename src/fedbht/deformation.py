@@ -12,9 +12,9 @@ Trajectory file format (ASCII, ``#`` starts a comment):
     KEYFRAME <time_seconds>
     ...
 
-Keyframe times must be strictly increasing. Queries between keyframes
-interpolate linearly; queries outside the keyframe range clamp to the
-nearest keyframe.
+Keyframe times must be finite and strictly increasing. Queries between
+keyframes interpolate linearly; queries outside the keyframe range clamp
+to the nearest keyframe.
 """
 
 from __future__ import annotations
@@ -147,7 +147,9 @@ def load_trajectory(path, n_nodes: int) -> TrajectoryDeformation:
         try:
             times.append(float(parts[1]))
         except ValueError:
-            raise MeshFormatError(f"invalid keyframe time {parts[1]!r}", idx) from None
+            times.append(np.nan)
+        if not np.isfinite(times[-1]):
+            raise MeshFormatError(f"invalid keyframe time {parts[1]!r}", idx)
         frame, idx = frame_rows(idx, n_nodes)
         if len(frame) < n_nodes:
             raise miscounted(len(frame), idx)

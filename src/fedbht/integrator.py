@@ -111,13 +111,12 @@ class Schedule:
     total_time: float
     snapshot_times: tuple = ()
     events: tuple = ()
-    initial_source_on: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:  # NaN fails too
             raise ValueError("dt must be positive")
-        if self.total_time < self.dt:
-            raise ValueError("total_time must cover at least one step")
+        if not self.dt <= self.total_time < math.inf:
+            raise ValueError("total_time must be finite and cover at least one step")
         self.snapshot_times = tuple(sorted(float(t) for t in self.snapshot_times))
         self.events = tuple(sorted((float(t), str(a)) for t, a in self.events))
         for _, action in self.events:
@@ -131,13 +130,15 @@ class Schedule:
     def walk(self):
         """Yield (n, t, source_on, snapshots_due) for n = 0 .. n_steps.
 
-        t = n * dt. source_on is the heater state for the step from t, and
-        snapshots_due lists the snapshot times that fire at t, to be taken
-        from the field at t. The last item ends the run and takes no step.
+        t = n * dt. source_on is the heater state for the step from t, on
+        until an event turns it off (a source_off at t = 0 acts on the
+        first step), and snapshots_due lists the snapshot times that fire
+        at t, to be taken from the field at t. The last item ends the run
+        and takes no step.
         """
         pending = deque(sorted([(t, "snapshot") for t in self.snapshot_times]
                                + list(self.events)))
-        source_on = self.initial_source_on
+        source_on = True
         for n in range(self.n_steps + 1):
             t = n * self.dt
             due = []

@@ -2,6 +2,7 @@ import functools
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -71,6 +72,16 @@ def test_scenario_roundtrip(scenario_path):
     assert cfg.output_dir == "out"
 
 
+def test_tensor_conductivity_table(scenario_path, tmp_path):
+    tensor = {"xx": [[37.0, 0.53], [65.0, 0.61]], "yy": 0.47, "zz": 0.58, "xy": 0.02}
+    path = rewrite(scenario_path, tmp_path,
+                   lambda d: d["material"].update(conductivity=tensor))
+    cfg = load_scenario(path)
+    assert not cfg.material.isotropic
+    np.testing.assert_allclose(cfg.material.conductivity.evaluate(51.0),
+                               [[0.57, 0.02, 0.0], [0.02, 0.47, 0.0], [0.0, 0.0, 0.58]])
+
+
 def test_missing_required_key(scenario_path, tmp_path):
     path = rewrite(scenario_path, tmp_path, lambda d: d.pop("material"))
     with pytest.raises(ConfigError, match="material"):
@@ -120,24 +131,66 @@ def test_bare_number_tables_must_be_finite_numbers(scenario_path, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+def set_key(doc, dotted, value):
+    *parents, key = dotted.split(".")
+    for name in parents:
+        doc = doc[name]
+    doc[key] = value
+
+
 @pytest.mark.parametrize("field, value", [
     ("dt_override", "false"),
     ("update_thermal_mass", "true"),
-    ("schedule.initial_source_on", 0),
     ("boundary.heat_source.schedulable", "no"),
 ])
 def test_booleans_must_be_json_booleans(scenario_path, tmp_path, field, value):
     # bool("false") is True: "dt_override": "false" would switch the
     # stability guard off
-    def mutate(doc):
-        *parents, key = field.split(".")
-        for name in parents:
-            doc = doc[name]
-        doc[key] = value
-    path = rewrite(scenario_path, tmp_path, mutate)
+    path = rewrite(scenario_path, tmp_path, lambda doc: set_key(doc, field, value))
     with pytest.raises(ConfigError, match="expected true or false") as err:
         load_scenario(path)
     assert err.value.field == field
+
+
+_HUGE = 10 ** 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("key, value, field", [
+    # a wrong kind where a path or a list belongs
+    ("mesh_path", 5, "mesh_path"),
+    ("node_sets.vessel_wall", 7, "node_sets.vessel_wall"),
+    ("deformation.path", 3, "deformation.path"),
+    ("schedule.events", 1, "schedule.events"),
+    ("schedule.snapshot_times", 2.5, "schedule.snapshot_times"),
+    ("probes", 3, "probes"),
+    # numbers beyond the float range
+    ("schedule.dt", _HUGE, "schedule.dt"),
+    ("material.density", _HUGE, "material.density"),
+    ("deformation", {"kind": "affine", "matrix": [[_HUGE, 0, 0], [0, 1, 0], [0, 0, 1]]},
+     "deformation.matrix[0][0]"),
+    # strings and booleans are no numbers
+    ("schedule.dt", "0.01", "schedule.dt"),
+    ("schedule.events", [{"time": "1", "action": "source_off"}], "schedule.events[0].time"),
+    ("initial_temperature", True, "initial_temperature"),
+    ("material.density", [[37.0, True]], "material.density[0][1]"),
+    ("deformation", {"kind": "affine", "matrix": [[True] * 3] * 3},
+     "deformation.matrix[0][0]"),
+    ("schedule.dt", True, "schedule.dt"),
+    # keys the loader does not know: a typo would drop every snapshot, and a
+    # source_off event at t = 0 is how a run starts with the heaters off
+    ("schedule.snapshot_time", [2.5], "schedule.snapshot_time"),
+    ("dt_overide", True, "dt_overide"),
+    ("material.conductivity", {"xx": 0.5, "yy": 0.5, "zz": 0.5, "xq": 0.1},
+     "material.conductivity.xq"),
+    ("schedule.initial_source_on", False, "schedule.initial_source_on"),
+], ids=lambda value: "huge" if value is _HUGE else None)
+def test_scenario_faults_exit_2_naming_their_field(scenario_path, tmp_path, capsys,
+                                                  key, value, field):
+    path = rewrite(scenario_path, tmp_path, lambda doc: set_key(doc, key, value))
+    out = tmp_path / "o"
+    assert cli_main(["run", path, "--out", str(out)]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_broken_mesh_reference(scenario_path, tmp_path):
@@ -179,16 +232,30 @@ def test_trajectory_faults_fail_at_load_and_name_the_field(scenario_path, tmp_pa
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("matrix", [[1, 0, 0], [0, "x", 0], [0, 0, 1]], "expected a 3x3 matrix of numbers"),
-    ("matrix", [[float("inf"), 0, 0], [0, 1, 0], [0, 0, 1]], "must be finite"),
-    ("offset", [0.0, float("nan"), 0.0], "must be finite"),
+    ("matrix[1][1]", [[1, 0, 0], [0, "x", 0], [0, 0, 1]], "expected a number"),
+    ("matrix[0][0]", [[float("inf"), 0, 0], [0, 1, 0], [0, 0, 1]], "must be finite"),
+    ("offset[1]", [0.0, float("nan"), 0.0], "must be finite"),
+    ("matrix", [[1, 0, 0], [0, 1, 0]], "expected 3 entries, got 2"),
+    ("matrix[2]", [[1, 0, 0], [0, 1, 0], [0, 1]], "expected 3 entries, got 2"),
 ])
 def test_affine_faults_name_the_field(scenario_path, tmp_path, field, value, message):
-    deformation = {"kind": "affine", "matrix": np.eye(3).tolist(), field: value}
+    key = field.split("[")[0]
+    deformation = {"kind": "affine", "matrix": np.eye(3).tolist(), key: value}
     path = rewrite(scenario_path, tmp_path, lambda d: d.update(deformation=deformation))
-    with pytest.raises(ConfigError, match=message) as err:
+    with pytest.raises(ConfigError, match=re.escape(message)) as err:
         load_scenario(path)
     assert err.value.field == f"deformation.{field}"
+
+
+def test_non_finite_keyframe_time_exits_2(scenario_path, tmp_path, capsys):
+    # the mesh would never reach a keyframe at t = inf and so never move
+    rows = "0 0 0\n" * 7 ** 3
+    traj = tmp_path / "bad.traj"
+    traj.write_text("KEYFRAME 0\n" + rows + "KEYFRAME inf\n" + rows)
+    path = rewrite(scenario_path, tmp_path,
+                   lambda d: d["deformation"].update(path=str(traj)))
+    assert cli_main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert "deformation.path: line 345: invalid keyframe time 'inf'" in capsys.readouterr().err
 
 
 def test_garbage_json(tmp_path):
@@ -576,6 +643,20 @@ def test_cli_make_mesh_rejects_too_coarse_grid(tmp_path, capsys):
     code = cli_main(["make-mesh", str(tmp_path / "x"), "--cells", "4"])
     assert code == 2
     assert "captured no nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--cells", "0", "cells per axis must be positive"),
+    ("--dt", "0", "dt must be positive"),
+    ("--dt", "-0.5", "dt must be positive"),
+    ("--total-time", "0", "total_time must be finite and cover at least one step"),
+])
+def test_cli_make_mesh_refuses_non_positive_values(tmp_path, capsys, flag, value, message):
+    # 0 is a value, not "not given": it must not write the defaults
+    out = tmp_path / "x"
+    assert cli_main(["make-mesh", str(out), flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_missing_scenario(tmp_path, capsys):

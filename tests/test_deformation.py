@@ -86,6 +86,11 @@ def test_trajectory_file_skips_comments_and_blank_lines(tmp_path):
     ("0 0 0\nKEYFRAME 0\n0 0 0\n0 0 0\n", 1, "displacement row before any KEYFRAME"),
     ("KEYFRAME 0\n0 0 x\n0 0 0\n", 2, "invalid displacement row '0 0 x'"),
     ("KEYFRAME 0\n0 0 0\n0 0\n", 3, "expected 3 displacement components, got 2"),
+    # a non-finite time would hold the mesh still or fail as an inverted element
+    ("KEYFRAME 0\n0 0 0\n0 0 0\nKEYFRAME inf\n0 0 0\n0 0 0\n", 4, "invalid keyframe time 'inf'"),
+    ("KEYFRAME nan\n0 0 0\n0 0 0\n", 1, "invalid keyframe time 'nan'"),
+    ("KEYFRAME -inf\n0 0 0\n0 0 0\nKEYFRAME 1\n0 0 0\n0 0 0\n", 1,
+     "invalid keyframe time '-inf'"),
 ])
 def test_trajectory_errors_name_the_line(tmp_path, text, line, message):
     path = tmp_path / "bad.traj"

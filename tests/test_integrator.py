@@ -254,8 +254,8 @@ def test_initially_off_source_enabled_by_event():
         dirichlet=(), films=(),
         fluxes=(FluxBC(nodes=np.array([0], dtype=np.intp), watts_per_node=1.0),))
     mat = make_material(k=1e-9)
-    sched = Schedule(dt=1.0, total_time=2.0, events=((1.0, "source_on"),),
-                     initial_source_on=False)
+    sched = Schedule(dt=1.0, total_time=2.0,
+                     events=((0.0, "source_off"), (1.0, "source_on")))
     rec = run(mesh, pre, mat, PerfusionParams(), bc, IdentityDeformation(),
               sched, Variant.CLASSICAL_ISO_TEMP_INDEP, probes=(0,))
     trace = rec.probe_values[:, 0]
@@ -274,7 +274,7 @@ def test_time_line_is_the_same_in_both_drivers():
         fluxes=(FluxBC(nodes=np.array([0], dtype=np.intp), watts_per_node=1.0),))
     mat = make_material(k=1e-9)
     sched = Schedule(dt=0.5, total_time=2.2, snapshot_times=(0.0, 0.6, 0.9, 2.2, 9.0),
-                     events=((0.0, "source_on"),), initial_source_on=False)
+                     events=((0.0, "source_off"), (1.0, "source_on")))
     ours = run(mesh, pre, mat, PerfusionParams(), bc, IdentityDeformation(),
                sched, Variant.CLASSICAL_ISO_TEMP_INDEP, probes=(0,))
     theirs = reference_transient(mesh, mat, PerfusionParams(), bc,
@@ -287,8 +287,10 @@ def test_time_line_is_the_same_in_both_drivers():
         np.testing.assert_array_equal(rec.snapshots[3], rec.final_temps)
         np.testing.assert_array_equal(rec.probe_times, np.arange(6) * 0.5)
         assert rec.probe_values.shape == (6, 1)
-        # the heater warms node 0 on every step, the first included
-        np.testing.assert_allclose(np.diff(rec.probe_values[:, 0]), 0.5 / mass, rtol=1e-6)
+        # the heater is off from the first step on and warms node 0 from t = 1
+        np.testing.assert_allclose(np.diff(rec.probe_values[:, 0]),
+                                   [0.0, 0.0, 0.5 / mass, 0.5 / mass, 0.5 / mass],
+                                   rtol=1e-6, atol=1e-9 / mass)
 
 
 def test_dirichlet_wins_over_film():
