@@ -88,7 +88,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # the oracle loads scipy; only verify needs it
+    # only verify needs the oracle; run and stability never load it
     from . import oracle
 
     cfg = load_scenario(args.scenario)

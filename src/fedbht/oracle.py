@@ -7,9 +7,12 @@ matrix-free production path can be checked against an independent route:
     cross products for tets, centre-point Jacobian for hexes); when given
     deformed coordinates the geometry is simply re-derived from the moved
     nodes, never pulled back through a deformation gradient;
-  * global K is assembled into scipy.sparse CSR;
+  * global K is assembled into compressed sparse rows (:class:`CsrMatrix`,
+    numpy only) from each element's upper-triangle entries, so it is
+    exactly symmetric;
   * reference transients advance the assembled system with forward or
-    backward Euler, re-assembling every step so lagged (Picard) property
+    backward Euler (the latter solved by the oracle's own conjugate
+    gradients), re-assembling every step so lagged (Picard) property
     evaluation matches the production semantics; the element geometry is
     derived once per node position and kept while the mesh holds, so a held
     step only re-evaluates the conductivity at the element means T̄;
@@ -41,9 +44,6 @@ import itertools
 import math
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .deformation import IdentityDeformation
 from .errors import DivergenceError, GeometryError
@@ -192,28 +192,194 @@ def quadrature_volume(mesh: Mesh) -> float:
 
 
 # --------------------------------------------------------------------------
+# sparse matrices
+
+
+# a leading layer is padded to the full height when it misses at most this
+# many rows: its padding then costs about what a layer of its own costs
+_PADDING_PER_LAYER = 1024
+
+
+class CsrPattern:
+    """The slots of a compressed-sparse-row matrix, with the order in which
+    a product visits them.
+
+    A product adds each row's terms in slot order, starting from 0.0, as a
+    CSR product does. It visits the rows longest first, so layer j (the
+    j-th slot of every row that has more than j) is a prefix of that order.
+    The leading layers that miss few rows are padded to the full height and
+    summed as one (layers, rows) block; each further layer adds as one
+    slice. ``layer_slots`` lists the slots layer by layer, padding
+    included, and ``layer_cols`` their columns, n_cols on the padding. The
+    work arrays of a product are kept for the next one: fresh ones per
+    product can leave enough free heap for malloc to return it to the
+    system and page it in again on the next product.
+
+    A matrix on the pattern stores the values of its slots in slot order,
+    or, given ``at``, slot s reads ``values[at[s]]``.
+    """
+
+    def __init__(self, indices, indptr, shape: tuple[int, int], at=None):
+        self.at = at
+        self.indices = np.asarray(indices)
+        self.indptr = np.asarray(indptr)
+        self.shape = n_rows, n_cols = (int(shape[0]), int(shape[1]))
+        counts = np.diff(self.indptr)
+        widths = n_rows - np.cumsum(np.bincount(counts))[:-1]
+        self._height = int(np.count_nonzero(n_rows - widths <= _PADDING_PER_LAYER))
+        self._widths = widths[self._height:].tolist()
+        # the rows longest first, which only the layers past the padded
+        # block need; without such layers, or already in that order, the
+        # rows keep their order
+        rows = np.argsort(-counts, kind="stable")
+        self._rows = rows if self._widths and np.any(np.diff(rows) != 1) else None
+        rows = np.arange(n_rows) if self._rows is None else rows
+        layer = np.arange(self._height)[:, None]
+        in_row = layer < counts[rows]
+        self.padding = np.flatnonzero(~in_row)
+        self.layer_slots = np.concatenate(
+            [np.where(in_row, self.indptr[rows] + layer, 0).ravel()]
+            + [self.indptr[rows[:w]] + j for j, w in enumerate(self._widths, self._height)]
+        ).astype(np.intp)
+        self.layer_cols = self.indices[self.layer_slots].astype(np.intp)
+        self.layer_cols[self.padding] = n_cols
+        self._layer_values = self.values_of(self.layer_slots)
+        self._acc = np.empty(n_rows)
+        self._terms = None  # the work array of the terms and its layer views, made on first use
+
+    def row_of_slots(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def values_of(self, slots: np.ndarray) -> np.ndarray:
+        """Where the given slots' values sit in a matrix's values."""
+        return slots if self.at is None else self.at[slots]
+
+    def layered(self, values: np.ndarray, positions=None, out=None) -> np.ndarray:
+        """A matrix's slot values in layer order, 0 on the padding; given
+        positions, position i of the layer order reads values[positions[i]]."""
+        positions = self._layer_values if positions is None else positions
+        out = values.take(positions, out=out, mode="clip")
+        out[self.padding] = 0.0
+        return out
+
+    def product(self, layered: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The product with x of the matrix whose values are given in
+        layer order (:meth:`layered`); the padding's terms are 0 * x[-1],
+        which add nothing for finite x."""
+        terms = x.take(self.layer_cols, out=self._work(), mode="clip")
+        np.multiply(layered, terms, out=terms)
+        return self._sums()
+
+    def gathered_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-row sums of values[col] over the slots: the product with
+        values[:n_cols] of the matrix whose slots all hold 1. values ends
+        in a 0, which the padding reads."""
+        values.take(self.layer_cols, out=self._work(), mode="clip")
+        return self._sums()
+
+    def _sums(self) -> np.ndarray:
+        """Per-row sums of the terms in the work array."""
+        n_rows = self.shape[0]
+        out = np.empty(n_rows)
+        acc = out if self._rows is None and not self._widths else self._acc
+        if self._height:
+            np.add.reduce(self._terms[:self._height * n_rows].reshape(-1, n_rows), axis=0,
+                          out=acc, initial=0.0)
+        else:
+            acc.fill(0.0)
+        for head, layer in self._layers:
+            head += layer
+        if acc is not out:
+            out[slice(None) if self._rows is None else self._rows] = acc
+        return out
+
+    def _work(self) -> np.ndarray:
+        if self._terms is None:
+            self._terms = np.empty(self.layer_slots.size)
+            starts = self._height * self.shape[0] + np.cumsum([0] + self._widths)
+            self._layers = [(self._acc[:w], self._terms[start:start + w])
+                            for w, start in zip(self._widths, starts)]
+        return self._terms
+
+
+class CsrMatrix:
+    """A sparse matrix on a :class:`CsrPattern`, its slots' values read
+    from ``values`` as the pattern says; ``data`` holds them in slot order,
+    made on first read when the pattern reads them through ``at``.
+    Products with finite vectors, diagonals and dense copies are bitwise
+    those of a CSR matrix of the same arrays. The first product keeps the
+    values in layer order, so they are not changed in place."""
+
+    def __init__(self, values: np.ndarray, pattern: CsrPattern):
+        self.values = values
+        self.pattern = pattern
+        self._data = values if pattern.at is None else None
+        self._layered = None
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = self.values.take(self.pattern.at)
+        return self._data
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.pattern.indices
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.pattern.indptr
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.pattern.shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if self._layered is None:
+            self._layered = self.pattern.layered(self.values)
+        return self.pattern.product(self._layered, np.asarray(x, dtype=np.float64))
+
+    def diagonal(self) -> np.ndarray:
+        rows = self.pattern.row_of_slots()
+        on = rows == self.indices
+        out = np.zeros(min(self.shape))
+        out[rows[on]] = self.data[on]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.pattern.row_of_slots(), self.indices] = self.data
+        return out
+
+
+# --------------------------------------------------------------------------
 # sparse assembly
 
 
 class OracleAssembler:
     """Reusable sparse assembly with a fixed sparsity pattern.
 
-    The scatter from element entries to CSR slots is built once. The element
-    geometry is derived from the coordinates of a call and kept, with a
-    private copy of those coordinates, until a call brings different ones:
-    for isotropic tables the weight and the products g_a . g_b of each
-    element, for tensor tables the weight and g. A call on the same
-    coordinates (a held mesh) only gathers the element means T̄, evaluates
-    k(T̄), scales and scatters. The T̄ of the last call stay in
-    :attr:`element_means` for the thermal mass. Element matrices are built
-    entry-major: row (a, b) of a family's (k, k, n) block holds entry
-    (a, b) of all n elements.
+    Element matrices are symmetric, so only their entries with a <= b are
+    built, weight * g_a . D g_b with D the conductivity at the element's
+    mean temperature T̄, entry-major: row p of a family's (k(k+1)/2, e)
+    block holds the p-th pair (a, b), in the order of
+    combinations_with_replacement, of all e elements. Each entry goes to
+    the upper-triangle slot of its two nodes; the sums of those slots, each
+    in entry order, are mirrored into K, so K equals its transpose bitwise.
+
+    The element geometry is derived from the coordinates of a call and
+    kept, with a private copy of those coordinates, until a call brings
+    different ones: for isotropic tables the weight and the g_a . g_b, for
+    tensor tables the weight and g. A call on the same coordinates (a held
+    mesh) only gathers the element means T̄, evaluates k(T̄), scales and
+    sums. The T̄ of the last call stay in :attr:`element_means` for the
+    thermal mass.
     """
 
     def __init__(self, mesh: Mesh, material: MaterialModel):
         self.mesh = mesh
         self.material = material
-        self.n = mesh.n_nodes
+        self.n = n = mesh.n_nodes
         # per family: connectivity (k, e) and its geometry rule
         self._families = [
             (np.ascontiguousarray(conn.T), derive)
@@ -222,37 +388,59 @@ class OracleAssembler:
         ]
         if not self._families:
             raise GeometryError("mesh has no elements to assemble")
-        # key[a, b, e] = row * n + col of entry (a, b) of element e
+        # key of the upper-triangle slot of every entry, entry-major
         key = np.concatenate([
-            (conn_t.astype(np.int64)[:, None] * self.n + conn_t).ravel()
+            _upper_keys(conn_t, a, b, n)
             for conn_t, _ in self._families
+            for a, b in itertools.combinations_with_replacement(range(conn_t.shape[0]), 2)
         ])
         order = np.argsort(key, kind="stable")
         key = key[order]
         first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        unique_key = key[first]
-        del key  # frees the sorted keys before the scatter is built: lower peak memory
-        # P[slot, entry] = 1; the stable sort lists each row's entries in
-        # ascending order, so P @ entries sums every slot in the order of
-        # a bincount over the entries
-        self._scatter = scipy.sparse.csr_matrix(
-            (np.ones(order.size), order.astype(np.int32),
-             np.r_[first, order.size].astype(np.int32)),
-            shape=(first.size, order.size),
-        )
+        upper = key[first]
+        del key  # frees the sorted keys before the patterns are built: lower peak memory
+        # the upper slots numbered by their entry count, most first, the
+        # order in which the scatter adds them, so that it need not reorder
+        # its sums; each slot lists its entries in ascending order, so the
+        # sum over a slot runs in entry order
+        counts = np.diff(np.r_[first, order.size])
+        by_count = np.argsort(-counts, kind="stable")
+        counts, upper = counts[by_count], upper[by_count]
+        starts = np.r_[0, np.cumsum(counts)]
+        order = order[np.repeat(first[by_count] - starts[:-1], counts) + np.arange(order.size)]
+        self._scatter = CsrPattern(order, starts, (upper.size, order.size))
         del order
-        self._indices = (unique_key % self.n).astype(np.int32)
-        # one entry buffer for every call: a fresh one per call can leave
-        # enough free heap on top for malloc to return it to the system
-        # and page it in again on the next call
-        self._entries = np.empty(self._scatter.shape[1])
-        counts = np.bincount(unique_key // self.n, minlength=self.n)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        # K's slots: each upper slot and, off the diagonal, its mirror image
+        rows, cols = upper // n, upper % n
+        off = rows != cols
+        full = np.concatenate([upper, cols[off] * n + rows[off]])
+        order = np.argsort(full)
+        mirror = np.concatenate([np.arange(upper.size), np.flatnonzero(off)])[order]
+        full = full[order]
+        self.pattern = CsrPattern((full % n).astype(np.int32),
+                                  np.searchsorted(full, np.arange(n + 1) * n).astype(np.int32),
+                                  (n, n), at=mirror)
+        # the arrays of every call are made once: fresh ones per call can
+        # leave enough free heap on top for malloc to return it to the
+        # system and page it in again on the next call. Per family: the
+        # block of entries, the gradients g (3, k, e) and the geometry the
+        # entries are scaled from, the g_a . g_b for isotropic tables and g
+        # itself for tensor tables
+        self._entries = np.zeros(self._scatter.shape[1] + 1)  # its last 0 is the padding's
+        self._blocks, self._gradients = [], []
+        begin = 0
+        for conn_t, _ in self._families:
+            k, e = conn_t.shape
+            self._blocks.append(self._entries[begin:begin + k * (k + 1) // 2 * e].reshape(-1, e))
+            begin += self._blocks[-1].size
+            self._gradients.append(np.empty((3, k, e)))
+        self._geometry = ([np.empty_like(block) for block in self._blocks]
+                          if material.isotropic else self._gradients)
+        self._weights = [None] * len(self._families)
         self._coords = None  # copy of the coordinates the geometry was derived on
-        self._geometry = []  # per family: (weight, g_a . g_b pairs or g)
         self.element_means: list[np.ndarray] = []
 
-    def stiffness(self, coords: np.ndarray | None = None, temps=None) -> scipy.sparse.csr_matrix:
+    def stiffness(self, coords: np.ndarray | None = None, temps=None) -> CsrMatrix:
         """Assemble K from node positions (default: reference) and the
         temperature field used for property evaluation (default: uniform
         37 C)."""
@@ -264,63 +452,49 @@ class OracleAssembler:
         if self._coords is None or not np.array_equal(coords, self._coords):
             self._derive_geometry(coords)
         self.element_means = self.mean_temperatures(temps)
-
-        start = 0
-        for (conn_t, _), geometry, tmean in zip(self._families, self._geometry,
-                                                self.element_means):
-            k = conn_t.shape[0]
-            out = self._entries[start:start + k * k * tmean.size].reshape(k, k, -1)
-            start += out.size
-            self._sandwich(*geometry, self.material.conductivity.evaluate(tmean), out)
-        data = self._scatter @ self._entries
-        return scipy.sparse.csr_matrix(
-            (data, self._indices, self._indptr), shape=(self.n, self.n)
-        )
+        for weight, geometry, tmean, block in zip(self._weights, self._geometry,
+                                                  self.element_means, self._blocks):
+            cond = self.material.conductivity.evaluate(tmean)
+            if self.material.isotropic:
+                np.multiply(geometry, weight * cond, out=block)
+                continue
+            g, d = geometry, np.moveaxis(cond, 0, 2)
+            q = np.empty_like(g)  # D g
+            for i in range(3):
+                q[i] = d[i, 0] * g[0] + d[i, 1] * g[1] + d[i, 2] * g[2]
+            np.multiply(_pair_products(g, q, block), weight, out=block)
+        return CsrMatrix(self._scatter.gathered_sums(self._entries), self.pattern)
 
     def mean_temperatures(self, temps) -> list[np.ndarray]:
         """Each element's mean node temperature T̄, per family."""
         temps = np.asarray(temps, dtype=np.float64)
-        return [np.take(temps, conn_t).mean(axis=0) for conn_t, _ in self._families]
+        return [temps.take(conn_t).mean(axis=0) for conn_t, _ in self._families]
 
     def _derive_geometry(self, coords) -> None:
         """Weight and gradients of every element on coords; for isotropic
         tables the gradients are kept as their pair products."""
         self._coords = None  # a derivation that raises leaves no memo behind
-        self._geometry = []
         coords_t = coords.T
-        for conn_t, derive in self._families:
-            g, weight = derive(coords_t, conn_t)
-            self._geometry.append((weight, _pair_products(g, g) if self.material.isotropic else g))
+        for family, (conn_t, derive) in enumerate(self._families):
+            g = self._gradients[family]
+            self._weights[family] = derive(coords_t, conn_t, g)
+            if self.material.isotropic:
+                _pair_products(g, g, self._geometry[family])
         self._coords = coords.copy()
 
-    def _sandwich(self, weight, geometry, cond, out) -> None:
-        """Element matrices weight * g^T D g into out (k, k, e).
 
-        D is the conductivity at each element's mean temperature, a scalar
-        for isotropic tables (geometry holds the g_a . g_b) and a tensor
-        otherwise (geometry holds g, (3, k, e)). D is symmetric, so only
-        the entries with a <= b are computed.
-        """
-        if self.material.isotropic:
-            scale, products = weight * cond, geometry
-        else:
-            g = geometry
-            d = np.moveaxis(cond, 0, 2)
-            q = np.empty_like(g)  # D g
-            for i in range(3):
-                q[i] = d[i, 0] * g[0] + d[i, 1] * g[1] + d[i, 2] * g[2]
-            scale, products = weight, _pair_products(g, q)
-        pairs = itertools.combinations_with_replacement(range(out.shape[0]), 2)
-        for pair, (a, b) in enumerate(pairs):
-            np.multiply(scale, products[pair], out=out[a, b])
-            out[b, a] = out[a, b]
+def _upper_keys(conn_t: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+    """row * n + col of the upper-triangle slot of entry (a, b) of every
+    element."""
+    i, j = conn_t[a].astype(np.int64), conn_t[b].astype(np.int64)
+    return np.minimum(i, j) * n + np.maximum(i, j)
 
 
-def _pair_products(g: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """g_a . q_b of (3, k, e) component rows for a <= b, one row per pair
-    (k(k+1)/2, e), the pairs in the order of combinations_with_replacement."""
+def _pair_products(g: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """g_a . q_b of (3, k, e) component rows for a <= b into out, one row
+    per pair (k(k+1)/2, e), the pairs in the order of
+    combinations_with_replacement."""
     k = g.shape[1]
-    out = np.empty((k * (k + 1) // 2, g.shape[2]))
     term = np.empty(g.shape[2])
     for pair, (a, b) in enumerate(itertools.combinations_with_replacement(range(k), 2)):
         row = out[pair]  # (x + y) + z, summed in place
@@ -330,12 +504,11 @@ def _pair_products(g: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tet_geometry(coords_t, conn_t) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled gradients g = 6 V grad N_a (3, 4, e) and the weight
-    1 / 6V, so that V grad^T D grad = weight * g^T D g."""
+def _tet_geometry(coords_t, conn_t, g) -> np.ndarray:
+    """Unscaled gradients g = 6 V grad N_a (3, 4, e), written into g, and
+    the weight 1 / 6V, so that V grad^T D grad = weight * g^T D g."""
     x0 = np.take(coords_t, conn_t[0], axis=1)  # (3, e)
     e1, e2, e3 = (np.take(coords_t, conn_t[a], axis=1) - x0 for a in (1, 2, 3))
-    g = np.empty((3,) + conn_t.shape)
     _cross(e2, e3, g[:, 1])
     _cross(e3, e1, g[:, 2])
     _cross(e1, e2, g[:, 3])
@@ -347,11 +520,12 @@ def _tet_geometry(coords_t, conn_t) -> tuple[np.ndarray, np.ndarray]:
             "volume on the given coordinates"
         )
     g[:, 0] = -(g[:, 1] + g[:, 2] + g[:, 3])
-    return g, 1.0 / (6.0 * det)
+    return 1.0 / (6.0 * det)
 
 
-def _hex_geometry(coords_t, conn_t) -> tuple[np.ndarray, np.ndarray]:
-    """Centre-point gradients (3, 8, e) and the weight 8 det J."""
+def _hex_geometry(coords_t, conn_t, g) -> np.ndarray:
+    """Centre-point gradients (3, 8, e), written into g, and the weight
+    8 det J."""
     x = np.take(coords_t, conn_t, axis=1)  # (3, 8, e)
     jac = np.einsum("jae,ak->ejk", x, HEX_DN_CENTER)
     with np.errstate(invalid="ignore"):  # NaN coordinates fail the check below
@@ -364,7 +538,8 @@ def _hex_geometry(coords_t, conn_t) -> tuple[np.ndarray, np.ndarray]:
         )
     rhs = np.broadcast_to(HEX_DN_CENTER.T, (det.size, 3, 8))
     grads = np.linalg.solve(np.transpose(jac, (0, 2, 1)), rhs)  # (e, 3, 8)
-    return np.ascontiguousarray(np.moveaxis(grads, 0, 2)), 8.0 * det
+    g[...] = np.moveaxis(grads, 0, 2)
+    return 8.0 * det
 
 
 def _cross(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
@@ -375,23 +550,25 @@ def _cross(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
 
 
 def dense_lambda_max(
-    k: scipy.sparse.csr_matrix,
+    k: CsrMatrix,
     lumped_mass: np.ndarray,
     perfusion_diag: np.ndarray,
     dirichlet_mask=None,
 ) -> float:
-    """Largest eigenvalue of C^{-1}(K + K_b) by a dense generalized solve.
+    """Largest eigenvalue of C^{-1}(K + K_b) by a dense symmetric solve.
 
-    Only viable for small systems; used to validate the power iteration.
+    C is diagonal, so the generalized problem is the ordinary one of
+    C^{-1/2}(K + K_b)C^{-1/2}. Only viable for small systems; used to
+    validate the power iteration.
     """
     a = k.toarray() + np.diag(perfusion_diag)
-    b = np.diag(lumped_mass)
+    mass = np.asarray(lumped_mass, dtype=np.float64)
     if dirichlet_mask is not None and np.any(dirichlet_mask):
         free = ~np.asarray(dirichlet_mask, dtype=bool)
         a = a[np.ix_(free, free)]
-        b = b[np.ix_(free, free)]
-    vals = scipy.linalg.eigh(a, b, eigvals_only=True)
-    return float(vals[-1])
+        mass = mass[free]
+    scale = 1.0 / np.sqrt(mass)
+    return float(np.linalg.eigvalsh(scale[:, None] * a * scale)[-1])
 
 
 # --------------------------------------------------------------------------
@@ -399,6 +576,94 @@ def dense_lambda_max(
 
 # relative residual at which the backward scheme's conjugate gradients stop
 SOLVER_RTOL = 1e-10
+
+
+def conjugate_gradients(matvec, b: np.ndarray, x0: np.ndarray, precond_diag: np.ndarray,
+                        rtol: float) -> tuple[np.ndarray, int]:
+    """Jacobi-preconditioned conjugate gradients for A x = b, A given by
+    its matvec: step for step ``scipy.sparse.linalg.cg(A, b, x0, rtol=rtol,
+    atol=0.0, M=diag(1 / precond_diag))``. Stops once the residual's norm
+    is below rtol |b|. Returns (x, info): info is 0 on convergence and the
+    iteration limit, 10 n, otherwise."""
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0:
+        return b, 0
+    atol = rtol * b_norm
+    x = x0.copy()
+    r = b - matvec(x) if x.any() else b.copy()
+    max_iterations = 10 * b.size
+    for iteration in range(max_iterations):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = r / precond_diag
+        rho = np.dot(r, z)
+        if iteration:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, max_iterations
+
+
+class _Reduction:
+    """The slots of K that the Dirichlet-reduced system reads, fixed by
+    K's pattern and the Dirichlet set: the free x free block, the free
+    rows' Dirichlet columns and the free rows' diagonal. It reads them from
+    K's values as the pattern says, without making K's data."""
+
+    def __init__(self, pattern: CsrPattern, dirichlet_mask: np.ndarray):
+        free = ~dirichlet_mask
+        self.free = np.flatnonzero(free)
+        fixed = np.flatnonzero(dirichlet_mask)
+        rank = np.empty(free.size, dtype=np.intp)  # a node's index among its kind
+        rank[self.free] = np.arange(self.free.size)
+        rank[fixed] = np.arange(fixed.size)
+        rows, cols = pattern.row_of_slots(), pattern.indices
+        on_free_row = free[rows]
+        self.free_block, self._free_at = _sub_pattern(
+            on_free_row & free[cols], rows, cols, rank, (self.free.size, self.free.size))
+        self._fixed_block, self._fixed_at = _sub_pattern(
+            on_free_row & ~free[cols], rows, cols, rank, (self.free.size, fixed.size))
+        diagonal = np.flatnonzero(on_free_row & (rows == cols))
+        self._diagonal_rows = rank[rows[diagonal]]
+        self._free_at, self._fixed_at, self._diagonal_at = (
+            pattern.values_of(self._free_at), pattern.values_of(self._fixed_at),
+            pattern.values_of(diagonal))
+        self._layered = np.empty(self._free_at.size)
+
+    def layered(self, k: CsrMatrix) -> np.ndarray:
+        """K's free x free block in the block's layer order, 0 on its
+        padding; kept until the next call."""
+        return self.free_block.layered(k.values, self._free_at, out=self._layered)
+
+    def coupling(self, k: CsrMatrix, fixed_temps: np.ndarray) -> np.ndarray:
+        """K's free rows times the Dirichlet values."""
+        return self._fixed_block.product(
+            self._fixed_block.layered(k.values, self._fixed_at), fixed_temps)
+
+    def diagonal(self, k: CsrMatrix) -> np.ndarray:
+        """K's diagonal on the free rows."""
+        out = np.zeros(self.free.size)
+        out[self._diagonal_rows] = k.values[self._diagonal_at]
+        return out
+
+
+def _sub_pattern(selected, rows, cols, rank, shape) -> tuple[CsrPattern, np.ndarray]:
+    """The pattern of the selected slots, rows and columns renumbered by
+    rank, and the slot of each of its layered positions."""
+    slots = np.flatnonzero(selected)
+    counts = np.bincount(rank[rows[slots]], minlength=shape[0])
+    pattern = CsrPattern(rank[cols[slots]], _row_pointers(counts), shape)
+    return pattern, slots[pattern.layer_slots]
+
+
+def _row_pointers(counts) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
 
 
 def reference_transient(
@@ -425,8 +690,6 @@ def reference_transient(
     if scheme not in ("forward", "backward"):
         raise ValueError(f"scheme must be forward or backward, got {scheme!r}")
 
-    # built before the lumping below: the other way round, the peak RSS of
-    # verify on the 13^3 demo is 0.9 MB higher (heap layout)
     assembler = OracleAssembler(mesh, material)
     update_thermal_mass = resolve_update_thermal_mass(material, update_thermal_mass)
     lumping = _reference_lumping(mesh)
@@ -441,9 +704,11 @@ def reference_transient(
     if provider is None:
         provider = IdentityDeformation()
 
-    n = mesh.n_nodes
-    free = ~state.dirichlet_mask
     fixed_vals = state.dirichlet_values  # zero off the Dirichlet nodes
+    fixed = np.flatnonzero(state.dirichlet_mask)
+    fixed_temps = fixed_vals[fixed]
+    if scheme == "backward":
+        reduction = _Reduction(assembler.pattern, state.dirichlet_mask)
     record = SimulationRecord(
         dt=schedule.dt, n_steps=schedule.n_steps, probe_indices=probes,
         n_elements=mesh.n_elements, update_thermal_mass=update_thermal_mass,
@@ -474,36 +739,30 @@ def reference_transient(
         if scheme == "forward":
             rhs = load - k @ temps - state.perfusion_diag * temps
             temps = temps + (dt / mass) * rhs
+            temps[fixed] = fixed_temps
         else:
-            diag = mass / dt + state.perfusion_diag
-            b_full = (mass / dt) * temps + load
+            # the free rows of (K + D) T = C/dt T_n + load, D = C/dt + K_b,
+            # with the Dirichlet values moved to the right-hand side
+            mass_dt = mass / dt
+            diag = (mass_dt + state.perfusion_diag)[reduction.free]
+            layered = reduction.layered(k)
 
-            def matvec(x_free):
-                x = np.zeros(n)
-                x[free] = x_free
-                y = k @ x + diag * x
-                return y[free]
+            def matvec(x):
+                y = reduction.free_block.product(layered, x)
+                y += diag * x
+                return y
 
-            # an operator without a dtype infers one from a trial matvec
-            a_op = scipy.sparse.linalg.LinearOperator(
-                (int(free.sum()), int(free.sum())), matvec=matvec, dtype=np.float64
-            )
-            coupling = k @ fixed_vals + diag * fixed_vals
-            b_reduced = b_full[free] - coupling[free]
-            precond_diag = (k.diagonal() + diag)[free]
-            m_op = scipy.sparse.linalg.LinearOperator(
-                a_op.shape, matvec=lambda x: x / precond_diag, dtype=np.float64
-            )
-            x0 = temps[free]
-            solution, info = scipy.sparse.linalg.cg(
-                a_op, b_reduced, x0=x0, rtol=SOLVER_RTOL, atol=0.0, M=m_op
+            b = ((mass_dt * temps + load)[reduction.free]
+                 - reduction.coupling(k, fixed_temps))
+            solution, info = conjugate_gradients(
+                matvec, b, temps[reduction.free], reduction.diagonal(k) + diag,
+                SOLVER_RTOL,
             )
             if info != 0:
                 raise RuntimeError(f"implicit solve failed to converge (info={info})")
             temps = fixed_vals.copy()
-            temps[free] = solution
+            temps[reduction.free] = solution
 
-        temps[state.dirichlet_mask] = state.dirichlet_values[state.dirichlet_mask]
         if not np.all(np.isfinite(temps)):
             raise DivergenceError(f"reference step {step_index} (t = {t_now:.6g} s) is non-finite")
 
@@ -511,38 +770,46 @@ def reference_transient(
     return record
 
 
-def _reference_lumping(mesh: Mesh) -> list[scipy.sparse.csr_matrix]:
-    """Per element family, the (n_nodes, e) matrix whose entry (i, e) is
-    element e's reference volume split equally over its nodes, from
-    first-principles geometry. A row lists its elements in ascending order,
-    so a product with it sums each node's shares in element order."""
+def _reference_lumping(mesh: Mesh) -> list["_EqualSplit"]:
+    """Per element family, each element's reference volume split equally
+    over its nodes, from first-principles geometry."""
     lumping = []
     if mesh.tets.size:
         x = mesh.nodes[mesh.tets]
         det = np.einsum(
             "ei,ei->e", x[:, 1] - x[:, 0], np.cross(x[:, 2] - x[:, 0], x[:, 3] - x[:, 0])
         )
-        lumping.append(_equal_split(mesh.tets, (det / 6.0) / 4.0, mesh.n_nodes))
+        lumping.append(_EqualSplit(mesh.tets, (det / 6.0) / 4.0, mesh.n_nodes))
     if mesh.hexes.size:
         x = mesh.nodes[mesh.hexes]
         jac = np.einsum("eaj,ak->ejk", x, HEX_DN_CENTER)
-        lumping.append(_equal_split(mesh.hexes, np.linalg.det(jac), mesh.n_nodes))  # 8 det / 8
+        lumping.append(_EqualSplit(mesh.hexes, np.linalg.det(jac), mesh.n_nodes))  # 8 det / 8
     return lumping
 
 
-def _equal_split(conn: np.ndarray, share: np.ndarray, n_nodes: int) -> scipy.sparse.csr_matrix:
-    n_elements, k = conn.shape
-    return scipy.sparse.csr_matrix(
-        (np.repeat(share, k), (conn.ravel(), np.repeat(np.arange(n_elements), k))),
-        shape=(n_nodes, n_elements),
-    )
+class _EqualSplit:
+    """The (n_nodes, e) matrix whose entry (i, e) is ``share[e]`` where
+    node i is a node of element e. Its product with per-element values sums
+    each node's share times value in ascending element order."""
+
+    def __init__(self, conn: np.ndarray, share: np.ndarray, n_nodes: int):
+        flat = conn.ravel()
+        elements = np.argsort(flat, kind="stable") // conn.shape[1]
+        self.incidence = CsrPattern(elements, _row_pointers(np.bincount(flat, minlength=n_nodes)),
+                                    (n_nodes, conn.shape[0]))
+        self.share = share
+        self._terms = np.zeros(share.size + 1)  # share times value, and the padding's 0
+
+    def __matmul__(self, values: np.ndarray) -> np.ndarray:
+        np.multiply(self.share, values, out=self._terms[:-1])
+        return self.incidence.gathered_sums(self._terms)
 
 
 def _reference_node_volumes(lumping) -> np.ndarray:
     """Nodal volumes: the nodal sums of the shares in _reference_lumping."""
-    vols = np.zeros(lumping[0].shape[0])
+    vols = np.zeros(lumping[0].incidence.shape[0])
     for split in lumping:
-        vols += split @ np.ones(split.shape[1])
+        vols += split @ np.ones(split.share.size)
     return vols
 
 
@@ -550,7 +817,7 @@ def _oracle_lumped_mass(material: MaterialModel, element_means, lumping) -> np.n
     """Independent equal-split lumping of rho c(T̄) over the reference
     volumes of _reference_lumping; element_means holds each family's T̄
     (:meth:`OracleAssembler.mean_temperatures`)."""
-    mass = np.zeros(lumping[0].shape[0])
+    mass = np.zeros(lumping[0].incidence.shape[0])
     for tmean, split in zip(element_means, lumping):
         mass += split @ (material.density.evaluate(tmean) * material.specific_heat.evaluate(tmean))
     return mass

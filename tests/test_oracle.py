@@ -1,4 +1,5 @@
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,11 @@ from fedbht.kernels import ConductionOperator, Variant
 from fedbht.material import PerfusionParams
 from fedbht.mesh import HEX_DN_CENTER, Mesh, precompute
 from fedbht.oracle import (
+    SOLVER_RTOL,
+    CsrMatrix,
+    CsrPattern,
     OracleAssembler,
+    dense_lambda_max,
     brute_force_element_load,
     hex_gauss_rule,
     quadrature_volume,
@@ -316,7 +321,7 @@ def test_mass_from_shared_means_is_the_equal_split(mesh):
     for conn, tmean, split in zip(families, assembler.element_means, lumping, strict=True):
         if conn.shape[1] == 4:  # four terms sum in the same order either way
             assert np.array_equal(tmean, temps[conn].mean(axis=1))
-        share = split[conn[:, 0], np.arange(conn.shape[0])].A1  # V / k of each element
+        share = split.share  # V / k of each element
         rho_c = mat.density.evaluate(tmean) * mat.specific_heat.evaluate(tmean)
         mass += np.bincount(conn.ravel(), weights=np.repeat(rho_c * share, conn.shape[1]),
                             minlength=mesh.n_nodes)
@@ -327,22 +332,143 @@ def test_mass_from_shared_means_is_the_equal_split(mesh):
 
 
 def test_scatter_product_equals_bincount_bitwise():
+    """Each upper-triangle slot sums its a <= b entries in entry order, and
+    K mirrors those sums."""
     mesh = mixed_block()
+    n = mesh.n_nodes
     assembler = OracleAssembler(mesh, anisotropic_material())
-    # the slot of every entry, from the entry-major (row, col) keys
+    # the upper-triangle slot of every a <= b entry, entry-major
     key = np.concatenate([
-        (conn.T.astype(np.int64)[:, None] * mesh.n_nodes + conn.T).ravel()
+        np.minimum(conn[:, a], conn[:, b]).astype(np.int64) * n + np.maximum(conn[:, a], conn[:, b])
         for conn in (mesh.tets, mesh.hexes)
+        for a, b in itertools.combinations_with_replacement(range(conn.shape[1]), 2)
     ])
-    _, slot = np.unique(key, return_inverse=True)
+    upper, slot = np.unique(key, return_inverse=True)
+
+    def mirrored(entries):
+        sums = np.bincount(slot, weights=entries, minlength=upper.size)
+        dense = np.zeros((n, n))
+        dense[upper // n, upper % n] = sums
+        dense[upper % n, upper // n] = sums
+        return dense
+
     rng = np.random.default_rng(60)
     # terms of mixed sign spread over 16 decades: any change of summation
     # order shows in the last bits
     entries = rng.normal(size=key.size) * 10.0 ** rng.uniform(-8, 8, size=key.size)
-    assert np.array_equal(assembler._scatter @ entries,
-                          np.bincount(slot, weights=entries, minlength=slot.max() + 1))
-    k = assembler.stiffness(temps=37.0 + 20.0 * rng.random(mesh.n_nodes))
-    assert np.array_equal(k.data, np.bincount(slot, weights=assembler._entries))
+    sums = assembler._scatter.gathered_sums(np.append(entries, 0.0))
+    assert np.array_equal(CsrMatrix(sums, assembler.pattern).toarray(),
+                          mirrored(entries))
+    k = assembler.stiffness(temps=37.0 + 20.0 * rng.random(n))
+    assert np.array_equal(k.toarray(), mirrored(assembler._entries[:-1]))
+
+
+@pytest.mark.parametrize("material", MEMO_MATERIALS)
+@pytest.mark.parametrize("mesh", MEMO_MESHES)
+def test_stiffness_equals_its_transpose_bitwise(mesh, material):
+    mesh, mat = MEMO_MESHES[mesh](), MEMO_MATERIALS[material]()
+    rng = np.random.default_rng(61)
+    coords = mesh.nodes + 0.02 * rng.normal(size=mesh.nodes.shape)
+    dense = OracleAssembler(mesh, mat).stiffness(
+        coords=coords, temps=37.0 + 20.0 * rng.random(mesh.n_nodes)).toarray()
+    assert np.array_equal(dense, dense.T)
+
+
+def _random_csr(rng, shape, density, rows_by_length):
+    """CSR arrays of a random pattern with empty rows and values over 16
+    decades; the row density falls off with the row, so that many rows
+    miss the longer rows' last slots, and the rows come longest first or
+    shuffled."""
+    row_density = density * np.linspace(2.0, 0.0, shape[0])[:, None]
+    dense = np.where(rng.random(shape) < row_density,
+                     rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape), 0.0)
+    dense[rng.integers(0, shape[0], size=3)] = 0.0
+    lengths = np.count_nonzero(dense, axis=1)
+    dense = dense[np.argsort(-lengths, kind="stable") if rows_by_length
+                  else rng.permutation(shape[0])]
+    rows, cols = np.nonzero(dense)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+    return dense[rows, cols], cols.astype(np.int32), indptr.astype(np.int32)
+
+
+@pytest.mark.parametrize("rows_by_length", [False, True])
+@pytest.mark.parametrize("shape, density", [
+    ((40, 40), 0.3), ((30, 55), 0.3), ((55, 30), 0.3), ((3000, 40), 0.3), ((3000, 40), 0.02),
+])
+def test_csr_matrix_is_bitwise_scipy(shape, density, rows_by_length):
+    """Small patterns add every layer in the padded block; the tall ones
+    add their short layers one by one, the sparser one all of them."""
+    sparse = pytest.importorskip("scipy.sparse")
+    rng = np.random.default_rng(62)
+    data, indices, indptr = _random_csr(rng, shape, density, rows_by_length)
+    assert (CsrPattern(indices, indptr, shape)._height == 0) == (density < 0.1)
+    ours = CsrMatrix(data, CsrPattern(indices, indptr, shape))
+    theirs = sparse.csr_matrix((data, indices, indptr), shape=shape)
+    for _ in range(3):
+        x = rng.normal(size=shape[1]) * 10.0 ** rng.uniform(-8, 8, size=shape[1])
+        assert np.array_equal(ours @ x, theirs @ x)
+    assert np.array_equal(ours.diagonal(), theirs.diagonal())
+    assert np.array_equal(ours.toarray(), theirs.toarray())
+    k = OracleAssembler(mixed_block(), anisotropic_material()).stiffness()
+    x = rng.normal(size=k.shape[1])
+    scipy_k = sparse.csr_matrix((k.data, k.indices, k.indptr), shape=k.shape)
+    assert np.array_equal(k @ x, scipy_k @ x)
+    assert np.array_equal(k.diagonal(), scipy_k.diagonal())
+
+
+@pytest.mark.parametrize("start", ["previous", "zero"])
+def test_conjugate_gradients_is_bitwise_scipy(start):
+    """The oracle's CG against scipy's on the backward replay's reduced
+    system of a mixed block with Dirichlet nodes, through the same matvec."""
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    mesh, mat = mixed_block(), temperature_dependent_material()
+    rng = np.random.default_rng(63)
+    temps = 37.0 + 20.0 * rng.random(mesh.n_nodes)
+    assembler = OracleAssembler(mesh, mat)
+    k = assembler.stiffness(temps=temps)
+    mask = np.zeros(mesh.n_nodes, dtype=bool)
+    mask[[0, 5, 30, 41]] = True
+    reduction = fedbht.oracle._Reduction(assembler.pattern, mask)
+    mass = _oracle_lumped_mass(mat, assembler.element_means, _reference_lumping(mesh))
+    diag = np.take(mass / 0.5, reduction.free)
+    layered = reduction.layered(k)
+
+    def matvec(x):
+        return reduction.free_block.product(layered, x) + diag * x
+
+    fixed = np.zeros(mesh.n_nodes)
+    fixed[mask] = 45.0
+    b = np.take(mass / 0.5 * temps, reduction.free) - reduction.coupling(k, fixed[mask])
+    x0 = np.take(temps, reduction.free) if start == "previous" else np.zeros(b.size)
+    precond = reduction.diagonal(k) + diag
+    ours, info = fedbht.oracle.conjugate_gradients(matvec, b, x0, precond, SOLVER_RTOL)
+    shape = (b.size, b.size)
+    theirs, their_info = linalg.cg(
+        linalg.LinearOperator(shape, matvec=matvec, dtype=np.float64), b, x0=x0,
+        rtol=SOLVER_RTOL, atol=0.0,
+        M=linalg.LinearOperator(shape, matvec=lambda x: x / precond, dtype=np.float64))
+    assert info == their_info == 0
+    assert np.array_equal(ours, theirs)
+    # the replay's matvec is the free x free block of K + C/dt
+    a = k.toarray()[np.ix_(~mask, ~mask)] + np.diag(diag)
+    assert np.linalg.norm(a @ ours - b) <= 10 * SOLVER_RTOL * np.linalg.norm(b)
+
+
+def test_dense_lambda_max_matches_generalized_eigh():
+    linalg = pytest.importorskip("scipy.linalg")
+    mesh = mixed_block()
+    rng = np.random.default_rng(64)
+    k = OracleAssembler(mesh, anisotropic_material()).stiffness(
+        temps=37.0 + 20.0 * rng.random(mesh.n_nodes))
+    mass = 1.0 + rng.random(mesh.n_nodes)
+    perfusion = 0.1 * rng.random(mesh.n_nodes)
+    mask = np.zeros(mesh.n_nodes, dtype=bool)
+    mask[[2, 17]] = True
+    for dirichlet in (None, mask):
+        free = np.ones(mesh.n_nodes, dtype=bool) if dirichlet is None else ~dirichlet
+        a = (k.toarray() + np.diag(perfusion))[np.ix_(free, free)]
+        expected = linalg.eigh(a, np.diag(mass[free]), eigvals_only=True)[-1]
+        assert dense_lambda_max(k, mass, perfusion, dirichlet) == pytest.approx(expected, rel=1e-12)
 
 
 def test_oracle_imports_no_production_element_code():
