@@ -7,9 +7,10 @@ matrix-free production path can be checked against an independent route:
     cross products for tets, centre-point Jacobian for hexes); when given
     deformed coordinates the geometry is simply re-derived from the moved
     nodes, never pulled back through a deformation gradient;
-  * global K is assembled into compressed sparse rows (:class:`CsrMatrix`,
-    numpy only) from each element's upper-triangle entries, so it is
-    exactly symmetric;
+  * global K is assembled, numpy only, from each element's upper-triangle
+    entries, summed per node pair by one bincount and mirrored into padded
+    rows (:class:`Stiffness`), so it is exactly symmetric and its products
+    are bitwise those of compressed sparse rows;
   * reference transients advance the assembled system with forward or
     backward Euler (the latter solved by the oracle's own conjugate
     gradients), re-assembling every step so lagged (Picard) property
@@ -192,168 +193,40 @@ def quadrature_volume(mesh: Mesh) -> float:
 
 
 # --------------------------------------------------------------------------
-# sparse matrices
+# sparse assembly
 
 
-# a leading layer is padded to the full height when it misses at most this
-# many rows: its padding then costs about what a layer of its own costs
-_PADDING_PER_LAYER = 1024
+class Stiffness:
+    """K in padded rows. Column i of the (width, n) tables ``cols`` and
+    ``at`` lists row i's columns in ascending order and where each one's
+    value sits in ``values``, the upper-triangle sums. The padding reads
+    column n and the trailing 0 of ``values``, and so does the diagonal of
+    a node in no element. A product sums each row's terms in column order
+    from 0.0, as a CSR product does; the padding adds +0.0 terms, which
+    change no such sum (it never holds -0.0). So products, the diagonal
+    and the dense copy are bitwise those of a CSR matrix of the same
+    entries."""
 
+    def __init__(self, values: np.ndarray, cols: np.ndarray, at: np.ndarray,
+                 diagonal_at: np.ndarray):
+        self.shape = (cols.shape[1], cols.shape[1])
+        self._cols = cols
+        self._padded = values.take(at)  # the values in the tables' layout, 0 on the padding
+        self._values, self._diagonal_at = values, diagonal_at
 
-class CsrPattern:
-    """The slots of a compressed-sparse-row matrix, with the order in which
-    a product visits them.
-
-    A product adds each row's terms in slot order, starting from 0.0, as a
-    CSR product does. It visits the rows longest first, so layer j (the
-    j-th slot of every row that has more than j) is a prefix of that order.
-    The leading layers that miss few rows are padded to the full height and
-    summed as one (layers, rows) block; each further layer adds as one
-    slice. ``layer_slots`` lists the slots layer by layer, padding
-    included, and ``layer_cols`` their columns, n_cols on the padding. The
-    work arrays of a product are kept for the next one: fresh ones per
-    product can leave enough free heap for malloc to return it to the
-    system and page it in again on the next product.
-
-    A matrix on the pattern stores the values of its slots in slot order,
-    or, given ``at``, slot s reads ``values[at[s]]``.
-    """
-
-    def __init__(self, indices, indptr, shape: tuple[int, int], at=None):
-        self.at = at
-        self.indices = np.asarray(indices)
-        self.indptr = np.asarray(indptr)
-        self.shape = n_rows, n_cols = (int(shape[0]), int(shape[1]))
-        counts = np.diff(self.indptr)
-        widths = n_rows - np.cumsum(np.bincount(counts))[:-1]
-        self._height = int(np.count_nonzero(n_rows - widths <= _PADDING_PER_LAYER))
-        self._widths = widths[self._height:].tolist()
-        # the rows longest first, which only the layers past the padded
-        # block need; without such layers, or already in that order, the
-        # rows keep their order
-        rows = np.argsort(-counts, kind="stable")
-        self._rows = rows if self._widths and np.any(np.diff(rows) != 1) else None
-        rows = np.arange(n_rows) if self._rows is None else rows
-        layer = np.arange(self._height)[:, None]
-        in_row = layer < counts[rows]
-        self.padding = np.flatnonzero(~in_row)
-        self.layer_slots = np.concatenate(
-            [np.where(in_row, self.indptr[rows] + layer, 0).ravel()]
-            + [self.indptr[rows[:w]] + j for j, w in enumerate(self._widths, self._height)]
-        ).astype(np.intp)
-        self.layer_cols = self.indices[self.layer_slots].astype(np.intp)
-        self.layer_cols[self.padding] = n_cols
-        self._layer_values = self.values_of(self.layer_slots)
-        self._acc = np.empty(n_rows)
-        self._terms = None  # the work array of the terms and its layer views, made on first use
-
-    def row_of_slots(self) -> np.ndarray:
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
-    def values_of(self, slots: np.ndarray) -> np.ndarray:
-        """Where the given slots' values sit in a matrix's values."""
-        return slots if self.at is None else self.at[slots]
-
-    def layered(self, values: np.ndarray, positions=None, out=None) -> np.ndarray:
-        """A matrix's slot values in layer order, 0 on the padding; given
-        positions, position i of the layer order reads values[positions[i]]."""
-        positions = self._layer_values if positions is None else positions
-        out = values.take(positions, out=out, mode="clip")
-        out[self.padding] = 0.0
-        return out
-
-    def product(self, layered: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The product with x of the matrix whose values are given in
-        layer order (:meth:`layered`); the padding's terms are 0 * x[-1],
-        which add nothing for finite x."""
-        terms = x.take(self.layer_cols, out=self._work(), mode="clip")
-        np.multiply(layered, terms, out=terms)
-        return self._sums()
-
-    def gathered_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-row sums of values[col] over the slots: the product with
-        values[:n_cols] of the matrix whose slots all hold 1. values ends
-        in a 0, which the padding reads."""
-        values.take(self.layer_cols, out=self._work(), mode="clip")
-        return self._sums()
-
-    def _sums(self) -> np.ndarray:
-        """Per-row sums of the terms in the work array."""
-        n_rows = self.shape[0]
-        out = np.empty(n_rows)
-        acc = out if self._rows is None and not self._widths else self._acc
-        if self._height:
-            np.add.reduce(self._terms[:self._height * n_rows].reshape(-1, n_rows), axis=0,
-                          out=acc, initial=0.0)
-        else:
-            acc.fill(0.0)
-        for head, layer in self._layers:
-            head += layer
-        if acc is not out:
-            out[slice(None) if self._rows is None else self._rows] = acc
-        return out
-
-    def _work(self) -> np.ndarray:
-        if self._terms is None:
-            self._terms = np.empty(self.layer_slots.size)
-            starts = self._height * self.shape[0] + np.cumsum([0] + self._widths)
-            self._layers = [(self._acc[:w], self._terms[start:start + w])
-                            for w, start in zip(self._widths, starts)]
-        return self._terms
-
-
-class CsrMatrix:
-    """A sparse matrix on a :class:`CsrPattern`, its slots' values read
-    from ``values`` as the pattern says; ``data`` holds them in slot order,
-    made on first read when the pattern reads them through ``at``.
-    Products with finite vectors, diagonals and dense copies are bitwise
-    those of a CSR matrix of the same arrays. The first product keeps the
-    values in layer order, so they are not changed in place."""
-
-    def __init__(self, values: np.ndarray, pattern: CsrPattern):
-        self.values = values
-        self.pattern = pattern
-        self._data = values if pattern.at is None else None
-        self._layered = None
-
-    @property
-    def data(self) -> np.ndarray:
-        if self._data is None:
-            self._data = self.values.take(self.pattern.at)
-        return self._data
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.pattern.indices
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.pattern.indptr
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.pattern.shape
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if self._layered is None:
-            self._layered = self.pattern.layered(self.values)
-        return self.pattern.product(self._layered, np.asarray(x, dtype=np.float64))
+    def __matmul__(self, x) -> np.ndarray:
+        terms = np.append(np.asarray(x, dtype=np.float64), 0.0).take(self._cols)
+        terms *= self._padded
+        return np.add.reduce(terms, axis=0, initial=0.0)
 
     def diagonal(self) -> np.ndarray:
-        rows = self.pattern.row_of_slots()
-        on = rows == self.indices
-        out = np.zeros(min(self.shape))
-        out[rows[on]] = self.data[on]
-        return out
+        return self._values[self._diagonal_at]
 
     def toarray(self) -> np.ndarray:
+        real = self._cols < self.shape[0]
         out = np.zeros(self.shape)
-        out[self.pattern.row_of_slots(), self.indices] = self.data
+        out[np.nonzero(real)[1], self._cols[real]] = self._padded[real]
         return out
-
-
-# --------------------------------------------------------------------------
-# sparse assembly
 
 
 class OracleAssembler:
@@ -365,7 +238,8 @@ class OracleAssembler:
     block holds the p-th pair (a, b), in the order of
     combinations_with_replacement, of all e elements. Each entry goes to
     the upper-triangle slot of its two nodes; the sums of those slots, each
-    in entry order, are mirrored into K, so K equals its transpose bitwise.
+    in entry order (a bincount), are mirrored into K, so K equals its
+    transpose bitwise.
 
     The element geometry is derived from the coordinates of a call and
     kept, with a private copy of those coordinates, until a call brings
@@ -388,45 +262,38 @@ class OracleAssembler:
         ]
         if not self._families:
             raise GeometryError("mesh has no elements to assemble")
-        # key of the upper-triangle slot of every entry, entry-major
-        key = np.concatenate([
+        # the upper-triangle slot of every entry, entry-major, numbered in
+        # the order of its row * n + col
+        upper, self._slot = np.unique(np.concatenate([
             _upper_keys(conn_t, a, b, n)
             for conn_t, _ in self._families
             for a, b in itertools.combinations_with_replacement(range(conn_t.shape[0]), 2)
-        ])
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        upper = key[first]
-        del key  # frees the sorted keys before the patterns are built: lower peak memory
-        # the upper slots numbered by their entry count, most first, the
-        # order in which the scatter adds them, so that it need not reorder
-        # its sums; each slot lists its entries in ascending order, so the
-        # sum over a slot runs in entry order
-        counts = np.diff(np.r_[first, order.size])
-        by_count = np.argsort(-counts, kind="stable")
-        counts, upper = counts[by_count], upper[by_count]
-        starts = np.r_[0, np.cumsum(counts)]
-        order = order[np.repeat(first[by_count] - starts[:-1], counts) + np.arange(order.size)]
-        self._scatter = CsrPattern(order, starts, (upper.size, order.size))
-        del order
-        # K's slots: each upper slot and, off the diagonal, its mirror image
+        ]), return_inverse=True)
+        self._n_upper = upper.size
+        # K's slots: each upper slot and, off the diagonal, its mirror
+        # image, in row-major order; slot j of row i goes to place j of
+        # column i of the tables
         rows, cols = upper // n, upper % n
-        off = rows != cols
-        full = np.concatenate([upper, cols[off] * n + rows[off]])
-        order = np.argsort(full)
-        mirror = np.concatenate([np.arange(upper.size), np.flatnonzero(off)])[order]
-        full = full[order]
-        self.pattern = CsrPattern((full % n).astype(np.int32),
-                                  np.searchsorted(full, np.arange(n + 1) * n).astype(np.int32),
-                                  (n, n), at=mirror)
+        on = rows == cols
+        self._diagonal_at = np.full(n, upper.size)
+        self._diagonal_at[rows[on]] = np.flatnonzero(on)
+        key = np.concatenate([upper, cols[~on] * n + rows[~on]])
+        order = np.argsort(key)
+        key = key[order]
+        rows = key // n
+        counts = np.bincount(rows, minlength=n)
+        place = np.arange(key.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        self._cols = np.full((counts.max(), n), n)
+        self._cols[place, rows] = key % n
+        self._at = np.full((counts.max(), n), upper.size)
+        self._at[place, rows] = np.concatenate([np.arange(upper.size), np.flatnonzero(~on)])[order]
         # the arrays of every call are made once: fresh ones per call can
         # leave enough free heap on top for malloc to return it to the
         # system and page it in again on the next call. Per family: the
         # block of entries, the gradients g (3, k, e) and the geometry the
         # entries are scaled from, the g_a . g_b for isotropic tables and g
         # itself for tensor tables
-        self._entries = np.zeros(self._scatter.shape[1] + 1)  # its last 0 is the padding's
+        self._entries = np.empty(self._slot.size)
         self._blocks, self._gradients = [], []
         begin = 0
         for conn_t, _ in self._families:
@@ -440,7 +307,7 @@ class OracleAssembler:
         self._coords = None  # copy of the coordinates the geometry was derived on
         self.element_means: list[np.ndarray] = []
 
-    def stiffness(self, coords: np.ndarray | None = None, temps=None) -> CsrMatrix:
+    def stiffness(self, coords: np.ndarray | None = None, temps=None) -> Stiffness:
         """Assemble K from node positions (default: reference) and the
         temperature field used for property evaluation (default: uniform
         37 C)."""
@@ -463,7 +330,13 @@ class OracleAssembler:
             for i in range(3):
                 q[i] = d[i, 0] * g[0] + d[i, 1] * g[1] + d[i, 2] * g[2]
             np.multiply(_pair_products(g, q, block), weight, out=block)
-        return CsrMatrix(self._scatter.gathered_sums(self._entries), self.pattern)
+        return self._assemble(self._entries)
+
+    def _assemble(self, entries: np.ndarray) -> Stiffness:
+        """K from the a <= b entries; the sums end in the 0 the padding
+        reads."""
+        sums = np.bincount(self._slot, weights=entries, minlength=self._n_upper + 1)
+        return Stiffness(sums, self._cols, self._at, self._diagonal_at)
 
     def mean_temperatures(self, temps) -> list[np.ndarray]:
         """Each element's mean node temperature T̄, per family."""
@@ -550,7 +423,7 @@ def _cross(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
 
 
 def dense_lambda_max(
-    k: CsrMatrix,
+    k: Stiffness,
     lumped_mass: np.ndarray,
     perfusion_diag: np.ndarray,
     dirichlet_mask=None,
@@ -610,60 +483,18 @@ def conjugate_gradients(matvec, b: np.ndarray, x0: np.ndarray, precond_diag: np.
     return x, max_iterations
 
 
-class _Reduction:
-    """The slots of K that the Dirichlet-reduced system reads, fixed by
-    K's pattern and the Dirichlet set: the free x free block, the free
-    rows' Dirichlet columns and the free rows' diagonal. It reads them from
-    K's values as the pattern says, without making K's data."""
+def _free_block(k: Stiffness, free: np.ndarray):
+    """The product with K's free x free block: K's product with x on the
+    free nodes and 0 on the others, on the free rows. Each other column
+    adds a +-0 term to a row's sum, which never holds -0, so the sums are
+    bitwise those of the block's own CSR product."""
+    on_free = np.zeros(k.shape[0])
 
-    def __init__(self, pattern: CsrPattern, dirichlet_mask: np.ndarray):
-        free = ~dirichlet_mask
-        self.free = np.flatnonzero(free)
-        fixed = np.flatnonzero(dirichlet_mask)
-        rank = np.empty(free.size, dtype=np.intp)  # a node's index among its kind
-        rank[self.free] = np.arange(self.free.size)
-        rank[fixed] = np.arange(fixed.size)
-        rows, cols = pattern.row_of_slots(), pattern.indices
-        on_free_row = free[rows]
-        self.free_block, self._free_at = _sub_pattern(
-            on_free_row & free[cols], rows, cols, rank, (self.free.size, self.free.size))
-        self._fixed_block, self._fixed_at = _sub_pattern(
-            on_free_row & ~free[cols], rows, cols, rank, (self.free.size, fixed.size))
-        diagonal = np.flatnonzero(on_free_row & (rows == cols))
-        self._diagonal_rows = rank[rows[diagonal]]
-        self._free_at, self._fixed_at, self._diagonal_at = (
-            pattern.values_of(self._free_at), pattern.values_of(self._fixed_at),
-            pattern.values_of(diagonal))
-        self._layered = np.empty(self._free_at.size)
+    def product(x: np.ndarray) -> np.ndarray:
+        on_free[free] = x
+        return (k @ on_free)[free]
 
-    def layered(self, k: CsrMatrix) -> np.ndarray:
-        """K's free x free block in the block's layer order, 0 on its
-        padding; kept until the next call."""
-        return self.free_block.layered(k.values, self._free_at, out=self._layered)
-
-    def coupling(self, k: CsrMatrix, fixed_temps: np.ndarray) -> np.ndarray:
-        """K's free rows times the Dirichlet values."""
-        return self._fixed_block.product(
-            self._fixed_block.layered(k.values, self._fixed_at), fixed_temps)
-
-    def diagonal(self, k: CsrMatrix) -> np.ndarray:
-        """K's diagonal on the free rows."""
-        out = np.zeros(self.free.size)
-        out[self._diagonal_rows] = k.values[self._diagonal_at]
-        return out
-
-
-def _sub_pattern(selected, rows, cols, rank, shape) -> tuple[CsrPattern, np.ndarray]:
-    """The pattern of the selected slots, rows and columns renumbered by
-    rank, and the slot of each of its layered positions."""
-    slots = np.flatnonzero(selected)
-    counts = np.bincount(rank[rows[slots]], minlength=shape[0])
-    pattern = CsrPattern(rank[cols[slots]], _row_pointers(counts), shape)
-    return pattern, slots[pattern.layer_slots]
-
-
-def _row_pointers(counts) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+    return product
 
 
 def reference_transient(
@@ -707,8 +538,7 @@ def reference_transient(
     fixed_vals = state.dirichlet_values  # zero off the Dirichlet nodes
     fixed = np.flatnonzero(state.dirichlet_mask)
     fixed_temps = fixed_vals[fixed]
-    if scheme == "backward":
-        reduction = _Reduction(assembler.pattern, state.dirichlet_mask)
+    free = np.flatnonzero(~state.dirichlet_mask)
     record = SimulationRecord(
         dt=schedule.dt, n_steps=schedule.n_steps, probe_indices=probes,
         n_elements=mesh.n_elements, update_thermal_mass=update_thermal_mass,
@@ -742,26 +572,28 @@ def reference_transient(
             temps[fixed] = fixed_temps
         else:
             # the free rows of (K + D) T = C/dt T_n + load, D = C/dt + K_b,
-            # with the Dirichlet values moved to the right-hand side
+            # with the Dirichlet values moved to the right-hand side: K's
+            # product with them is 0 off the Dirichlet nodes, so each free
+            # row sums its Dirichlet columns' terms and +-0s
             mass_dt = mass / dt
-            diag = (mass_dt + state.perfusion_diag)[reduction.free]
-            layered = reduction.layered(k)
+            diag = (mass_dt + state.perfusion_diag)[free]
+            free_block = _free_block(k, free)
 
             def matvec(x):
-                y = reduction.free_block.product(layered, x)
+                y = free_block(x)
                 y += diag * x
                 return y
 
-            b = ((mass_dt * temps + load)[reduction.free]
-                 - reduction.coupling(k, fixed_temps))
+            b = (mass_dt * temps + load)[free] - (k @ fixed_vals)[free]
             solution, info = conjugate_gradients(
-                matvec, b, temps[reduction.free], reduction.diagonal(k) + diag,
-                SOLVER_RTOL,
+                matvec, b, temps[free], k.diagonal()[free] + diag, SOLVER_RTOL,
             )
             if info != 0:
-                raise RuntimeError(f"implicit solve failed to converge (info={info})")
+                raise DivergenceError(
+                    f"reference step {step_index} (t = {t_now:.6g} s): the implicit solve "
+                    f"did not converge in {info} iterations")
             temps = fixed_vals.copy()
-            temps[reduction.free] = solution
+            temps[free] = solution
 
         if not np.all(np.isfinite(temps)):
             raise DivergenceError(f"reference step {step_index} (t = {t_now:.6g} s) is non-finite")
@@ -770,54 +602,44 @@ def reference_transient(
     return record
 
 
-def _reference_lumping(mesh: Mesh) -> list["_EqualSplit"]:
-    """Per element family, each element's reference volume split equally
-    over its nodes, from first-principles geometry."""
-    lumping = []
+def _reference_lumping(mesh: Mesh) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
+    """The node count and, per element family, the connectivity and each
+    element's reference volume split equally over its nodes, from
+    first-principles geometry."""
+    families = []
     if mesh.tets.size:
         x = mesh.nodes[mesh.tets]
         det = np.einsum(
             "ei,ei->e", x[:, 1] - x[:, 0], np.cross(x[:, 2] - x[:, 0], x[:, 3] - x[:, 0])
         )
-        lumping.append(_EqualSplit(mesh.tets, (det / 6.0) / 4.0, mesh.n_nodes))
+        families.append((mesh.tets, (det / 6.0) / 4.0))
     if mesh.hexes.size:
         x = mesh.nodes[mesh.hexes]
         jac = np.einsum("eaj,ak->ejk", x, HEX_DN_CENTER)
-        lumping.append(_EqualSplit(mesh.hexes, np.linalg.det(jac), mesh.n_nodes))  # 8 det / 8
-    return lumping
+        families.append((mesh.hexes, np.linalg.det(jac)))  # 8 det / 8
+    return mesh.n_nodes, families
 
 
-class _EqualSplit:
-    """The (n_nodes, e) matrix whose entry (i, e) is ``share[e]`` where
-    node i is a node of element e. Its product with per-element values sums
-    each node's share times value in ascending element order."""
-
-    def __init__(self, conn: np.ndarray, share: np.ndarray, n_nodes: int):
-        flat = conn.ravel()
-        elements = np.argsort(flat, kind="stable") // conn.shape[1]
-        self.incidence = CsrPattern(elements, _row_pointers(np.bincount(flat, minlength=n_nodes)),
-                                    (n_nodes, conn.shape[0]))
-        self.share = share
-        self._terms = np.zeros(share.size + 1)  # share times value, and the padding's 0
-
-    def __matmul__(self, values: np.ndarray) -> np.ndarray:
-        np.multiply(self.share, values, out=self._terms[:-1])
-        return self.incidence.gathered_sums(self._terms)
+def _nodal_sums(lumping, values) -> np.ndarray:
+    """Each node's sum of share times value over its elements, in ascending
+    element order; values holds one per-element array per family."""
+    n_nodes, families = lumping
+    out = np.zeros(n_nodes)
+    for (conn, share), value in zip(families, values):
+        out += np.bincount(conn.ravel(), weights=np.repeat(share * value, conn.shape[1]),
+                           minlength=n_nodes)
+    return out
 
 
 def _reference_node_volumes(lumping) -> np.ndarray:
     """Nodal volumes: the nodal sums of the shares in _reference_lumping."""
-    vols = np.zeros(lumping[0].incidence.shape[0])
-    for split in lumping:
-        vols += split @ np.ones(split.share.size)
-    return vols
+    return _nodal_sums(lumping, itertools.repeat(1.0))
 
 
 def _oracle_lumped_mass(material: MaterialModel, element_means, lumping) -> np.ndarray:
     """Independent equal-split lumping of rho c(T̄) over the reference
     volumes of _reference_lumping; element_means holds each family's T̄
     (:meth:`OracleAssembler.mean_temperatures`)."""
-    mass = np.zeros(lumping[0].incidence.shape[0])
-    for tmean, split in zip(element_means, lumping):
-        mass += split @ (material.density.evaluate(tmean) * material.specific_heat.evaluate(tmean))
-    return mass
+    return _nodal_sums(lumping, [material.density.evaluate(tmean)
+                                 * material.specific_heat.evaluate(tmean)
+                                 for tmean in element_means])

@@ -573,6 +573,15 @@ def test_cli_verify_reference_divergence_exit_code(scenario_path, monkeypatch, c
     assert "diverged: reference step 3 (t = 0.3 s)" in capsys.readouterr().err
 
 
+def test_cli_verify_unconverged_implicit_solve_exit_code(scenario_path, monkeypatch, capsys):
+    from fedbht import oracle
+
+    monkeypatch.setattr(oracle, "conjugate_gradients", lambda matvec, b, x0, *args: (x0, 99))
+    assert cli_main(["verify", scenario_path]) == 3
+    assert ("diverged: reference step 0 (t = 0 s): the implicit solve did not converge "
+            "in 99 iterations") in capsys.readouterr().err
+
+
 def test_cli_verify_refuses_like_run(tmp_path, capsys):
     scene = write_desk_scenario(tmp_path / "fast",
                                 small_params(dt=1000.0, total_time=5000.0,

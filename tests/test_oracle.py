@@ -24,8 +24,6 @@ from fedbht.material import PerfusionParams
 from fedbht.mesh import HEX_DN_CENTER, Mesh, precompute
 from fedbht.oracle import (
     SOLVER_RTOL,
-    CsrMatrix,
-    CsrPattern,
     OracleAssembler,
     dense_lambda_max,
     brute_force_element_load,
@@ -239,9 +237,7 @@ def test_memo_hit_matches_fresh_assembly_bitwise(mesh, material):
     temps = 37.0 + 20.0 * rng.random(mesh.n_nodes)
     held = assembler.stiffness(coords=coords.copy(), temps=temps)
     fresh = OracleAssembler(mesh, mat).stiffness(coords=coords, temps=temps)
-    assert np.array_equal(held.indptr, fresh.indptr)
-    assert np.array_equal(held.indices, fresh.indices)
-    assert np.array_equal(held.data, fresh.data)
+    assert np.array_equal(held.toarray(), fresh.toarray())
 
 
 def test_memo_sees_coordinates_changed_in_place():
@@ -252,8 +248,9 @@ def test_memo_sees_coordinates_changed_in_place():
     before = assembler.stiffness(coords=coords)
     coords *= 1.1  # the caller's own array, moved after the first call
     after = assembler.stiffness(coords=coords)
-    assert not np.array_equal(after.data, before.data)
-    assert np.array_equal(after.data, OracleAssembler(mesh, mat).stiffness(coords=coords).data)
+    assert not np.array_equal(after.toarray(), before.toarray())
+    assert np.array_equal(after.toarray(),
+                          OracleAssembler(mesh, mat).stiffness(coords=coords).toarray())
 
 
 @pytest.mark.parametrize("element", ["tet4", "hex8"])
@@ -274,8 +271,8 @@ def test_bad_coordinates_after_a_memo_hit_are_rejected(element, fault):
     # the failed derivation left no memo behind
     temps = np.linspace(37.0, 60.0, mesh.n_nodes)
     expected = OracleAssembler(mesh, mat).stiffness(coords=mesh.nodes, temps=temps)
-    assert np.array_equal(assembler.stiffness(coords=mesh.nodes, temps=temps).data,
-                          expected.data)
+    assert np.array_equal(assembler.stiffness(coords=mesh.nodes, temps=temps).toarray(),
+                          expected.toarray())
 
 
 @pytest.mark.parametrize("hold", [0.0, 3.0])
@@ -317,11 +314,10 @@ def test_mass_from_shared_means_is_the_equal_split(mesh):
 
     mass = np.zeros(mesh.n_nodes)
     volumes = np.zeros(mesh.n_nodes)
-    families = [conn for conn in (mesh.tets, mesh.hexes) if conn.size]
-    for conn, tmean, split in zip(families, assembler.element_means, lumping, strict=True):
+    # share: V / k of each element of the family
+    for (conn, share), tmean in zip(lumping[1], assembler.element_means, strict=True):
         if conn.shape[1] == 4:  # four terms sum in the same order either way
             assert np.array_equal(tmean, temps[conn].mean(axis=1))
-        share = split.share  # V / k of each element
         rho_c = mat.density.evaluate(tmean) * mat.specific_heat.evaluate(tmean)
         mass += np.bincount(conn.ravel(), weights=np.repeat(rho_c * share, conn.shape[1]),
                             minlength=mesh.n_nodes)
@@ -331,12 +327,11 @@ def test_mass_from_shared_means_is_the_equal_split(mesh):
     assert np.array_equal(_reference_node_volumes(lumping), volumes)
 
 
-def test_scatter_product_equals_bincount_bitwise():
-    """Each upper-triangle slot sums its a <= b entries in entry order, and
-    K mirrors those sums."""
-    mesh = mixed_block()
+def _mirrored(mesh, entries):
+    """The dense K of the a <= b entries: each upper-triangle slot sums its
+    entries in entry order (a bincount) and is mirrored below the
+    diagonal."""
     n = mesh.n_nodes
-    assembler = OracleAssembler(mesh, anisotropic_material())
     # the upper-triangle slot of every a <= b entry, entry-major
     key = np.concatenate([
         np.minimum(conn[:, a], conn[:, b]).astype(np.int64) * n + np.maximum(conn[:, a], conn[:, b])
@@ -344,23 +339,43 @@ def test_scatter_product_equals_bincount_bitwise():
         for a, b in itertools.combinations_with_replacement(range(conn.shape[1]), 2)
     ])
     upper, slot = np.unique(key, return_inverse=True)
+    sums = np.bincount(slot, weights=entries, minlength=upper.size)
+    dense = np.zeros((n, n))
+    dense[upper // n, upper % n] = sums
+    dense[upper % n, upper // n] = sums
+    return dense
 
-    def mirrored(entries):
-        sums = np.bincount(slot, weights=entries, minlength=upper.size)
-        dense = np.zeros((n, n))
-        dense[upper // n, upper % n] = sums
-        dense[upper % n, upper // n] = sums
-        return dense
 
+def _csr_product(dense, x):
+    """A CSR product in plain Python: each row's nonzero terms in column
+    order, summed from 0.0."""
+    out = np.empty(dense.shape[0])
+    for i, row in enumerate(dense):
+        total = 0.0
+        for j in np.flatnonzero(row):
+            total += row[j] * x[j]
+        out[i] = total
+    return out
+
+
+def test_scatter_product_equals_bincount_bitwise():
+    """Each upper-triangle slot sums its a <= b entries in entry order, and
+    K mirrors those sums; its product sums each row in column order."""
+    mesh = mixed_block()
+    n = mesh.n_nodes
+    assembler = OracleAssembler(mesh, anisotropic_material())
     rng = np.random.default_rng(60)
     # terms of mixed sign spread over 16 decades: any change of summation
     # order shows in the last bits
-    entries = rng.normal(size=key.size) * 10.0 ** rng.uniform(-8, 8, size=key.size)
-    sums = assembler._scatter.gathered_sums(np.append(entries, 0.0))
-    assert np.array_equal(CsrMatrix(sums, assembler.pattern).toarray(),
-                          mirrored(entries))
+    entries = rng.normal(size=assembler._entries.size) * 10.0 ** rng.uniform(
+        -8, 8, size=assembler._entries.size)
+    k, dense = assembler._assemble(entries), _mirrored(mesh, entries)
+    assert np.array_equal(k.toarray(), dense)
+    assert np.array_equal(k.diagonal(), np.diag(dense))
+    x = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+    assert np.array_equal(k @ x, _csr_product(dense, x))
     k = assembler.stiffness(temps=37.0 + 20.0 * rng.random(n))
-    assert np.array_equal(k.toarray(), mirrored(assembler._entries[:-1]))
+    assert np.array_equal(k.toarray(), _mirrored(mesh, assembler._entries))
 
 
 @pytest.mark.parametrize("material", MEMO_MATERIALS)
@@ -374,46 +389,56 @@ def test_stiffness_equals_its_transpose_bitwise(mesh, material):
     assert np.array_equal(dense, dense.T)
 
 
-def _random_csr(rng, shape, density, rows_by_length):
-    """CSR arrays of a random pattern with empty rows and values over 16
-    decades; the row density falls off with the row, so that many rows
-    miss the longer rows' last slots, and the rows come longest first or
-    shuffled."""
-    row_density = density * np.linspace(2.0, 0.0, shape[0])[:, None]
-    dense = np.where(rng.random(shape) < row_density,
-                     rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape), 0.0)
-    dense[rng.integers(0, shape[0], size=3)] = 0.0
-    lengths = np.count_nonzero(dense, axis=1)
-    dense = dense[np.argsort(-lengths, kind="stable") if rows_by_length
-                  else rng.permutation(shape[0])]
-    rows, cols = np.nonzero(dense)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
-    return dense[rows, cols], cols.astype(np.int32), indptr.astype(np.int32)
-
-
-@pytest.mark.parametrize("rows_by_length", [False, True])
-@pytest.mark.parametrize("shape, density", [
-    ((40, 40), 0.3), ((30, 55), 0.3), ((55, 30), 0.3), ((3000, 40), 0.3), ((3000, 40), 0.02),
-])
-def test_csr_matrix_is_bitwise_scipy(shape, density, rows_by_length):
-    """Small patterns add every layer in the padded block; the tall ones
-    add their short layers one by one, the sparser one all of them."""
+@pytest.mark.parametrize("coords", ["reference", "displaced"])
+@pytest.mark.parametrize("material", MEMO_MATERIALS)
+@pytest.mark.parametrize("mesh", MEMO_MESHES)
+def test_stiffness_is_bitwise_scipy(mesh, material, coords):
+    """K's product, diagonal and dense copy against scipy's CSR matrix of
+    the same entries."""
     sparse = pytest.importorskip("scipy.sparse")
+    mesh, mat = MEMO_MESHES[mesh](), MEMO_MATERIALS[material]()
     rng = np.random.default_rng(62)
-    data, indices, indptr = _random_csr(rng, shape, density, rows_by_length)
-    assert (CsrPattern(indices, indptr, shape)._height == 0) == (density < 0.1)
-    ours = CsrMatrix(data, CsrPattern(indices, indptr, shape))
-    theirs = sparse.csr_matrix((data, indices, indptr), shape=shape)
+    nodes = mesh.nodes
+    if coords == "displaced":
+        nodes = nodes + 0.02 * rng.normal(size=nodes.shape)
+    assembler = OracleAssembler(mesh, mat)
+    k = assembler.stiffness(coords=nodes, temps=37.0 + 20.0 * rng.random(mesh.n_nodes))
+    theirs = sparse.csr_matrix(_mirrored(mesh, assembler._entries))
     for _ in range(3):
-        x = rng.normal(size=shape[1]) * 10.0 ** rng.uniform(-8, 8, size=shape[1])
-        assert np.array_equal(ours @ x, theirs @ x)
-    assert np.array_equal(ours.diagonal(), theirs.diagonal())
-    assert np.array_equal(ours.toarray(), theirs.toarray())
-    k = OracleAssembler(mixed_block(), anisotropic_material()).stiffness()
-    x = rng.normal(size=k.shape[1])
-    scipy_k = sparse.csr_matrix((k.data, k.indices, k.indptr), shape=k.shape)
-    assert np.array_equal(k @ x, scipy_k @ x)
-    assert np.array_equal(k.diagonal(), scipy_k.diagonal())
+        x = rng.normal(size=mesh.n_nodes) * 10.0 ** rng.uniform(-8, 8, size=mesh.n_nodes)
+        assert np.array_equal(k @ x, theirs @ x)
+    assert np.array_equal(k.diagonal(), theirs.diagonal())
+    assert np.array_equal(k.toarray(), theirs.toarray())
+
+
+def _reduced_system(dirichlet):
+    """K and the lumped mass of a mixed block at a random field, and the
+    mask of the given Dirichlet nodes."""
+    mesh, mat = mixed_block(), temperature_dependent_material()
+    mask = np.zeros(mesh.n_nodes, dtype=bool)
+    mask[dirichlet] = True
+    rng = np.random.default_rng(63)
+    temps = 37.0 + 20.0 * rng.random(mesh.n_nodes)
+    assembler = OracleAssembler(mesh, mat)
+    k = assembler.stiffness(temps=temps)
+    mass = _oracle_lumped_mass(mat, assembler.element_means, _reference_lumping(mesh))
+    return mesh, assembler, k, temps, mass, mask
+
+
+def test_reduced_system_is_bitwise_scipy():
+    """The backward replay's free x free product and its coupling to the
+    Dirichlet values equal scipy's CSR products of K's blocks: the terms
+    of the other columns are +-0 and change no sum."""
+    sparse = pytest.importorskip("scipy.sparse")
+    mesh, assembler, k, _, _, mask = _reduced_system([0, 5, 30, 41, 50])
+    free = np.flatnonzero(~mask)
+    csr = sparse.csr_matrix(_mirrored(mesh, assembler._entries))
+    rng = np.random.default_rng(65)
+    x = rng.normal(size=free.size) * 10.0 ** rng.uniform(-8, 8, size=free.size)
+    assert np.array_equal(fedbht.oracle._free_block(k, free)(x), csr[free][:, free] @ x)
+    dirichlet_values = np.where(mask, 40.0 + rng.random(mesh.n_nodes), 0.0)
+    assert np.array_equal((k @ dirichlet_values)[free],
+                          csr[free][:, mask] @ dirichlet_values[mask])
 
 
 @pytest.mark.parametrize("start", ["previous", "zero"])
@@ -421,26 +446,18 @@ def test_conjugate_gradients_is_bitwise_scipy(start):
     """The oracle's CG against scipy's on the backward replay's reduced
     system of a mixed block with Dirichlet nodes, through the same matvec."""
     linalg = pytest.importorskip("scipy.sparse.linalg")
-    mesh, mat = mixed_block(), temperature_dependent_material()
-    rng = np.random.default_rng(63)
-    temps = 37.0 + 20.0 * rng.random(mesh.n_nodes)
-    assembler = OracleAssembler(mesh, mat)
-    k = assembler.stiffness(temps=temps)
-    mask = np.zeros(mesh.n_nodes, dtype=bool)
-    mask[[0, 5, 30, 41]] = True
-    reduction = fedbht.oracle._Reduction(assembler.pattern, mask)
-    mass = _oracle_lumped_mass(mat, assembler.element_means, _reference_lumping(mesh))
-    diag = np.take(mass / 0.5, reduction.free)
-    layered = reduction.layered(k)
+    _, _, k, temps, mass, mask = _reduced_system([0, 5, 30, 41])
+    free = np.flatnonzero(~mask)
+    diag = (mass / 0.5)[free]
+    free_block = fedbht.oracle._free_block(k, free)
 
     def matvec(x):
-        return reduction.free_block.product(layered, x) + diag * x
+        return free_block(x) + diag * x
 
-    fixed = np.zeros(mesh.n_nodes)
-    fixed[mask] = 45.0
-    b = np.take(mass / 0.5 * temps, reduction.free) - reduction.coupling(k, fixed[mask])
-    x0 = np.take(temps, reduction.free) if start == "previous" else np.zeros(b.size)
-    precond = reduction.diagonal(k) + diag
+    fixed = np.where(mask, 45.0, 0.0)
+    b = (mass / 0.5 * temps)[free] - (k @ fixed)[free]
+    x0 = temps[free] if start == "previous" else np.zeros(b.size)
+    precond = k.diagonal()[free] + diag
     ours, info = fedbht.oracle.conjugate_gradients(matvec, b, x0, precond, SOLVER_RTOL)
     shape = (b.size, b.size)
     theirs, their_info = linalg.cg(
