@@ -1,15 +1,15 @@
 """Microbenchmarks for the element kernels and whole-simulation scaling.
 
 Kernel timings run every formulation variant over a single representative
-tetrahedron, with a warmup phase and batched wall-clock sampling so a mean
-and standard error can be reported per call. The variants take turns batch
-by batch, so a change of the machine's speed while the benchmark runs
-lands on all of them alike instead of flipping the ordering of two
-variants that cost the same. Every call's first load component is folded
-into a checksum to make sure the work is real. Each closure keeps the
-cache its formulation names in the paper's cost study (w B^T for ii, the
-Gram matrix for iv); the operator runs ii and iv through the pullback at
-rest instead, so these timings order the formulations, not the operator.
+tetrahedron, with a warmup phase and batched wall-clock sampling, and
+report each variant's median time per call over the batches. The variants
+take turns batch by batch, so a change of the machine's speed while the
+benchmark runs lands on all of them alike instead of flipping the ordering
+of two variants that cost the same. Every call's first load component is
+folded into a checksum to make sure the work is real. Each closure keeps
+the cache its formulation names in the paper's cost study (w B^T for ii,
+the Gram matrix for iv); the operator runs ii and iv through the pullback
+at rest instead, so these timings order the formulations, not the operator.
 
 The scaling benchmark runs short transient simulations over a ladder of
 block-mesh densities and fits thermal-phase seconds per step against
@@ -68,12 +68,10 @@ class KernelTiming:
     variant: Variant
     reps: int
     batch: int
-    mean_seconds: float
-    stderr_seconds: float
-    checksum: float
-    # over the interleaved batches: a batch slowed by the host moves the
-    # mean of a ~2 us call but not the median
+    # per call, the median over the interleaved batches: a batch slowed by
+    # the host moves the mean of a ~2 us call but not the median
     median_seconds: float
+    checksum: float
 
 
 @dataclass
@@ -92,7 +90,7 @@ def _bench_fixture():
     coords = np.array(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     ) * scale
-    (tets,) = precompute(Mesh(nodes=coords, tets=[[0, 1, 2, 3]])).families
+    (tets,) = precompute(Mesh(nodes=coords, tets=[[0, 1, 2, 3]]))
     grads = tets.grads[0]
     volume = float(tets.weights[0])
 
@@ -191,16 +189,10 @@ def bench_element_kernels(
         for vi, call in enumerate(calls):
             samples[vi, bi], checksum = _time_batch(call, batch)
             checksums[vi] += checksum
-    results = {}
-    for variant, per_batch, checksum in zip(_RUN_ORDER, samples, checksums):
-        per_call = per_batch / batch
-        stderr = float(per_call.std(ddof=1) / np.sqrt(n_batches)) if n_batches > 1 else 0.0
-        results[variant] = KernelTiming(
-            variant=variant, reps=reps, batch=batch,
-            mean_seconds=float(per_call.mean()), stderr_seconds=stderr,
-            checksum=float(checksum), median_seconds=float(np.median(per_call)),
-        )
-    return [results[v] for v in Variant]
+    by = {variant: KernelTiming(variant, reps, batch, float(np.median(per_batch / batch)),
+                                float(checksum))
+          for variant, per_batch, checksum in zip(_RUN_ORDER, samples, checksums)}
+    return [by[v] for v in Variant]
 
 
 def timings_by_variant(timings) -> dict:
@@ -209,17 +201,15 @@ def timings_by_variant(timings) -> dict:
 
 def kernel_report(timings) -> str:
     by = timings_by_variant(timings)
-    lines = ["element kernel timings (per call)"]
+    lines = ["element kernel timings (median per call)"]
     for variant in Variant:
-        t = by[variant]
         lines.append(
             f"  {variant.roman:>3}  {variant.name.lower():<27}"
-            f" {t.mean_seconds * 1e6:9.3f} us"
-            f"  +/- {t.stderr_seconds * 1e6:.3f}"
+            f" {by[variant].median_seconds * 1e6:9.3f} us"
         )
     ratio = (
-        by[Variant.CLASSICAL_ANISO_TEMP_DEP].mean_seconds
-        / by[Variant.DEFORMED_ANISO_TEMP_DEP].mean_seconds
+        by[Variant.CLASSICAL_ANISO_TEMP_DEP].median_seconds
+        / by[Variant.DEFORMED_ANISO_TEMP_DEP].median_seconds
     )
     lines.append(
         f"  cached-classical to deformed ratio: {ratio:.3f}"
@@ -229,15 +219,14 @@ def kernel_report(timings) -> str:
 
 
 def write_kernel_csv(path, timings):
-    """Per-variant timings; ratio is relative to the deformed variant."""
-    base = timings_by_variant(timings)[Variant.DEFORMED_ANISO_TEMP_DEP].mean_seconds
+    """Per-variant median timings; ratio is relative to the deformed variant."""
+    base = timings_by_variant(timings)[Variant.DEFORMED_ANISO_TEMP_DEP].median_seconds
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("variant,mean_ms,stderr_ms,ratio,reps,batch,checksum\n")
+        fh.write("variant,median_ms,ratio,reps,batch,checksum\n")
         for t in timings:
             fh.write(
-                f"{t.variant.roman},{t.mean_seconds * 1e3:.9e},"
-                f"{t.stderr_seconds * 1e3:.9e},{t.mean_seconds / base:.6f},"
-                f"{t.reps},{t.batch},{t.checksum:.9e}\n"
+                f"{t.variant.roman},{t.median_seconds * 1e3:.9e},"
+                f"{t.median_seconds / base:.6f},{t.reps},{t.batch},{t.checksum:.9e}\n"
             )
 
 

@@ -62,17 +62,17 @@ from .material import (
     PropertyTable,
     TensorPropertyTable,
 )
-from .mesh import ElementPrecomp, Mesh, load_node_set, parse_mesh, precompute
+from .mesh import ElementFamily, Mesh, load_node_set, parse_mesh, precompute
 
 
 @dataclass
 class ScenarioConfig:
-    """A validated scenario. precomp is the mesh's reference precompute,
-    made once while loading (it is also the check that rejects inverted
-    elements) and shared by everything that runs the scenario."""
+    """A validated scenario. precomp is the mesh's element families, made
+    once while loading (``precompute`` is also the check that rejects
+    inverted elements) and shared by everything that runs the scenario."""
 
     mesh: Mesh
-    precomp: ElementPrecomp
+    precomp: tuple[ElementFamily, ...]
     material: MaterialModel
     perfusion: PerfusionParams
     boundary: BoundaryConditions

@@ -40,7 +40,7 @@ from .errors import (ConflictError, DivergenceError, SingularDeformationError,
                      StabilityError, TopologyError)
 from .kernels import ConductionOperator, Variant
 from .material import MaterialModel, PerfusionParams
-from .mesh import ElementPrecomp, Mesh
+from .mesh import ElementFamily, Mesh
 from .stability import StabilityEstimate
 
 # Fire events/snapshots whose time is within this of the current step time.
@@ -244,16 +244,16 @@ def resolve_update_thermal_mass(material: MaterialModel,
     return update_thermal_mass
 
 
-def node_volumes(mesh: Mesh, precomp: ElementPrecomp) -> np.ndarray:
+def node_volumes(mesh: Mesh, families: tuple[ElementFamily, ...]) -> np.ndarray:
     """Equal-split nodal volumes: tet V/4 per node, hex 8 det(J0)/8."""
-    return _equal_split(mesh, precomp, 1.0)
+    return _equal_split(mesh, families, 1.0)
 
 
-def _equal_split(mesh: Mesh, precomp: ElementPrecomp, factor: float) -> np.ndarray:
+def _equal_split(mesh: Mesh, families: tuple, factor: float) -> np.ndarray:
     """Nodal sums of factor times each element's weight, shared equally
     among the element's nodes."""
     out = np.zeros(mesh.n_nodes)
-    for family in precomp.families:
+    for family in families:
         npe = family.conn.shape[1]
         share = np.repeat((factor * family.weights) / npe, npe)
         out += np.bincount(family.conn.ravel(), weights=share, minlength=mesh.n_nodes)
@@ -262,7 +262,7 @@ def _equal_split(mesh: Mesh, precomp: ElementPrecomp, factor: float) -> np.ndarr
 
 def build_thermal_state(
     mesh: Mesh,
-    precomp: ElementPrecomp,
+    families: tuple[ElementFamily, ...],
     material: MaterialModel,
     perfusion: PerfusionParams,
     bc: BoundaryConditions,
@@ -276,7 +276,7 @@ def build_thermal_state(
     t0 = float(initial_temperature)
     rho_c = material.density.evaluate(t0) * material.specific_heat.evaluate(t0)
     return thermal_state_from_volumes(
-        node_volumes(mesh, precomp), _equal_split(mesh, precomp, rho_c),
+        node_volumes(mesh, families), _equal_split(mesh, families, rho_c),
         perfusion, bc, initial_temperature,
     )
 
@@ -389,7 +389,7 @@ def step(state: ThermalState, loads: np.ndarray, dt: float,
 
 def run(
     mesh: Mesh,
-    precomp: ElementPrecomp,
+    families: tuple[ElementFamily, ...],
     material: MaterialModel,
     perfusion: PerfusionParams,
     bc: BoundaryConditions,
@@ -410,9 +410,9 @@ def run(
     where and why, and a mid-run stop keeps the last good field as a
     snapshot.
     """
-    state = build_thermal_state(mesh, precomp, material, perfusion, bc, initial_temperature)
+    state = build_thermal_state(mesh, families, material, perfusion, bc, initial_temperature)
     operator = ConductionOperator(
-        mesh, precomp, material, variant, reference_temperature=initial_temperature,
+        mesh, families, material, variant, reference_temperature=initial_temperature,
     )
     if provider is None:
         provider = IdentityDeformation()

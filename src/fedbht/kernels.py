@@ -80,7 +80,7 @@ import numpy as np
 from .deformation import DET_FLOOR, DeformationState
 from .errors import SingularDeformationError
 from .material import MaterialModel
-from .mesh import ElementPrecomp, Mesh
+from .mesh import ElementFamily, Mesh
 
 
 class Variant(Enum):
@@ -157,7 +157,7 @@ class ConductionOperator:
     """Matrix-free conduction operator for one mesh/material/variant.
 
     Build once per run; :meth:`apply` evaluates the global load vector
-    K(T) @ T; ``mesh`` gives only the node count, ``precomp`` the geometry.
+    K(T) @ T; ``mesh`` gives only the node count, ``families`` the geometry.
     Variants iii and v apply a frozen per-element 3x3 A_e; i, ii and iv run
     the pullback from a geometry memo (Q = F^-T J^-T and weight * det F)
     built at the reference configuration. Only variant i reads the
@@ -170,7 +170,7 @@ class ConductionOperator:
     def __init__(
         self,
         mesh: Mesh,
-        precomp: ElementPrecomp,
+        families: tuple[ElementFamily, ...],
         material: MaterialModel,
         variant: Variant,
         reference_temperature: float = 37.0,
@@ -184,7 +184,7 @@ class ConductionOperator:
 
         d0 = material.conductivity_matrix(self.reference_temperature)
         self._blocks = []
-        for family in precomp.families:
+        for family in families:
             n, npe = family.conn.shape
             # z = sum_a dn[a] (x_a - x_0) and mean = x_0 + sum_a (x_a - x_0) / k
             forward = np.zeros((4, npe))

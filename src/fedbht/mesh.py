@@ -17,15 +17,15 @@ seen from +z), nodes 4-7 the top face directly above them.
 Node-set files carry one zero-based node index per line.
 
 A Mesh checks on construction that coordinates are finite and indices in
-range. :func:`precompute` keeps each family's Jacobians J and weights
-and checks that every element has positive measure (signed tet volume,
-centre-point Jacobian determinant for hexes);
-:func:`load_mesh` and ``blockmesh.make_block_mesh`` call it, other meshes
-are checked when first precomputed. :func:`parse_mesh` reads a file
+range. :func:`precompute` returns one ElementFamily per non-empty family,
+holding its Jacobians J and weights, and checks that every element has
+positive measure (signed tet volume, centre-point Jacobian determinant for
+hexes); :func:`load_mesh` and ``blockmesh.make_block_mesh`` call it, other
+meshes are checked when first precomputed. :func:`parse_mesh` reads a file
 without that check, for callers that precompute the mesh next and keep
-the result (``config.load_scenario``). Its sections, and the keyframes of
-``deformation.load_trajectory``, go through :func:`read_rows`, which
-converts a section with one numpy call.
+the families (``config.load_scenario``). Its sections, node-set files and
+the keyframes of ``deformation.load_trajectory`` share one row reader,
+:func:`read_rows`, which converts a section with one numpy call.
 
 What differs between element families (nodes per element, derivatives at
 the integration point, weight, degenerate check, file keyword, VTK cell
@@ -94,7 +94,7 @@ class ElementType(NamedTuple):
         return self.dn.shape[0]
 
 
-# Every supported family, in the order of ElementPrecomp.families, mesh
+# Every supported family, in the order of precompute's families, mesh
 # files and VTK cells.
 ELEMENT_TYPES = (
     ElementType("tet4", "tets", TET_DN, 6.0, 1.0, "volume", 10),
@@ -182,20 +182,9 @@ class ElementFamily(NamedTuple):
         return np.linalg.solve(self.jac.transpose(0, 2, 1), self.dn.T[np.newaxis])
 
 
-@dataclass
-class ElementPrecomp:
-    """Reference-configuration factors shared by every formulation:
-    one ElementFamily per non-empty family, tet4 first."""
-
-    families: tuple
-
-    @property
-    def total_volume(self) -> float:
-        return float(sum(family.weights.sum() for family in self.families))
-
-
-def precompute(mesh: Mesh) -> ElementPrecomp:
-    """Compute the element map Jacobians and integration weights.
+def precompute(mesh: Mesh) -> tuple[ElementFamily, ...]:
+    """Compute the element map Jacobians and integration weights: one
+    ElementFamily per non-empty family, tet4 first.
 
     Raises GeometryError (naming the family, element index and value) for
     any element whose measure is non-positive or degenerate.
@@ -213,7 +202,7 @@ def precompute(mesh: Mesh) -> ElementPrecomp:
             )
         families.append(ElementFamily(
             etype.kind, conn, etype.dn, jac, etype.weight_factor * measure))
-    return ElementPrecomp(families=tuple(families))
+    return tuple(families)
 
 
 def load_mesh(path) -> Mesh:
@@ -341,25 +330,22 @@ def write_mesh(path, mesh: Mesh):
 
 
 def load_node_set(path, n_nodes: int) -> np.ndarray:
-    """Parse a node-set file: one zero-based node index per line."""
-    indices = []
+    """Parse a node-set file, one zero-based node index per line, through
+    :func:`read_rows`; returns the indices sorted, duplicates merged."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                value = int(text)
-            except ValueError:
-                raise MeshFormatError(
-                    f"invalid node index {text!r}", lineno
-                ) from None
-            if value < 0 or value >= n_nodes:
-                raise MeshFormatError(
-                    f"node index {value} outside [0, {n_nodes})", lineno
-                )
-            indices.append(value)
-    return np.array(sorted(set(indices)), dtype=np.intp)
+        lines = fh.readlines()
+    indices = read_rows(lines, 0, len(lines), 1, np.intp,
+                        "node index", "node index per line")[0].ravel()
+    bad = (indices < 0) | (indices >= n_nodes)
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        # the row's own line: comments and blank lines hold no row
+        lineno = [i for i, line in enumerate(lines, start=1)
+                  if line.split("#", 1)[0].strip()][row]
+        raise MeshFormatError(
+            f"node index {indices[row]} outside [0, {n_nodes})", lineno)
+    # sorted(set()) and not np.unique, which imports numpy.ma
+    return np.array(sorted(set(indices.tolist())), dtype=np.intp)
 
 
 def write_node_set(path, indices):

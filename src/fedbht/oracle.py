@@ -61,30 +61,10 @@ from .mesh import HEX_DN_CENTER, Mesh
 # --------------------------------------------------------------------------
 # quadrature rules
 
-# Keast 4-point rule, degree 2, barycentric coordinates.
-_TET_A = 0.5854101966249685
-_TET_B = 0.1381966011250105
-
-_TET_RULES = {
-    1: (np.full((1, 4), 0.25), np.array([1.0])),
-    # symmetric two-point rule, degree 1: points average to the centroid
-    2: (
-        np.array([
-            [0.5, 1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0],
-            [0.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-        ]),
-        np.array([0.5, 0.5]),
-    ),
-    4: (
-        np.array([
-            [_TET_A, _TET_B, _TET_B, _TET_B],
-            [_TET_B, _TET_A, _TET_B, _TET_B],
-            [_TET_B, _TET_B, _TET_A, _TET_B],
-            [_TET_B, _TET_B, _TET_B, _TET_A],
-        ]),
-        np.full(4, 0.25),
-    ),
-}
+# Tet rule weights: the centroid, a symmetric two-point rule (degree 1) and
+# the Keast four-point rule (degree 2). A linear tet's integrand is
+# constant, so its points never enter a sum and only the weights are kept.
+_TET_WEIGHTS = {1: np.array([1.0]), 2: np.array([0.5, 0.5]), 4: np.full(4, 0.25)}
 
 _GAUSS_1D = {
     1: (np.array([0.0]), np.array([2.0])),
@@ -136,9 +116,9 @@ def brute_force_element_load(coords, conductivity, temps, n_points: int) -> np.n
     d = np.asarray(conductivity, dtype=np.float64)
 
     if coords.shape == (4, 3):
-        if n_points not in _TET_RULES:
+        if n_points not in _TET_WEIGHTS:
             raise ValueError(f"tet rule must have 1, 2 or 4 points, got {n_points}")
-        _, weights = _TET_RULES[n_points]
+        weights = _TET_WEIGHTS[n_points]
         # gradients from the [1 | x y z] matrix: rows 1..3 of its inverse
         m = np.hstack([np.ones((4, 1)), coords])
         det = np.linalg.det(m)
@@ -180,8 +160,7 @@ def quadrature_volume(mesh: Mesh) -> float:
         coords = mesh.nodes[mesh.tets]
         m = np.concatenate([np.ones(coords.shape[:2] + (1,)), coords], axis=2)
         dets = np.linalg.det(m)
-        _, weights = _TET_RULES[4]
-        total += float((dets / 6.0).sum() * weights.sum())
+        total += float((dets / 6.0).sum() * _TET_WEIGHTS[4].sum())
     if mesh.hexes.size:
         pts, wts = hex_gauss_rule(8)
         coords = mesh.nodes[mesh.hexes]

@@ -58,9 +58,9 @@ def test_scenario_roundtrip(scenario_path):
     assert cfg.schedule.events == ((2.5, "source_off"),)
     assert cfg.mesh.n_nodes == 7 ** 3
     assert cfg.mesh.tets.shape[0] == 6 * 6 ** 3
-    (tets,) = cfg.precomp.families
+    (tets,) = cfg.precomp
     assert tets.conn is cfg.mesh.tets
-    assert cfg.precomp.total_volume == pytest.approx(0.06 ** 3)
+    assert float(sum(f.weights.sum() for f in cfg.precomp)) == pytest.approx(0.06 ** 3)
     assert cfg.material.isotropic
     assert cfg.material.conductivity.evaluate(37.0) == pytest.approx(0.53)
     assert cfg.perfusion.w_b == 0.0
@@ -190,6 +190,18 @@ def test_scenario_faults_exit_2_naming_their_field(scenario_path, tmp_path, caps
     out = tmp_path / "o"
     assert cli_main(["run", path, "--out", str(out)]) == 2
     assert f"error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, line", [("0\nx\n", 2), ("# wall\n\n999\n", 3), ("0 1\n", 1)])
+def test_bad_node_set_exits_2_naming_its_set(scenario_path, tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.nodes"
+    bad.write_text(text)
+    path = rewrite(scenario_path, tmp_path,
+                   lambda doc: doc["node_sets"].update(vessel_wall=str(bad)))
+    out = tmp_path / "o"
+    assert cli_main(["run", path, "--out", str(out)]) == 2
+    assert f"error: node_sets.vessel_wall: line {line}: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -328,21 +340,22 @@ def test_cli_precomputes_the_mesh_once(scenario_path, tmp_path, command, expecte
 
 
 # Runs one CLI command in a fresh interpreter and prints, as the last line,
-# its exit code and the scipy and oracle modules it left loaded.
+# its exit code and the scipy, numpy.ma and oracle modules it left loaded.
 _IMPORT_PROBE = """
 import json, sys
 from fedbht.cli import main
 code = main(sys.argv[1:])
-loaded = sorted(m for m in sys.modules
-                if m == "fedbht.oracle" or m == "scipy" or m.startswith("scipy."))
+loaded = sorted(m for m in sys.modules if m in ("fedbht.oracle", "scipy", "numpy.ma")
+                or m.startswith(("scipy.", "numpy.ma.")))
 print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
 @pytest.mark.parametrize("command", ["run", "stability", "verify"])
 def test_cli_never_loads_scipy(scenario_path, tmp_path, command):
-    """The oracle is numpy only: no command loads scipy, and verify still
-    loads the oracle (lazily, so run and stability do not)."""
+    """The oracle is numpy only: no command loads scipy, no command loads
+    numpy.ma (np.unique without return_inverse would, at about 5 ms), and
+    verify still loads the oracle (lazily, so run and stability do not)."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(fedbht.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -92,7 +92,7 @@ def test_node_volumes_tile_mesh():
     mesh = random_tet_mesh(n_cells=2, seed=6, jitter=0.2)
     pre = precompute(mesh)
     vols = node_volumes(mesh, pre)
-    assert vols.sum() == pytest.approx(pre.total_volume, rel=1e-12)
+    assert vols.sum() == pytest.approx(float(sum(f.weights.sum() for f in pre)), rel=1e-12)
     assert np.all(vols > 0)
 
 
@@ -102,7 +102,7 @@ def test_lumped_mass_splits_like_node_volumes():
     mesh = mixed_block()
     pre = precompute(mesh)
     vols = node_volumes(mesh, pre)
-    assert vols.sum() == pytest.approx(pre.total_volume, rel=1e-12)
+    assert vols.sum() == pytest.approx(float(sum(f.weights.sum() for f in pre)), rel=1e-12)
     mass = initial_mass(mesh, pre, make_material(rho=1024.0, c=4096.0))
     np.testing.assert_array_equal(mass, 1024.0 * 4096.0 * vols)
     mass = initial_mass(mesh, pre, make_material())

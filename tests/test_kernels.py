@@ -78,7 +78,7 @@ def _reference_loads(mesh, pre, material, temps, property_temp=None, disp=None):
     on the displaced geometry W = F^-T G with weight w det F when disp is
     given; D at property_temp, or at each element's mean temperature."""
     out = np.zeros(mesh.n_nodes)
-    for family in pre.families:
+    for family in pre:
         x = temps[family.conn]
         tmean = x.mean(axis=1) if property_temp is None else np.full(len(x), property_temp)
         k = material.conductivity.evaluate(tmean)

@@ -21,7 +21,7 @@ from conftest import mixed_block, random_tet_mesh
 
 def test_unit_tet_volume_and_gradients(unit_tet):
     mesh, pre = unit_tet
-    (tets,) = pre.families
+    (tets,) = pre
     assert tets.weights[0] == pytest.approx(1.0 / 6.0, rel=1e-15)
     expected = np.array([[-1.0, 1.0, 0.0, 0.0],
                          [-1.0, 0.0, 1.0, 0.0],
@@ -31,15 +31,15 @@ def test_unit_tet_volume_and_gradients(unit_tet):
 
 def test_unit_cube_hex_jacobian(unit_cube_hex):
     _, pre = unit_cube_hex
-    (hexes,) = pre.families
+    (hexes,) = pre
     assert hexes.weights[0] == pytest.approx(8.0 * 0.125, rel=1e-14)
-    assert pre.total_volume == pytest.approx(1.0, rel=1e-14)
+    assert float(sum(f.weights.sum() for f in pre)) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_shape_gradients_kill_constants(unit_tet):
     # gradients of the partition of unity sum to zero
     _, pre = unit_tet
-    np.testing.assert_allclose(pre.families[0].grads[0].sum(axis=1), 0.0, atol=1e-14)
+    np.testing.assert_allclose(pre[0].grads[0].sum(axis=1), 0.0, atol=1e-14)
 
 
 def test_gradients_reproduce_linear_field():
@@ -47,7 +47,7 @@ def test_gradients_reproduce_linear_field():
     pre = precompute(mesh)
     coeff = np.array([0.3, -1.2, 2.5])
     field = mesh.nodes @ coeff
-    grads = np.einsum("eka,ea->ek", pre.families[0].grads, field[mesh.tets])
+    grads = np.einsum("eka,ea->ek", pre[0].grads, field[mesh.tets])
     np.testing.assert_allclose(grads, np.broadcast_to(coeff, grads.shape),
                                rtol=1e-11, atol=1e-12)
 
@@ -55,8 +55,9 @@ def test_gradients_reproduce_linear_field():
 def test_block_mesh_tiles_the_box():
     mesh = random_tet_mesh(n_cells=3, seed=1, jitter=0.2, lengths=(0.2, 0.3, 0.1))
     pre = precompute(mesh)
-    assert np.all(pre.families[0].weights > 0)
-    assert pre.total_volume == pytest.approx(0.2 * 0.3 * 0.1, rel=1e-12)
+    assert np.all(pre[0].weights > 0)
+    volume = float(sum(f.weights.sum() for f in pre))
+    assert volume == pytest.approx(0.2 * 0.3 * 0.1, rel=1e-12)
 
 
 def test_block_mesh_connectivity_by_hand():
@@ -124,7 +125,8 @@ def test_mixed_mesh_element_count(unit_tet, unit_cube_hex):
                 hexes=(np.arange(8, dtype=np.intp) + 4).reshape(1, 8))
     assert mesh.n_elements == 2
     pre = precompute(mesh)
-    assert pre.total_volume == pytest.approx(1.0 / 6.0 + 1.0, rel=1e-13)
+    volume = float(sum(f.weights.sum() for f in pre))
+    assert volume == pytest.approx(1.0 / 6.0 + 1.0, rel=1e-13)
 
 
 def test_degenerate_tet_reports_element_index():
@@ -167,16 +169,16 @@ def test_degenerate_thresholds_per_family(unit_tet, unit_cube_hex):
 def test_families_in_table_order(unit_cube_hex):
     mixed = mixed_block()
     pre = precompute(mixed)
-    assert tuple(f.kind for f in pre.families) == ("tet4", "hex8")
-    assert pre.families[0].conn is mixed.tets and pre.families[1].conn is mixed.hexes
-    for family in pre.families:
+    assert tuple(f.kind for f in pre) == ("tet4", "hex8")
+    assert pre[0].conn is mixed.tets and pre[1].conn is mixed.hexes
+    for family in pre:
         n, k = family.conn.shape
         assert family.grads.shape == (n, 3, k) and family.weights.shape == (n,)
         jac = np.einsum("eaj,ak->ejk", mixed.nodes[family.conn], family.dn)
         np.testing.assert_array_equal(family.jac, jac)
     hex_only = precompute(unit_cube_hex[0])
-    assert tuple(f.kind for f in hex_only.families) == ("hex8",)
-    assert precompute(Mesh(nodes=np.zeros((1, 3)))).families == ()
+    assert tuple(f.kind for f in hex_only) == ("hex8",)
+    assert precompute(Mesh(nodes=np.zeros((1, 3)))) == ()
 
 
 def test_connectivity_width_is_checked():
@@ -301,3 +303,31 @@ def test_node_set_range_check(tmp_path):
     path.write_text("0\n99\n")
     with pytest.raises(MeshFormatError, match="line 2"):
         load_node_set(path, 10)
+
+
+def test_node_set_comments_blanks_and_duplicates(tmp_path):
+    path = tmp_path / "set.nodes"
+    path.write_text("# vessel wall\n\n7\n3  # inlet\n   \n7\n0 #\n")
+    back = load_node_set(path, 10)
+    assert back.dtype == np.intp
+    np.testing.assert_array_equal(back, [0, 3, 7])
+    path.write_text("# nothing but a comment\n\n")
+    assert load_node_set(path, 10).shape == (0,)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("0\n# note\nx\n", 3, "invalid node index 'x'"),
+    ("0\n\n1.5\n", 3, "invalid node index '1.5'"),
+    ("0\n1 2\n", 2, "expected 1 node index per line, got 2"),
+    ("# head\n\n0\n-1\n", 4, "node index -1 outside [0, 10)"),
+    # the row's real line, not its index + 1, nor a line whose text reads 12
+    ("5\n\n# 12\n012\n", 4, "node index 12 outside [0, 10)"),
+    ("0\n# 10\n\n10\n", 4, "node index 10 outside [0, 10)"),
+])
+def test_node_set_faults_name_their_line(tmp_path, text, line, message):
+    path = tmp_path / "set.nodes"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError) as info:
+        load_node_set(path, 10)
+    assert str(info.value) == f"line {line}: {message}"
+    assert info.value.line == line
