@@ -54,7 +54,7 @@ from .metrics import (
     normalized_error,
     total_relative_error,
 )
-from .stability import StabilityEstimate, estimate_critical_dt, power_iteration
+from .stability import StabilityEstimate, estimate_critical_dt, lanczos_lambda_max
 
 __all__ = [
     "__version__",
@@ -92,12 +92,12 @@ __all__ = [
     "build_thermal_state",
     "compare_snapshots",
     "estimate_critical_dt",
+    "lanczos_lambda_max",
     "load_mesh",
     "load_node_set",
     "load_scenario",
     "load_trajectory",
     "normalized_error",
-    "power_iteration",
     "precompute",
     "run",
     "total_relative_error",

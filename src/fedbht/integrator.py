@@ -403,7 +403,7 @@ def run(
 ) -> SimulationRecord:
     """Drive the explicit transient and collect snapshots and probes.
 
-    Unless dt_override is set, the power-iteration critical step is
+    Unless dt_override is set, the Lanczos critical step is
     estimated at t = 0, kept as ``record.stability`` and judged by
     :func:`stability.guard_time_step`. The record is returned also when
     one of STOP_KINDS stops the run: ``record.outcome`` then says how,

@@ -411,7 +411,7 @@ def dense_lambda_max(
 
     C is diagonal, so the generalized problem is the ordinary one of
     C^{-1/2}(K + K_b)C^{-1/2}. Only viable for small systems; used to
-    validate the power iteration.
+    validate the Lanczos estimate.
     """
     a = k.toarray() + np.diag(perfusion_diag)
     mass = np.asarray(lumped_mass, dtype=np.float64)

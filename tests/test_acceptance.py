@@ -162,7 +162,7 @@ def test_bundled_scenario_matches_implicit_reference_within_tolerance(verdict, t
 
 
 def test_spectral_estimate_matches_dense_and_brackets_stability(verdict):
-    """Power iteration agrees with a dense eigensolve within 1 percent and
+    """The Lanczos estimate agrees with a dense eigensolve within 1 percent and
     the estimated critical step separates bounded from divergent runs."""
     t0 = time.perf_counter()
     mesh = random_tet_mesh(n_cells=4, seed=31, jitter=0.15, lengths=(0.04,) * 3)

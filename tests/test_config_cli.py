@@ -340,13 +340,15 @@ def test_cli_precomputes_the_mesh_once(scenario_path, tmp_path, command, expecte
 
 
 # Runs one CLI command in a fresh interpreter and prints, as the last line,
-# its exit code and the scipy, numpy.ma and oracle modules it left loaded.
+# its exit code and the scipy, numpy.ma, numpy.random and oracle modules it
+# left loaded.
 _IMPORT_PROBE = """
 import json, sys
 from fedbht.cli import main
 code = main(sys.argv[1:])
-loaded = sorted(m for m in sys.modules if m in ("fedbht.oracle", "scipy", "numpy.ma")
-                or m.startswith(("scipy.", "numpy.ma.")))
+loaded = sorted(m for m in sys.modules
+                if m in ("fedbht.oracle", "scipy", "numpy.ma", "numpy.random")
+                or m.startswith(("scipy.", "numpy.ma.", "numpy.random.")))
 print(json.dumps({"code": code, "loaded": loaded}))
 """
 
@@ -354,7 +356,8 @@ print(json.dumps({"code": code, "loaded": loaded}))
 @pytest.mark.parametrize("command", ["run", "stability", "verify"])
 def test_cli_never_loads_scipy(scenario_path, tmp_path, command):
     """The oracle is numpy only: no command loads scipy, no command loads
-    numpy.ma (np.unique without return_inverse would, at about 5 ms), and
+    numpy.ma (np.unique without return_inverse would, at about 5 ms) or
+    numpy.random (the stability estimate starts from a fixed vector), and
     verify still loads the oracle (lazily, so run and stability do not)."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(fedbht.__file__)))
@@ -428,7 +431,7 @@ def test_run_report_and_direct_call_make_one_estimate(scenario_path, tmp_path, m
 
 def test_unconverged_stability_estimate_is_flagged(scenario_path, tmp_path, monkeypatch,
                                                  caplog, capsys):
-    # three power iterations cannot meet the tolerance; such an estimate
+    # three Lanczos steps cannot meet the tolerance; such an estimate
     # errs on the unsafe side, so the log, the manifest and the stability
     # report must all say it did not converge
     monkeypatch.setattr(stability, "estimate_critical_dt",
