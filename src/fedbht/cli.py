@@ -28,8 +28,7 @@ import os
 import sys
 import time
 
-from . import __version__, bench, metrics, output, stability
-from .blockmesh import BlockSceneParams, write_desk_scenario
+from . import __version__, metrics, output, stability
 from .config import ScenarioConfig, load_scenario
 from .errors import FedbhtError
 from .integrator import STOP_KINDS, build_thermal_state, run
@@ -157,12 +156,17 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # only bench and make-mesh load fedbht.bench and fedbht.blockmesh
+    from . import bench
+
+    reps = bench.DEFAULT_REPS if args.reps is None else args.reps
+    batch = bench.DEFAULT_BATCH if args.batch is None else args.batch
     run_kernels = args.kernels or not args.simulation
     run_simulation = args.simulation or not args.kernels
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     if run_kernels:
-        timings = bench.bench_element_kernels(reps=args.reps, batch=args.batch)
+        timings = bench.bench_element_kernels(reps=reps, batch=batch)
         print(bench.kernel_report(timings))
         if args.out:
             bench.write_kernel_csv(os.path.join(args.out, "kernels.csv"), timings)
@@ -178,6 +182,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_make_mesh(args) -> int:
+    from .blockmesh import BlockSceneParams, write_desk_scenario
+
     params = BlockSceneParams()
     if args.cells is not None:
         params.nx = params.ny = params.nz = args.cells
@@ -244,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="only the element-kernel timings")
     p_bench.add_argument("--simulation", action="store_true",
                          help="only the mesh-scaling benchmark")
-    p_bench.add_argument("--reps", type=int, default=bench.DEFAULT_REPS)
-    p_bench.add_argument("--batch", type=int, default=bench.DEFAULT_BATCH)
+    p_bench.add_argument("--reps", type=int)  # None: bench.DEFAULT_REPS
+    p_bench.add_argument("--batch", type=int)  # None: bench.DEFAULT_BATCH
     p_bench.add_argument("--steps", type=int, default=40)
     p_bench.add_argument("--densities", type=int, nargs="+",
                          default=[6, 8, 10, 12],

@@ -23,6 +23,8 @@ it, the conduction operator, the only lumping of a general field, lumps it
 anew in every step from the element means of the same gather that feeds
 the conduction loads (its ``mass`` output). The update then adds the
 sources precombined once per heater state and allocates only the new field.
+:func:`run` computes dt/C once when the mass is frozen, and again after
+every operator call that updates the mass.
 """
 
 from __future__ import annotations
@@ -358,15 +360,18 @@ def thermal_state_from_volumes(
 
 def step(state: ThermalState, loads: np.ndarray, dt: float,
          step_index: int = 0, time: float | None = None,
-         sources: np.ndarray | None = None) -> np.ndarray:
+         sources: np.ndarray | None = None,
+         dt_over_mass: np.ndarray | None = None) -> np.ndarray:
     """One forward-Euler update; returns the new temperature vector, the
     only array it allocates.
 
     sources is ``state.sources()``; a caller that takes many steps passes
-    it precombined, once per heater state. The conduction loads enter with
-    a minus sign (dissipative). Dirichlet nodes are reset after the update
-    and therefore win over any exchange term. Raises DivergenceError on
-    non-finite output, naming its first non-finite node.
+    it precombined, once per heater state, and passes dt_over_mass,
+    ``np.divide(dt, state.lumped_mass)``, divided again only when the mass
+    changes. The conduction loads enter with a minus sign (dissipative).
+    Dirichlet nodes are reset after the update and therefore win over any
+    exchange term. Raises DivergenceError on non-finite output, naming its
+    first non-finite node.
     """
     if sources is None:
         sources = state.sources()
@@ -375,7 +380,8 @@ def step(state: ThermalState, loads: np.ndarray, dt: float,
         # T + (dt / C) * ((sources - loads) - Kb T), rounded as written
         t_new = np.multiply(state.perfusion_diag, state.T)
         np.subtract(np.subtract(sources, loads, out=work), t_new, out=t_new)
-        t_new *= np.divide(dt, state.lumped_mass, out=work)
+        t_new *= (np.divide(dt, state.lumped_mass, out=work) if dt_over_mass is None
+                  else dt_over_mass)
         t_new += state.T
     t_new[state._dirichlet_nodes] = state._dirichlet_fixed
     if not np.isfinite(t_new).all():
@@ -438,6 +444,7 @@ def run(
 
     sources = {on: state.sources(on) for on in (False, True)}
     mass = state.lumped_mass if update_thermal_mass else None  # updated by the operator
+    dt_over_mass = np.divide(schedule.dt, state.lumped_mass)  # redivided after each update
 
     n, t_now = 0, 0.0  # where a stop before the first step is recorded
     try:
@@ -461,8 +468,10 @@ def run(
             t0 = _time.perf_counter()
             loads = operator.apply(state.T, deformation=deformation, mass=mass)
             timings["conduction"] += _time.perf_counter() - t0
+            if mass is not None:
+                np.divide(schedule.dt, mass, out=dt_over_mass)
             state.T = step(state, loads, schedule.dt, step_index=n, time=t_now,
-                           sources=sources[source_on])
+                           sources=sources[source_on], dt_over_mass=dt_over_mass)
             timings["thermal"] += _time.perf_counter() - t0
     except tuple(STOP_KINDS) as err:
         kind = STOP_KINDS[type(err)]

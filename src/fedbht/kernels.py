@@ -17,9 +17,11 @@ component-major (component, element) arrays:
             node; exactly zero on a uniform field, whatever the value);
   natural   z = dn^T x as one small matmul on those differences, whose
             table also yields the element mean as a fourth row;
-  3x3       y = A_e z per element, elementwise over (n,) rows;
+  3x3       y = A_e z per element, one np.einsum over the (3, 3, n)
+            factor and the (3, n) rows (each sum from +0.0 in j order);
   back      loads = dn y, one small matmul into the (k, n) rows;
-  scatter   np.bincount into the global vector.
+  scatter   np.bincount over the node indices: the first family's result
+            is the load vector itself, further families add into it.
 
 A caller that steps with temperature-dependent density or heat capacity
 also asks for the row-sum lumped thermal mass. It comes from the same
@@ -179,6 +181,8 @@ class ConductionOperator:
             raise ValueError(f"variant {variant.value} requires isotropic conductivity")
         self.material = material
         self.variant = variant
+        self._frozen = variant.full_precompute  # read on every call
+        self._deforms = variant.uses_deformation
         self.reference_temperature = float(reference_temperature)
         self.n_nodes = mesh.n_nodes
 
@@ -238,11 +242,11 @@ class ConductionOperator:
             raise ValueError(
                 f"property temperature vector must be ({self.n_nodes},), got {prop.shape}"
             )
-        if self.variant.full_precompute:
+        if self._frozen:
             prop = temps  # frozen properties read no field
 
         rebuild = None  # displacements the pullback geometry must be rebuilt from
-        if self.variant.uses_deformation:
+        if self._deforms:
             if deformation is None:
                 disp = np.zeros((self.n_nodes, 3))
             else:
@@ -255,11 +259,16 @@ class ConductionOperator:
                 self._memo_disp = None  # stays unset if the geometry stage raises
                 rebuild = disp
 
-        out = np.zeros(self.n_nodes)
-        lumped = None if mass is None else np.zeros(self.n_nodes)
+        # the first family's scatter is the sum and further families add
+        # into it: a bincount sum is never -0.0, so these are the bits that
+        # adding it to zeros gives
+        out = lumped = None
         for block in self._blocks:
-            out += _scatter(block, self._block_loads(block, temps, prop, rebuild, lumped),
-                            self.n_nodes)
+            rows, shares = self._block_loads(block, temps, prop, rebuild, mass is not None)
+            loads = _scatter(block, rows, self.n_nodes)
+            out = loads if out is None else np.add(out, loads, out=out)
+            if shares is not None:
+                lumped = shares if lumped is None else np.add(lumped, shares, out=lumped)
         if rebuild is not None:
             self._memo_disp = rebuild.copy()
         if mass is not None:
@@ -268,36 +277,37 @@ class ConductionOperator:
 
     # -- internals ----------------------------------------------------------
 
-    def _block_loads(self, block: _Block, temps, prop, rebuild, lumped):
-        """(k, n) loads of one block: gather, z = dn^T x, the 3x3, dn y.
-        rebuild, the (n_nodes, 3) displacements, is given only when the
-        pullback's geometry memo must be rebuilt; lumped, when given,
-        accumulates the block's lumped thermal mass."""
+    def _block_loads(self, block: _Block, temps, prop, rebuild, lump: bool):
+        """(k, n) loads of one block: gather, z = dn^T x, the 3x3, dn y;
+        returned with the block's lumped thermal mass when lump is set,
+        else None. rebuild, the (n_nodes, 3) displacements, is given only
+        when the pullback's geometry memo must be rebuilt."""
         work = block.work
-        z, mean, tmp = work[:3], work[3], work[7]
+        z, mean = work[:3], work[3]
+        shares = None
         # a diverging field overflows here; integrator.step detects it
         with np.errstate(over="ignore", invalid="ignore"):
             if rebuild is not None:
                 _pullback_geometry(block, rebuild.T)
             _gather_natural(block, prop, work[:4])
-            if not self.variant.full_precompute:
+            if not self._frozen:
                 k = self.material.conductivity.evaluate(mean)
                 if prop is not temps:
                     _gather_natural(block, temps, work[:4])
-            if lumped is not None:
+            if lump:
                 # mean holds the means of temps until the 3x3 stage; the
                 # gathered nodal rows are spent, so they carry the shares
                 rho_c = self.material.density.evaluate(mean)
                 rho_c *= self.material.specific_heat.evaluate(mean)
                 rho_c *= block.weights
                 block.nodal[...] = np.divide(rho_c, block.nodal.shape[0], out=rho_c)
-                lumped += _scatter(block, block.nodal, self.n_nodes)
-            if self.variant.full_precompute:
-                y = _mat3(block.factor, z, work[4:7], tmp)
+                shares = _scatter(block, block.nodal, self.n_nodes)
+            if self._frozen:
+                y = _mat3(block.factor, z, work[4:7])
             else:
                 y = _pullback(block, k, self.material.isotropic)
             np.matmul(block.dn, y, out=block.nodal)
-        return block.nodal
+        return block.nodal, shares
 
 
 def _gather_natural(block: _Block, values, rows):
@@ -344,15 +354,15 @@ def _pullback(block: _Block, k, isotropic: bool):
     """The pullback's 3x3: Q^T (weight det F k) Q z, with z in the first
     work rows; returns the (3, n) rows holding the result."""
     work, q = block.work, block.factor
-    z, scale, g, tmp = work[:3], work[3], work[4:7], work[7]
-    _mat3(q, z, g, tmp)                               # spatial gradient Q z
+    z, scale, g = work[:3], work[3], work[4:7]
+    _mat3(q, z, g)                                    # spatial gradient Q z
     if isotropic:
         g *= np.multiply(block.wdet, k, out=scale)
         flux, y = g, z
     else:
         d = np.multiply(k.transpose(1, 2, 0), block.wdet, order="C")  # (3, 3, n)
-        flux, y = _mat3(d, g, z, tmp), g
-    return _mat3(q, flux, y, tmp, transpose=True)
+        flux, y = _mat3(d, g, z), g
+    return _mat3(q, flux, y, transpose=True)
 
 
 _ROW_ALIGN = 64  # bytes: one cache line
@@ -388,21 +398,15 @@ def _inverse_transpose(m, out, det, tmp):
             a, b = (c + 1) % 3, (c + 2) % 3
             np.multiply(u[a], v[b], out=out[s, c])
             out[s, c] -= np.multiply(u[b], v[a], out=tmp)
-    _dot(m[0], out[0], det, tmp)
+    np.einsum("jn,jn->n", m[0], out[0], out=det)
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= det
 
 
-def _mat3(m, vecs, out, tmp, transpose=False):
+def _mat3(m, vecs, out, transpose=False):
     """out[i] = sum_j m[i, j] vecs[j] (m[j, i] with transpose) per element,
-    over (3, 3, n) m and (3, n) rows; returns out."""
-    for i in range(3):
-        _dot(m[:, i] if transpose else m[i], vecs, out[i], tmp)
-    return out
+    over (3, 3, n) m and (3, n) rows; returns out. One einsum: each sum
+    runs j = 0, 1, 2 from +0.0, so it rounds as the written three-term sum
+    and can differ from it only in the sign of a zero."""
+    return np.einsum("jin,jn->in" if transpose else "ijn,jn->in", m, vecs, out=out)
 
-
-def _dot(rows, vecs, out, tmp):
-    """out = sum_m rows[m] * vecs[m] over (n,) component arrays."""
-    np.multiply(rows[0], vecs[0], out=out)
-    for r, v in zip(rows[1:], vecs[1:]):
-        out += np.multiply(r, v, out=tmp)

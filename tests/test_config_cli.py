@@ -340,14 +340,15 @@ def test_cli_precomputes_the_mesh_once(scenario_path, tmp_path, command, expecte
 
 
 # Runs one CLI command in a fresh interpreter and prints, as the last line,
-# its exit code and the scipy, numpy.ma, numpy.random and oracle modules it
-# left loaded.
+# its exit code and the scipy, numpy.ma, numpy.random, oracle, bench and
+# blockmesh modules it left loaded.
 _IMPORT_PROBE = """
 import json, sys
 from fedbht.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules
-                if m in ("fedbht.oracle", "scipy", "numpy.ma", "numpy.random")
+                if m in ("fedbht.oracle", "fedbht.bench", "fedbht.blockmesh",
+                         "scipy", "numpy.ma", "numpy.random")
                 or m.startswith(("scipy.", "numpy.ma.", "numpy.random.")))
 print(json.dumps({"code": code, "loaded": loaded}))
 """
@@ -358,7 +359,8 @@ def test_cli_never_loads_scipy(scenario_path, tmp_path, command):
     """The oracle is numpy only: no command loads scipy, no command loads
     numpy.ma (np.unique without return_inverse would, at about 5 ms) or
     numpy.random (the stability estimate starts from a fixed vector), and
-    verify still loads the oracle (lazily, so run and stability do not)."""
+    verify still loads the oracle (lazily, so run and stability do not).
+    Only bench and make-mesh load fedbht.bench and fedbht.blockmesh."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(fedbht.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

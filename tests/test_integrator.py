@@ -393,6 +393,42 @@ def test_thermal_mass_is_rewritten_only_when_updated(tissue_material, monkeypatc
     assert not np.allclose(updated.lumped_mass, initial, rtol=1e-9, atol=0.0)
 
 
+def test_frozen_mass_run_is_the_hand_loop_bit_for_bit():
+    # run divides dt by the frozen mass once; the hand loop applies the
+    # operator and divides in every step, rounded as step writes it
+    from fedbht.blockmesh import make_block_mesh
+
+    mesh = make_block_mesh(3, 3, 3, (0.03,) * 3, element="hex8", jitter=0.2, seed=24)
+    pre = precompute(mesh)
+    material = make_material(k=0.5)
+    bc = BoundaryConditions(
+        dirichlet=(DirichletBC(nodes=np.array([5, 17]), temperature=33.0),),
+        fluxes=(FluxBC(nodes=np.array([30]), watts_per_node=0.4),),
+        films=(FilmBC(nodes=np.array([2, 40]), coefficient=20.0,
+                      sink_temperature=25.0, area_per_node=1e-4),))
+    sched = Schedule(dt=1.0, total_time=30.0, snapshot_times=(7.0, 19.0, 30.0),
+                     events=((12.0, "source_off"),))
+    variant = Variant.CLASSICAL_ISO_TEMP_INDEP
+    rec = run(mesh, pre, material, PerfusionParams(), bc, IdentityDeformation(),
+              sched, variant)
+    assert rec.outcome is None and rec.update_thermal_mass is False
+
+    state = build_thermal_state(mesh, pre, material, PerfusionParams(), bc)
+    op = ConductionOperator(mesh, pre, material, variant)
+    temps, expected = state.T, []
+    for n, _, source_on, due in sched.walk():
+        expected += [temps] * len(due)
+        if n == sched.n_steps:
+            break
+        change = (state.sources(source_on) - op.apply(temps)) - state.perfusion_diag * temps
+        temps = change * np.divide(sched.dt, state.lumped_mass) + temps
+        temps[state.dirichlet_mask] = state.dirichlet_values[state.dirichlet_mask]
+    assert len(rec.snapshots) == len(expected) == 3
+    for got, want in zip(rec.snapshots, expected):
+        assert got.tobytes() == want.tobytes()
+    assert rec.final_temps.tobytes() == temps.tobytes()
+
+
 def test_mixed_mesh_transient_runs(unit_tet, unit_cube_hex):
     import numpy as np
     from fedbht.mesh import Mesh

@@ -555,6 +555,29 @@ def test_property_temps_shape_is_validated(tissue_material, variant):
         estimate_critical_dt(op, state)
 
 
+@pytest.mark.parametrize("transpose", [False, True])
+def test_mat3_is_the_three_term_sum(transpose):
+    # einsum starts each sum from +0.0 where the written sum starts from its
+    # first product, so only the sign of a zero result can differ: results
+    # compare by value, and bit for bit where they are not zero
+    rng = np.random.default_rng(72)
+    n = 1001  # rows padded to the cache line
+    m = fedbht.kernels._aligned_rows((3, 3), n)
+    m[...] = rng.normal(size=(3, 3, n))
+    vecs = fedbht.kernels._aligned_rows((3,), n)
+    vecs[...] = rng.normal(size=(3, n))
+    vecs[:, :5] = -0.0  # zero results
+    mm = m.transpose(1, 0, 2) if transpose else m
+    expected = np.array([mm[i, 0] * vecs[0] + mm[i, 1] * vecs[1] + mm[i, 2] * vecs[2]
+                         for i in range(3)])
+    out = fedbht.kernels._aligned_rows((3,), n)
+    assert fedbht.kernels._mat3(m, vecs, out, transpose=transpose) is out
+    assert np.array_equal(out, expected)
+    nonzero = expected != 0.0
+    assert nonzero[:, 5:].all()
+    assert out[nonzero].tobytes() == expected[nonzero].tobytes()
+
+
 def test_kernels_import_no_thread_pool_or_os():
     """The operator has one serial code path: kernels.py may not import
     concurrent.futures, nor os to read a setting from the environment."""
