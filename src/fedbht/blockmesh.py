@@ -26,6 +26,7 @@ import numpy as np
 from .deformation import TrajectoryDeformation
 from .integrator import Schedule
 from .mesh import HEX_SIGNS, Mesh, precompute, write_mesh, write_node_set
+from .formatting import format_values, text_blocks
 
 # The six Kuhn tets of a cell as rows of hex corners (HEX_SIGNS order).
 # Each walks the cell edges from corner 0 to the opposite corner 6, one axis
@@ -229,11 +230,10 @@ def scenario_config_dict(params: BlockSceneParams, probes) -> dict:
 
 
 def write_trajectory(path, times, frames):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for t, frame in zip(times, frames):
-            fh.write(f"KEYFRAME {t:.17g}\n")
-            for ux, uy, uz in frame:
-                fh.write(f"{ux:.17g} {uy:.17g} {uz:.17g}\n")
+            fh.write(b"KEYFRAME " + format_values([t]))
+            fh.writelines(text_blocks(np.asarray(frame, dtype=np.float64)))
 
 
 def write_desk_scenario(out_dir, params: BlockSceneParams | None = None) -> str:

@@ -319,14 +319,14 @@ def read_rows(lines, start, count, width, dtype, entry, values, header=None):
 
 
 def write_mesh(path, mesh: Mesh):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"NODES {mesh.n_nodes}\n")
-        for x, y, z in mesh.nodes:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+    from .formatting import text_blocks
+
+    with open(path, "wb") as fh:
+        fh.write(b"NODES %d\n" % mesh.n_nodes)
+        fh.writelines(text_blocks(mesh.nodes))
         for etype, conn in mesh.element_blocks():
-            fh.write(f"{etype.kind.upper()} {conn.shape[0]}\n")
-            for row in conn:
-                fh.write(" ".join(str(int(i)) for i in row) + "\n")
+            fh.write(b"%s %d\n" % (etype.kind.upper().encode(), conn.shape[0]))
+            fh.writelines(text_blocks(conn))
 
 
 def load_node_set(path, n_nodes: int) -> np.ndarray:
@@ -349,6 +349,7 @@ def load_node_set(path, n_nodes: int) -> np.ndarray:
 
 
 def write_node_set(path, indices):
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in np.asarray(indices, dtype=np.intp):
-            fh.write(f"{int(i)}\n")
+    from .formatting import text_blocks
+
+    with open(path, "wb") as fh:
+        fh.writelines(text_blocks(np.asarray(indices, dtype=np.intp)))

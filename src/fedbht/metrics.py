@@ -104,12 +104,15 @@ def compare_snapshots(times, candidate_snapshots, reference_snapshots) -> Metric
 
 def write_error_histogram(path, times, candidate_snapshots, reference_snapshots, bins: int = 20):
     """CSV histogram of per-node normalized errors, one block per snapshot."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time,bin_lo,bin_hi,count\n")
+    from .formatting import compact, float_cells, int_cells
+
+    with open(path, "wb") as fh:
+        fh.write(b"time,bin_lo,bin_hi,count\n")
         for t, a, b in zip(times, candidate_snapshots, reference_snapshots):
             err = normalized_error(a, b)
             top = float(err.max())
             edges = np.linspace(0.0, top if top > 0 else 1e-16, bins + 1)
             counts, _ = np.histogram(err, bins=edges)
-            for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-                fh.write(f"{t:.17g},{lo:.17g},{hi:.17g},{int(c)}\n")
+            rows = np.column_stack([np.full(bins, t), edges[:-1], edges[1:]])
+            fh.write(compact(np.hstack([float_cells(rows, b",", b","),
+                                        int_cells(counts)])))

@@ -4,13 +4,14 @@ Snapshots are written twice per capture time: a CSV with columns
 node_index,x,y,z,T (reference-configuration coordinates) and a legacy ASCII
 VTK unstructured grid named snapshot_<time_ms>.vtk for visualization. Every
 float is written as "%.17g", which reads back to the same bits, so reruns
-can be compared byte for byte.
+can be compared byte for byte. The numbers are printed by
+:mod:`fedbht.formatting`, imported on the first write so that commands that
+write nothing never load it.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import os
 import sys
 
@@ -19,14 +20,6 @@ import numpy as np
 from . import __version__
 from .integrator import SimulationRecord
 from .mesh import Mesh
-
-# Rows per %-block: bounds the Python numbers alive at once when points,
-# cells and probe rows are formatted, and when the rows of a snapshot CSV
-# are joined for one write. On a 4913-node snapshot, one write per row took
-# 1.07 ms, one write of the whole file 0.89 ms with a 1.45 MB Python peak,
-# and one write per block 0.64 ms with a 0.6 MB peak (2-vCPU Xeon).
-GEOMETRY_CHUNK = 1024
-PROBE_CHUNK = 64
 
 
 def snapshot_basename(time_s: float) -> str:
@@ -45,42 +38,71 @@ def read_snapshot_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 1:4], data[:, 4]
 
 
-def _format_rows(row_fmt: str, rows: np.ndarray, chunk: int):
-    """Yield the text of ``row_fmt % row`` for every row of a 2-D array,
-    formatted as one %-block per ``chunk`` rows so that no more than
-    ``chunk`` rows of Python numbers exist at once."""
-    for start in range(0, rows.shape[0], chunk):
-        block = rows[start:start + chunk]
-        yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
+def _vtk_geometry(mesh: Mesh, points: np.ndarray) -> list:
+    """Legacy ASCII VTK text from the header through LOOKUP_TABLE default,
+    everything but the temperature values, as a list of byte strings;
+    ``points`` holds the cells of the node coordinates."""
+    from .formatting import compact, text_blocks
 
-
-def _vtk_geometry(mesh: Mesh) -> str:
-    """Legacy ASCII VTK text from the header through LOOKUP_TABLE default:
-    everything but the temperature values."""
     blocks = mesh.element_blocks()
-    n_cells = mesh.n_elements
-    size = sum(conn.shape[0] * (etype.width + 1) for etype, conn in blocks)
-    parts = [
-        "# vtk DataFile Version 3.0\ntemperature field\nASCII\n"
-        f"DATASET UNSTRUCTURED_GRID\nPOINTS {mesh.n_nodes} double\n",
-        *_format_rows("%.17g %.17g %.17g\n", mesh.nodes, GEOMETRY_CHUNK),
-        f"CELLS {n_cells} {size}\n",
-    ]
-    for etype, conn in blocks:
-        row_fmt = f"{etype.width}" + " %d" * etype.width + "\n"
-        parts.extend(_format_rows(row_fmt, conn, GEOMETRY_CHUNK))
-    parts.append(f"CELL_TYPES {n_cells}\n")
-    parts.extend(f"{etype.vtk_cell}\n" * conn.shape[0] for etype, conn in blocks)
-    parts.append(f"POINT_DATA {mesh.n_nodes}\n"
-                 "SCALARS temperature double 1\nLOOKUP_TABLE default\n")
-    return "".join(parts)
+    # the connectivity first: its temporaries then share the peak with
+    # fewer live arrays
+    cells = [text for etype, conn in blocks
+             for text in text_blocks(np.column_stack([np.full(len(conn), etype.width), conn]))]
+    return [b"# vtk DataFile Version 3.0\ntemperature field\nASCII\n"
+            b"DATASET UNSTRUCTURED_GRID\nPOINTS %d double\n" % mesh.n_nodes,
+            compact(points),
+            b"CELLS %d %d\n" % (mesh.n_elements, sum(conn.size + len(conn) for _, conn in blocks)),
+            *cells,
+            b"CELL_TYPES %d\n" % mesh.n_elements,
+            *(b"%d\n" % etype.vtk_cell * len(conn) for etype, conn in blocks),
+            b"POINT_DATA %d\nSCALARS temperature double 1\nLOOKUP_TABLE default\n" % mesh.n_nodes]
 
 
-def _write_text(path, head: str, body):
-    """Write ``head``, then every string of the iterable ``body``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
-        fh.writelines(body)
+def _write(path, *parts):
+    """Write every byte string of every iterable in ``parts``, in order;
+    generators are consumed one piece at a time."""
+    with open(path, "wb") as fh:
+        for part in parts:
+            fh.writelines(part)
+
+
+def _write_snapshot(base, temps, vtk_head, table):
+    """Write base.vtk and base.csv; the last CELL columns of ``table`` take
+    the temperature cells after each row's "i,x,y,z," cells."""
+    from .formatting import CELL, compact, compact_blocks, float_cells
+
+    column = float_cells(temps)
+    _write(base + ".vtk", vtk_head, [compact(column)])
+    if column.shape[1] == CELL:
+        table[:, -CELL:] = column
+    else:
+        table = np.hstack([table[:, :-CELL], column])
+    _write(base + ".csv", [b"node_index,x,y,z,T\n"], compact_blocks(table))
+
+
+def _write_snapshots(out_dir, mesh: Mesh, record: SimulationRecord) -> list:
+    """Write the CSV and VTK of each snapshot time; returns their names.
+    The coordinates are formatted once, for the VTK points and the CSV row
+    prefixes; each snapshot formats its temperature column once."""
+    from .formatting import CELL, float_cells, int_cells
+
+    points = float_cells(mesh.nodes)
+    vtk_head = _vtk_geometry(mesh, points)
+    # CSV rows: "i,x,y,z," (the point cells with commas), then a cell that
+    # each snapshot fills with its temperature
+    table = np.hstack([int_cells(np.arange(mesh.n_nodes), row_end=b","),
+                       points, points[:, :CELL]])
+    del points
+    for sep in b" \n":
+        np.copyto(table, ord(","), where=table == sep)
+    written, last_time = [], None
+    for t, temps in zip(record.snapshot_times, record.snapshots):
+        if t != last_time:
+            written.append(snapshot_basename(t))
+            _write_snapshot(os.path.join(out_dir, written[-1]), temps, vtk_head, table)
+        last_time = t
+    return written
 
 
 def write_record_outputs(out_dir, mesh: Mesh, record: SimulationRecord):
@@ -89,36 +111,16 @@ def write_record_outputs(out_dir, mesh: Mesh, record: SimulationRecord):
 
     Snapshots taken at the same step time (two snapshot times within one
     step, or the divergence snapshot) are one field: its files are written
-    once and its name listed once. The geometry text (CSV row prefixes, VTK
-    points and cells) is formatted once per call; each snapshot formats its
-    temperature column once and writes it into both files.
+    once and its name listed once.
     """
+    from .formatting import text_blocks
+
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if record.snapshots:
-        prefixes = [f"{i},{x:.17g},{y:.17g},{z:.17g},"
-                    for i, (x, y, z) in enumerate(mesh.nodes.tolist())]
-        vtk_head = _vtk_geometry(mesh)
-    last_time = None
-    for t, temps in zip(record.snapshot_times, record.snapshots):
-        if t == last_time:
-            continue
-        last_time = t
-        base = snapshot_basename(t)
-        column = ("%.17g\n" * len(temps)) % tuple(temps.tolist())
-        lines = column.splitlines(True)
-        _write_text(os.path.join(out_dir, base + ".csv"), "node_index,x,y,z,T\n",
-                    ("".join(map(operator.add, prefixes[s:s + GEOMETRY_CHUNK],
-                                 lines[s:s + GEOMETRY_CHUNK]))
-                     for s in range(0, len(lines), GEOMETRY_CHUNK)))
-        _write_text(os.path.join(out_dir, base + ".vtk"), vtk_head, [column])
-        written.append(base)
+    written = _write_snapshots(out_dir, mesh, record) if record.snapshots else []
     if record.probe_indices:
         header = "time," + ",".join(f"node_{i}" for i in record.probe_indices) + "\n"
-        rows = np.column_stack([record.probe_times, record.probe_values])
-        row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        _write_text(os.path.join(out_dir, "probes.csv"), header,
-                    _format_rows(row_fmt, rows, PROBE_CHUNK))
+        _write(os.path.join(out_dir, "probes.csv"), [header.encode()],
+               text_blocks(np.column_stack([record.probe_times, record.probe_values]), b","))
     return written
 
 

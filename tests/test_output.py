@@ -1,16 +1,21 @@
-"""Byte equality of the block-formatted snapshot writers with per-line ones."""
+"""Byte equality of the numpy "%.17g" formatter and the writers built on it
+with Python's "%.17g" and per-line writers."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fedbht.blockmesh import make_block_mesh
+from fedbht import formatting
+from fedbht.blockmesh import make_block_mesh, write_trajectory
 from fedbht.deformation import IdentityDeformation
 from fedbht.integrator import BoundaryConditions, FluxBC, Schedule, SimulationRecord, run
 from fedbht.kernels import Variant
 from fedbht.material import PerfusionParams
-from fedbht.mesh import precompute
+from fedbht.mesh import Mesh, precompute, write_mesh, write_node_set
+from fedbht.metrics import normalized_error, write_error_histogram
+from fedbht.formatting import format_values
 from fedbht.output import (
     read_snapshot_csv,
     snapshot_basename,
@@ -21,8 +26,11 @@ from fedbht.output import (
 from conftest import make_material, mixed_block, random_tet_mesh
 
 # -0.0, a tiny value with a three-digit exponent, an exact value, a value
-# with no short decimal form and one past 2^53
-AWKWARD = np.array([-0.0, 1e-300, 37.0, 0.1 + 0.2, 1e17])
+# with no short decimal form, one past 2^53, the two sides of the smallest
+# fixed-notation value, two half-way ties of the 17th digit, the largest
+# 17-digit fixed-notation value, and a negative in exponent form
+AWKWARD = np.array([-0.0, 1e-300, 37.0, 0.1 + 0.2, 1e17, 1e-4, np.nextafter(1e-4, 0),
+                    1e15 + 0.25, 1e15 + 0.75, 9.9999999999999998e16, -1e-5])
 
 
 # -- reference: one formatted line at a time ----------------------------------
@@ -85,10 +93,109 @@ def assert_matches_reference(tmp_path, mesh, record):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
+def reference_text(values, sep=b" "):
+    """Python's "%.17g" of each value, sep between the values of a row."""
+    rows = np.asarray(values, dtype=np.float64)
+    rows = rows.tolist() if rows.ndim == 2 else [[v] for v in rows.tolist()]
+    return b"".join(sep.join(b"%.17g" % v for v in row) + b"\n" for row in rows)
+
+
+def format_corpus():
+    powers = 10.0 ** np.arange(-6, 19)
+    big = np.finfo(np.float64).max
+    return np.concatenate([
+        1e15 + np.arange(-40, 41) / 4,  # half-way ties of the 17th digit
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        [1e-4, np.nextafter(1e-4, 0), 1e17, np.nextafter(1e17, 0)],
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, big, -big],
+        AWKWARD,
+    ])
+
+
+def test_format_matches_percent_g_on_its_edges():
+    values = format_corpus()
+    assert format_values(values) == reference_text(values)
+    assert format_values(-values) == reference_text(-values)
+
+
+def test_format_matches_percent_g_on_seeded_values():
+    rng = np.random.default_rng(2025)
+    n = 1_000_000
+    values = rng.random(n) * 10.0 ** rng.integers(-8, 21, n) * rng.choice([-1.0, 1.0], n)
+    assert format_values(values) == reference_text(values)
+
+
+@pytest.mark.parametrize("sep", [b",", b" "])
+@pytest.mark.parametrize("n", [0, 1, formatting.BLOCK_VALUES - 1, formatting.BLOCK_VALUES,
+                               formatting.BLOCK_VALUES + 1, 2 * formatting.BLOCK_VALUES + 3])
+def test_format_rows_of_any_length(sep, n):
+    rng = np.random.default_rng(n)
+    values = 37.0 + rng.standard_normal(n)
+    values[:AWKWARD.size] = AWKWARD[:n]
+    assert format_values(values, sep) == reference_text(values, sep)
+    for cols in (1, 3, 7):
+        rows = values[:n - n % cols].reshape(-1, cols)
+        assert format_values(rows, sep) == reference_text(rows, sep)
+
+
+def test_int_format_matches_percent_d():
+    values = np.array([0, 7, 9, 10, 99, 100, 9999, 10_000, 12_345_678, 123_456_789,
+                       10**18, np.iinfo(np.int64).max, -1, -10, -9999, -10**17])
+    assert format_values(values) == b"".join(b"%d\n" % v for v in values.tolist())
+    rows = values.reshape(4, 4)
+    assert format_values(rows, b",") == b"".join(
+        b",".join(b"%d" % v for v in row) + b"\n" for row in rows.tolist())
+    assert format_values(np.zeros(0, dtype=np.intp)) == b""
+
+
+# -- the other writers against their per-line forms ---------------------------
+
+def test_file_writers_match_line_writers(tmp_path):
+    base = mixed_block()
+    nodes = base.nodes.copy()
+    nodes.flat[:AWKWARD.size] = AWKWARD
+    mesh = Mesh(nodes=nodes, tets=base.tets, hexes=base.hexes)
+    write_mesh(tmp_path / "m.mesh", mesh)
+    lines = [f"NODES {mesh.n_nodes}\n"]
+    lines += [f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in mesh.nodes]
+    for etype, conn in mesh.element_blocks():
+        lines.append(f"{etype.kind.upper()} {conn.shape[0]}\n")
+        lines += [" ".join(str(int(i)) for i in row) + "\n" for row in conn]
+    assert (tmp_path / "m.mesh").read_text() == "".join(lines)
+
+    indices = np.array([0, 5, 9, 10, 9999, 10_000, 123_456_789])
+    write_node_set(tmp_path / "s.nodes", indices)
+    assert (tmp_path / "s.nodes").read_text() == "".join(f"{int(i)}\n" for i in indices)
+
+    times = AWKWARD[2:5]
+    frames = np.stack([np.roll(nodes[:, [2, 0, 1]], k, axis=0) for k in range(3)])
+    write_trajectory(tmp_path / "r.traj", times, frames)
+    lines = []
+    for t, frame in zip(times, frames):
+        lines.append(f"KEYFRAME {t:.17g}\n")
+        lines += [f"{ux:.17g} {uy:.17g} {uz:.17g}\n" for ux, uy, uz in frame]
+    assert (tmp_path / "r.traj").read_text() == "".join(lines)
+
+    reference = [37.0 + np.arange(40) / 7, 40.0 + np.arange(40) / 3]
+    candidate = [reference[0] + 1e-7 * np.arange(40), reference[1] - AWKWARD[3] * 1e-6]
+    hist_times = [AWKWARD[3], AWKWARD[7]]
+    write_error_histogram(tmp_path / "h.csv", hist_times, candidate, reference, bins=6)
+    lines = ["time,bin_lo,bin_hi,count\n"]
+    for t, a, b in zip(hist_times, candidate, reference):
+        err = normalized_error(a, b)
+        top = float(err.max())
+        edges = np.linspace(0.0, top if top > 0 else 1e-16, 7)
+        counts, _ = np.histogram(err, bins=edges)
+        lines += [f"{t:.17g},{lo:.17g},{hi:.17g},{int(c)}\n"
+                  for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
+    assert (tmp_path / "h.csv").read_text() == "".join(lines)
+
+
 # -- meshes and records -------------------------------------------------------
 
-# The tet4 mesh (1296 tets) and the hex8 mesh (1331 hexes, 1728 nodes) cross
-# the 1024-row formatting chunk; the mixed mesh writes both families
+# The hex8 mesh's 1728 nodes are 5184 coordinates, more than one formatting
+# block (BLOCK_VALUES), and the tet4 mesh (1296 tets, 343 nodes) formats its
+# connectivity in two blocks; the mixed mesh writes both families
 MESHES = {
     "tet4": lambda: random_tet_mesh(n_cells=6, seed=3),
     "hex8": lambda: make_block_mesh(11, 11, 11, element="hex8", jitter=0.2, seed=4),
@@ -97,8 +204,8 @@ MESHES = {
 
 
 def field_record(mesh, n_probes, n_rows=130):
-    """Two snapshots holding AWKWARD values among random ones; probe rows
-    cross the 64-row chunk."""
+    """Two snapshots holding AWKWARD values among random ones, and n_rows
+    probe rows."""
     rng = np.random.default_rng(mesh.n_nodes)
     first = 37.0 + rng.standard_normal(mesh.n_nodes)
     first[:AWKWARD.size] = AWKWARD
@@ -128,6 +235,35 @@ def test_non_finite_values_format_like_line_writers(tmp_path):
     temps[:3] = [np.inf, -np.inf, np.nan]
     record = SimulationRecord(dt=1.0, n_steps=1, snapshot_times=[1.0], snapshots=[temps])
     assert_matches_reference(tmp_path, mesh, record)
+
+
+def test_probes_with_no_rows_write_the_header_only(tmp_path):
+    # a refused run captures no field: its probes.csv is the header alone
+    record = SimulationRecord(dt=1.0, n_steps=1, probe_indices=(3, 1))
+    record.finish(np.full(8, 37.0))
+    assert write_record_outputs(tmp_path, mixed_block(), record) == []
+    assert (tmp_path / "probes.csv").read_bytes() == b"time,node_3,node_1\n"
+
+
+# tracemalloc peak, in bytes, of the first write_record_outputs call in a
+# process on the 11^3 hex8 record with 5 probes below, measured with the
+# writer that numpy formatting replaced, which joined "%.17g" str blocks
+# and kept a list of row-prefix strings (Python 3.11.7, numpy 2.4.6)
+LINE_WRITER_PEAK = 732_990
+
+
+def test_writer_peak_memory_stays_within_the_line_writers(tmp_path):
+    mesh = MESHES["hex8"]()
+    record = field_record(mesh, 5)
+    for table in (formatting._digit_tables, formatting._powers_of_ten, formatting._cell_masks):
+        table.cache_clear()  # as in a fresh process, the tables are built by this call
+    tracemalloc.start()
+    try:
+        write_record_outputs(tmp_path, mesh, record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= LINE_WRITER_PEAK
 
 
 def test_no_snapshots_no_probes_writes_nothing(tmp_path):
