@@ -245,7 +245,7 @@ def bench_simulation(
         specific_heat=PropertyTable.constant(3600.0),
         conductivity=PropertyTable.constant(0.53),
     )
-    perfusion = PerfusionParams(w_b=0.0, c_b=3617.0, T_a=37.0, Q_met=0.0)
+    perfusion = PerfusionParams()
     bc = BoundaryConditions(dirichlet=(), fluxes=(), films=())
 
     scenes = []

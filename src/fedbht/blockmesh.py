@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .deformation import TrajectoryDeformation
+from .deformation import TrajectoryDeformation, write_trajectory
 from .integrator import Schedule
+from .material import PerfusionParams
 from .mesh import HEX_SIGNS, Mesh, precompute, write_mesh, write_node_set
-from .formatting import format_values, text_blocks
 
 # The six Kuhn tets of a cell as rows of hex corners (HEX_SIGNS order).
 # Each walks the cell edges from corner 0 to the opposite corner 6, one axis
@@ -162,19 +162,12 @@ def block_node_sets(mesh: Mesh, params: BlockSceneParams) -> dict[str, np.ndarra
 def ramp_trajectory(mesh: Mesh, params: BlockSceneParams) -> TrajectoryDeformation:
     """Two-keyframe vertical compression: zero at t=0, full field at
     t=ramp_time, clamped afterwards (held deformation)."""
-    times, frames = ramp_keyframes(mesh, params)
-    return TrajectoryDeformation(times, frames)
-
-
-def ramp_keyframes(mesh: Mesh, params: BlockSceneParams):
     lx = params.lengths[0]
     lz = params.lengths[2]
     full = np.zeros((mesh.n_nodes, 3))
     taper = 0.75 + 0.25 * mesh.nodes[:, 0] / lx
     full[:, 2] = params.ramp_amplitude * (mesh.nodes[:, 2] / lz) * taper
-    times = np.array([0.0, params.ramp_time])
-    frames = np.stack([np.zeros_like(full), full])
-    return times, frames
+    return TrajectoryDeformation([0.0, params.ramp_time], [np.zeros_like(full), full])
 
 
 def scenario_config_dict(params: BlockSceneParams, probes) -> dict:
@@ -187,12 +180,7 @@ def scenario_config_dict(params: BlockSceneParams, probes) -> dict:
             for name in ("vessel_wall", "heat_source", "perfused", "displaced", "fixed")
         },
         "material": params.material,
-        "perfusion": {
-            "w_b": 0.0,
-            "c_b": 3617.0,
-            "T_a": params.body_temperature,
-            "Q_met": 0.0,
-        },
+        "perfusion": {**asdict(PerfusionParams()), "T_a": params.body_temperature},
         "initial_temperature": params.body_temperature,
         "boundary": {
             "vessel_wall": {"kind": "dirichlet", "temperature": params.body_temperature},
@@ -229,13 +217,6 @@ def scenario_config_dict(params: BlockSceneParams, probes) -> dict:
     }
 
 
-def write_trajectory(path, times, frames):
-    with open(path, "wb") as fh:
-        for t, frame in zip(times, frames):
-            fh.write(b"KEYFRAME " + format_values([t]))
-            fh.writelines(text_blocks(np.asarray(frame, dtype=np.float64)))
-
-
 def write_desk_scenario(out_dir, params: BlockSceneParams | None = None) -> str:
     """Write mesh, node sets, trajectory and scenario JSON; returns the
     scenario path."""
@@ -250,8 +231,8 @@ def write_desk_scenario(out_dir, params: BlockSceneParams | None = None) -> str:
     write_mesh(os.path.join(out_dir, "block.mesh"), mesh)
     for name, indices in sets.items():
         write_node_set(os.path.join(out_dir, "sets", f"{name}.nodes"), indices)
-    times, frames = ramp_keyframes(mesh, params)
-    write_trajectory(os.path.join(out_dir, "ramp.traj"), times, frames)
+    ramp = ramp_trajectory(mesh, params)
+    write_trajectory(os.path.join(out_dir, "ramp.traj"), ramp.times, ramp.frames)
 
     probes = [int(sets["heat_source"][0]), int(sets["vessel_wall"][0])]
     config = scenario_config_dict(params, probes)

@@ -16,7 +16,8 @@ Top-level keys:
                          each scalar table is [[T, value], ...];
                          conductivity may instead be a tensor table
                          {"xx": [[T, v], ...], "yy": ..., ...}
-    perfusion            {w_b, c_b, T_a, Q_met}
+    perfusion            {w_b, c_b, T_a, Q_met}, defaults 0, 3617, 37, 0
+                         (the fields of material.PerfusionParams)
     initial_temperature  default 37
     boundary             {set_name: condition | [condition, ...]}
                          condition kinds: dirichlet {temperature},
@@ -38,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .deformation import (
     AffineDeformation,
@@ -187,8 +188,7 @@ def _load_material(entry: _Section) -> MaterialModel:
 
 
 def _load_perfusion(entry: _Section) -> PerfusionParams:
-    values = {key: entry.get(key, float, default) for key, default in
-              (("w_b", 0.0), ("c_b", 3617.0), ("T_a", 37.0), ("Q_met", 0.0))}
+    values = {f.name: entry.get(f.name, float, f.default) for f in fields(PerfusionParams)}
     entry.close()
     try:
         return PerfusionParams(**values)

@@ -3,7 +3,8 @@
 Displacement providers produce a full nodal displacement array for any
 query time; the solver never sees the mechanical model behind them. Three
 providers are bundled: identity (rigid mesh), affine (x -> A x + b), and
-keyframed trajectories loaded from file.
+keyframed trajectories, which :func:`write_trajectory` and
+:func:`load_trajectory` write and read.
 
 Trajectory file format (ASCII, ``#`` starts a comment):
 
@@ -167,6 +168,17 @@ def load_trajectory(path, n_nodes: int) -> TrajectoryDeformation:
         return TrajectoryDeformation(times, np.array(frames, dtype=np.float64))
     except ValueError as err:
         raise MeshFormatError(str(err), 0) from None
+
+
+def write_trajectory(path, times, frames):
+    """Write keyframes in the format load_trajectory reads, every number as
+    "%.17g"."""
+    from .formatting import text_blocks
+
+    with open(path, "wb") as fh:
+        for t, frame in zip(times, frames):
+            fh.write(b"KEYFRAME %.17g\n" % t)
+            fh.writelines(text_blocks(np.asarray(frame, dtype=np.float64)))
 
 
 def _is_keyframe(fields) -> bool:

@@ -269,15 +269,11 @@ def compact_blocks(cells: np.ndarray):
         yield compact(cells[s:s + step])
 
 
-def format_values(values, sep: bytes = b" ", row_end: bytes = b"\n") -> bytes:
-    """Text of an int or float64 array, row by row: each value as "%d" or
-    "%.17g", then ``sep``, or ``row_end`` after the last value of a row."""
-    return b"".join(text_blocks(values, sep, row_end))
-
-
 def text_blocks(values, sep: bytes = b" ", row_end: bytes = b"\n"):
-    """Yield the text of format_values in pieces of about BLOCK_VALUES
-    values, so that writing a large array never holds all its cells."""
+    """Yield the text of an int or float64 array, row by row: each value as
+    "%d" or "%.17g", then ``sep``, or ``row_end`` after the last value of a
+    row. The pieces hold about BLOCK_VALUES values each, so that writing a
+    large array never holds all its cells."""
     values = np.asarray(values)
     cells = int_cells if values.dtype.kind in "iu" else float_cells
     step = max(1, BLOCK_VALUES // (values.shape[1] if values.ndim == 2 else 1))

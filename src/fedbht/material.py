@@ -127,7 +127,7 @@ class PerfusionParams:
     """
 
     w_b: float = 0.0
-    c_b: float = 0.0
+    c_b: float = 3617.0
     T_a: float = 37.0
     Q_met: float = 0.0
 

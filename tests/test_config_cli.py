@@ -18,6 +18,7 @@ from fedbht.config import load_scenario
 from fedbht.errors import ConfigError, DivergenceError
 from fedbht.integrator import Schedule, build_thermal_state, run
 from fedbht.kernels import ConductionOperator, Variant
+from fedbht.material import PerfusionParams
 from fedbht.output import read_snapshot_csv
 
 
@@ -70,6 +71,12 @@ def test_scenario_roundtrip(scenario_path):
     assert len(cfg.probes) == 2
     assert cfg.update_thermal_mass is True
     assert cfg.output_dir == "out"
+
+
+def test_perfusion_defaults_are_the_dataclass_defaults(scenario_path, tmp_path):
+    cfg = load_scenario(rewrite(scenario_path, tmp_path, lambda d: d.update(perfusion={})))
+    assert cfg.perfusion == PerfusionParams()
+    assert PerfusionParams(w_b=1.0).c_b == 3617.0
 
 
 def test_tensor_conductivity_table(scenario_path, tmp_path):
@@ -354,6 +361,17 @@ print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
+def _python(code, *argv):
+    """Run code in a fresh interpreter on this package; it must exit 0."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedbht.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 @pytest.mark.parametrize("command", ["run", "stability", "verify"])
 def test_cli_never_loads_scipy(scenario_path, tmp_path, command):
     """The oracle is numpy only: no command loads scipy, no command loads
@@ -361,17 +379,20 @@ def test_cli_never_loads_scipy(scenario_path, tmp_path, command):
     numpy.random (the stability estimate starts from a fixed vector), and
     verify still loads the oracle (lazily, so run and stability do not).
     Only bench and make-mesh load fedbht.bench and fedbht.blockmesh."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fedbht.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *_cli_argv(command, scenario_path, tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
+    done = _python(_IMPORT_PROBE, *_cli_argv(command, scenario_path, tmp_path))
     probe = json.loads(done.stdout.splitlines()[-1])
     assert probe["code"] == 0
     assert probe["loaded"] == (["fedbht.oracle"] if command == "verify" else [])
+
+
+@pytest.mark.parametrize("code", [
+    "import fedbht.blockmesh",
+    "from fedbht.cli import main; assert main(['stability', sys.argv[1]]) == 0",
+])
+def test_formatting_is_compiled_only_by_a_writer(scenario_path, code):
+    done = _python(f"import sys; {code}; print('fedbht.formatting' in sys.modules)",
+                   scenario_path)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_rerun_is_byte_identical(scenario_path, tmp_path):
@@ -624,6 +645,19 @@ def test_cli_metrics_compare(scenario_path, tmp_path, capsys):
     bumped.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n")
     assert cli_main(["metrics", str(bumped), snap,
                      "--node-tol", "1e-6"]) == 4
+
+
+def test_cli_metrics_refuses_snapshots_of_different_sizes(scenario_path, tmp_path, capsys):
+    out = tmp_path / "m"
+    cli_main(["run", scenario_path, "--out", str(out)])
+    snap = str(out / "snapshot_5000.csv")
+    lines = open(snap).read().splitlines()
+    shorter = tmp_path / "shorter.csv"
+    shorter.write_text("\n".join(lines[:-1]) + "\n")
+    capsys.readouterr()
+    assert cli_main(["metrics", str(shorter), snap]) == 2
+    err = capsys.readouterr().err
+    assert f"({len(lines) - 2},)" in err and f"({len(lines) - 1},)" in err
 
 
 def corrupt_snapshot(scenario_path, tmp_path, field):

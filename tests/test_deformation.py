@@ -7,6 +7,7 @@ from fedbht.deformation import (
     TrajectoryDeformation,
     inverse_and_det,
     load_trajectory,
+    write_trajectory,
 )
 from fedbht.errors import MeshFormatError, SingularDeformationError
 from fedbht.kernels import _inverse_transpose
@@ -55,8 +56,6 @@ def test_trajectory_keyframes_exact_and_clamped():
 
 
 def test_trajectory_file_roundtrip(tmp_path):
-    from fedbht.blockmesh import write_trajectory
-
     mesh = random_tet_mesh(n_cells=1, seed=2)
     n = mesh.n_nodes
     rng = np.random.default_rng(0)

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from fedbht import formatting
-from fedbht.blockmesh import make_block_mesh, write_trajectory
-from fedbht.deformation import IdentityDeformation
+from fedbht.blockmesh import make_block_mesh
+from fedbht.deformation import IdentityDeformation, write_trajectory
 from fedbht.integrator import BoundaryConditions, FluxBC, Schedule, SimulationRecord, run
 from fedbht.kernels import Variant
 from fedbht.material import PerfusionParams
 from fedbht.mesh import Mesh, precompute, write_mesh, write_node_set
 from fedbht.metrics import normalized_error, write_error_histogram
-from fedbht.formatting import format_values
 from fedbht.output import (
     read_snapshot_csv,
     snapshot_basename,
@@ -93,6 +92,11 @@ def assert_matches_reference(tmp_path, mesh, record):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
+def text_of(values, sep=b" "):
+    """The whole text of formatting.text_blocks."""
+    return b"".join(formatting.text_blocks(values, sep))
+
+
 def reference_text(values, sep=b" "):
     """Python's "%.17g" of each value, sep between the values of a row."""
     rows = np.asarray(values, dtype=np.float64)
@@ -114,15 +118,15 @@ def format_corpus():
 
 def test_format_matches_percent_g_on_its_edges():
     values = format_corpus()
-    assert format_values(values) == reference_text(values)
-    assert format_values(-values) == reference_text(-values)
+    assert text_of(values) == reference_text(values)
+    assert text_of(-values) == reference_text(-values)
 
 
 def test_format_matches_percent_g_on_seeded_values():
     rng = np.random.default_rng(2025)
     n = 1_000_000
     values = rng.random(n) * 10.0 ** rng.integers(-8, 21, n) * rng.choice([-1.0, 1.0], n)
-    assert format_values(values) == reference_text(values)
+    assert text_of(values) == reference_text(values)
 
 
 @pytest.mark.parametrize("sep", [b",", b" "])
@@ -132,20 +136,20 @@ def test_format_rows_of_any_length(sep, n):
     rng = np.random.default_rng(n)
     values = 37.0 + rng.standard_normal(n)
     values[:AWKWARD.size] = AWKWARD[:n]
-    assert format_values(values, sep) == reference_text(values, sep)
+    assert text_of(values, sep) == reference_text(values, sep)
     for cols in (1, 3, 7):
         rows = values[:n - n % cols].reshape(-1, cols)
-        assert format_values(rows, sep) == reference_text(rows, sep)
+        assert text_of(rows, sep) == reference_text(rows, sep)
 
 
 def test_int_format_matches_percent_d():
     values = np.array([0, 7, 9, 10, 99, 100, 9999, 10_000, 12_345_678, 123_456_789,
                        10**18, np.iinfo(np.int64).max, -1, -10, -9999, -10**17])
-    assert format_values(values) == b"".join(b"%d\n" % v for v in values.tolist())
+    assert text_of(values) == b"".join(b"%d\n" % v for v in values.tolist())
     rows = values.reshape(4, 4)
-    assert format_values(rows, b",") == b"".join(
+    assert text_of(rows, b",") == b"".join(
         b",".join(b"%d" % v for v in row) + b"\n" for row in rows.tolist())
-    assert format_values(np.zeros(0, dtype=np.intp)) == b""
+    assert text_of(np.zeros(0, dtype=np.intp)) == b""
 
 
 # -- the other writers against their per-line forms ---------------------------
