@@ -26,7 +26,7 @@ import numpy as np
 from .deformation import TrajectoryDeformation, write_trajectory
 from .integrator import Schedule
 from .material import PerfusionParams
-from .mesh import HEX_SIGNS, Mesh, precompute, write_mesh, write_node_set
+from .mesh import HEX_SIGNS, Mesh, write_mesh, write_node_set
 
 # The six Kuhn tets of a cell as rows of hex corners (HEX_SIGNS order).
 # Each walks the cell edges from corner 0 to the opposite corner 6, one axis
@@ -56,7 +56,9 @@ def make_block_mesh(
     nx/ny/nz count cells per axis. ``jitter`` displaces interior nodes by
     a uniform fraction of the local spacing (boundary nodes stay put so
     the box shape survives); keep it below ~0.25 to preserve positive
-    volumes with the six-tet cell split.
+    volumes with the six-tet cell split. The mesh is not precomputed here:
+    a jitter that inverts an element is refused by the mesh's first
+    :func:`mesh.precompute`, which names the element.
     """
     if element not in ("tet4", "hex8"):
         raise ValueError(f"element must be tet4 or hex8, got {element!r}")
@@ -87,11 +89,8 @@ def make_block_mesh(
     bx, by, bz = ((HEX_SIGNS.T + 1) // 2).astype(np.intp)
     hexes = ids[:-1, :-1, :-1].reshape(-1, 1) + (bx * (ny + 1) + by) * (nz + 1) + bz
     if element == "hex8":
-        mesh = Mesh(nodes=nodes, hexes=hexes)
-    else:
-        mesh = Mesh(nodes=nodes, tets=hexes[:, _KUHN_TETS].reshape(-1, 4))
-    precompute(mesh)  # fail fast if the jitter inverted anything
-    return mesh
+        return Mesh(nodes=nodes, hexes=hexes)
+    return Mesh(nodes=nodes, tets=hexes[:, _KUHN_TETS].reshape(-1, 4))
 
 
 @dataclass

@@ -20,10 +20,10 @@ A Mesh checks on construction that coordinates are finite and indices in
 range. :func:`precompute` returns one ElementFamily per non-empty family,
 holding its Jacobians J and weights, and checks that every element has
 positive measure (signed tet volume, centre-point Jacobian determinant for
-hexes); :func:`load_mesh` and ``blockmesh.make_block_mesh`` call it, other
-meshes are checked when first precomputed. :func:`parse_mesh` reads a file
-without that check, for callers that precompute the mesh next and keep
-the families (``config.load_scenario``). Its sections, node-set files and
+hexes); :func:`load_mesh` calls it, other meshes are checked when first
+precomputed. :func:`parse_mesh` reads a file without that check, for
+callers that precompute the mesh next and keep the families
+(``config.load_scenario``). Its sections, node-set files and
 the keyframes of ``deformation.load_trajectory`` share one row reader,
 :func:`read_rows`, which converts a section with one numpy call.
 

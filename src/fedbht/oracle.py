@@ -21,12 +21,13 @@ matrix-free production path can be checked against an independent route:
 
 Thermal mass and perfusion lumping always use reference-configuration
 volumes, matching the production convention (mass conservation makes
-rho c V deformation-invariant). The lumping is the oracle's own, on
-element volumes it derives from the node positions: an equal split of V
-gives the nodal volumes that carry the perfusion and Q_met terms, and an
-equal split of rho c(T̄) V the thermal mass, anew in every step of an
-updated run (at the T̄ of that step's K) and once, from the uniform
-initial field, for a frozen one.
+rho c V deformation-invariant). The lumping is the assembler's own: the
+geometry rules that weight K also give each node's share of its element's
+volume, derived once at the reference nodes when the assembler is built.
+The nodal sums of those shares are the volumes that carry the perfusion
+and Q_met terms, and the sums of rho c(T̄) times them the thermal mass,
+anew in every step of an updated run (at the T̄ of that step's K) and
+once, from the uniform initial field, for a frozen one.
 The reference transient borrows only the bookkeeping of production's
 :func:`integrator.thermal_state_from_volumes`: the heater, flux and film
 terms on their nodes and the Dirichlet field.
@@ -36,7 +37,7 @@ production operator and independent of it: element matrices come from the
 oracle's own derivation (edge cross products for tets, the centre Jacobian
 for hexes) and share no code with the production kernels. They are not
 slow on purpose; element matrices are built entry by entry on per-element
-arrays, without forming per-element tensors.
+arrays.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .integrator import (
     thermal_state_from_volumes,
 )
 from .material import MaterialModel, PerfusionParams
-from .mesh import HEX_DN_CENTER, Mesh
+from .mesh import HEX_SIGNS, Mesh
 
 # --------------------------------------------------------------------------
 # quadrature rules
@@ -89,14 +90,16 @@ def hex_gauss_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _hex_dn(xi: np.ndarray) -> np.ndarray:
     """Trilinear shape-function derivatives at natural point xi, rows=nodes."""
-    from .mesh import HEX_SIGNS
-
     s = HEX_SIGNS
     dn = np.empty((8, 3))
     dn[:, 0] = s[:, 0] * (1 + s[:, 1] * xi[1]) * (1 + s[:, 2] * xi[2]) / 8.0
     dn[:, 1] = (1 + s[:, 0] * xi[0]) * s[:, 1] * (1 + s[:, 2] * xi[2]) / 8.0
     dn[:, 2] = (1 + s[:, 0] * xi[0]) * (1 + s[:, 1] * xi[1]) * s[:, 2] / 8.0
     return dn
+
+
+# the derivatives at the centre, bitwise HEX_SIGNS / 8
+_HEX_DN_CENTER = _hex_dn(np.zeros(3))
 
 
 def brute_force_element_load(coords, conductivity, temps, n_points: int) -> np.ndarray:
@@ -220,13 +223,15 @@ class OracleAssembler:
     in entry order (a bincount), are mirrored into K, so K equals its
     transpose bitwise.
 
-    The element geometry is derived from the coordinates of a call and
-    kept, with a private copy of those coordinates, until a call brings
+    The constructor derives the element geometry at the reference nodes,
+    which also gives each node's share of its element's reference volume
+    for :meth:`node_volumes` and :meth:`lumped_mass`. The geometry is kept,
+    with a private copy of those coordinates, until a call brings
     different ones: for isotropic tables the weight and the g_a . g_b, for
     tensor tables the weight and g. A call on the same coordinates (a held
-    mesh) only gathers the element means T̄, evaluates k(T̄), scales and
-    sums. The T̄ of the last call stay in :attr:`element_means` for the
-    thermal mass.
+    mesh, or the reference nodes) only gathers the element means T̄,
+    evaluates k(T̄), scales and sums. The T̄ of the last call stay in
+    :attr:`element_means` for the thermal mass.
     """
 
     def __init__(self, mesh: Mesh, material: MaterialModel):
@@ -283,7 +288,8 @@ class OracleAssembler:
         self._geometry = ([np.empty_like(block) for block in self._blocks]
                           if material.isotropic else self._gradients)
         self._weights = [None] * len(self._families)
-        self._coords = None  # copy of the coordinates the geometry was derived on
+        del upper, rows, cols, on, key, order, counts, place  # alive, they raise the peak RSS
+        self._shares = self._derive_geometry(mesh.nodes)
         self.element_means: list[np.ndarray] = []
 
     def stiffness(self, coords: np.ndarray | None = None, temps=None) -> Stiffness:
@@ -322,17 +328,42 @@ class OracleAssembler:
         temps = np.asarray(temps, dtype=np.float64)
         return [temps.take(conn_t).mean(axis=0) for conn_t, _ in self._families]
 
-    def _derive_geometry(self, coords) -> None:
+    def node_volumes(self) -> np.ndarray:
+        """Each node's reference volume: the sum of its elements' shares."""
+        return self._sum_at_nodes(self._shares)
+
+    def lumped_mass(self, element_means) -> np.ndarray:
+        """Equal-split lumping of rho c(T̄) over the reference volumes;
+        element_means holds each family's T̄ (:meth:`mean_temperatures` or
+        :attr:`element_means`)."""
+        material = self.material
+        return self._sum_at_nodes([
+            share * (material.density.evaluate(tmean) * material.specific_heat.evaluate(tmean))
+            for share, tmean in zip(self._shares, element_means)])
+
+    def _sum_at_nodes(self, per_element) -> np.ndarray:
+        """Each node's sum of its elements' values, one array per family,
+        in ascending element order."""
+        out = np.zeros(self.n)
+        for (conn_t, _), values in zip(self._families, per_element):
+            out += np.bincount(conn_t.ravel(order="F"),  # element-major
+                               weights=np.repeat(values, conn_t.shape[0]), minlength=self.n)
+        return out
+
+    def _derive_geometry(self, coords) -> list[np.ndarray]:
         """Weight and gradients of every element on coords; for isotropic
-        tables the gradients are kept as their pair products."""
+        tables the gradients are kept as their pair products. Returns each
+        family's per-node shares of the element volumes on coords."""
         self._coords = None  # a derivation that raises leaves no memo behind
         coords_t = coords.T
+        shares = [None] * len(self._families)
         for family, (conn_t, derive) in enumerate(self._families):
             g = self._gradients[family]
-            self._weights[family] = derive(coords_t, conn_t, g)
+            self._weights[family], shares[family] = derive(coords_t, conn_t, g)
             if self.material.isotropic:
                 _pair_products(g, g, self._geometry[family])
         self._coords = coords.copy()
+        return shares
 
 
 def _upper_keys(conn_t: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
@@ -356,9 +387,10 @@ def _pair_products(g: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tet_geometry(coords_t, conn_t, g) -> np.ndarray:
-    """Unscaled gradients g = 6 V grad N_a (3, 4, e), written into g, and
-    the weight 1 / 6V, so that V grad^T D grad = weight * g^T D g."""
+def _tet_geometry(coords_t, conn_t, g) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled gradients g = 6 V grad N_a (3, 4, e), written into g; the
+    weight 1 / 6V, so that V grad^T D grad = weight * g^T D g, and each
+    node's share V / 4."""
     x0 = np.take(coords_t, conn_t[0], axis=1)  # (3, e)
     e1, e2, e3 = (np.take(coords_t, conn_t[a], axis=1) - x0 for a in (1, 2, 3))
     _cross(e2, e3, g[:, 1])
@@ -372,14 +404,14 @@ def _tet_geometry(coords_t, conn_t, g) -> np.ndarray:
             "volume on the given coordinates"
         )
     g[:, 0] = -(g[:, 1] + g[:, 2] + g[:, 3])
-    return 1.0 / (6.0 * det)
+    return 1.0 / (6.0 * det), det / 24.0  # bitwise (det / 6) / 4
 
 
-def _hex_geometry(coords_t, conn_t, g) -> np.ndarray:
-    """Centre-point gradients (3, 8, e), written into g, and the weight
-    8 det J."""
+def _hex_geometry(coords_t, conn_t, g) -> tuple[np.ndarray, np.ndarray]:
+    """Centre-point gradients (3, 8, e), written into g; the weight 8 det J
+    and each node's share 8 det J / 8."""
     x = np.take(coords_t, conn_t, axis=1)  # (3, 8, e)
-    jac = np.einsum("jae,ak->ejk", x, HEX_DN_CENTER)
+    jac = np.einsum("jae,ak->ejk", x, _HEX_DN_CENTER)
     with np.errstate(invalid="ignore"):  # NaN coordinates fail the check below
         det = np.linalg.det(jac)
     bad = ~(det > 0)
@@ -388,10 +420,10 @@ def _hex_geometry(coords_t, conn_t, g) -> np.ndarray:
             f"hex8 element {int(np.argmax(bad))} has non-positive or non-finite "
             "centre Jacobian on the given coordinates"
         )
-    rhs = np.broadcast_to(HEX_DN_CENTER.T, (det.size, 3, 8))
+    rhs = np.broadcast_to(_HEX_DN_CENTER.T, (det.size, 3, 8))
     grads = np.linalg.solve(np.transpose(jac, (0, 2, 1)), rhs)  # (e, 3, 8)
     g[...] = np.moveaxis(grads, 0, 2)
-    return 8.0 * det
+    return 8.0 * det, det
 
 
 def _cross(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
@@ -502,13 +534,11 @@ def reference_transient(
 
     assembler = OracleAssembler(mesh, material)
     update_thermal_mass = resolve_update_thermal_mass(material, update_thermal_mass)
-    lumping = _reference_lumping(mesh)
     # a frozen mass is lumped from the uniform initial field, as production
     # lumps it; an updated one is lumped anew in every step
     initial_means = assembler.mean_temperatures(np.full(mesh.n_nodes, float(initial_temperature)))
     state = thermal_state_from_volumes(
-        _reference_node_volumes(lumping),
-        _oracle_lumped_mass(material, initial_means, lumping),
+        assembler.node_volumes(), assembler.lumped_mass(initial_means),
         perfusion, bc, initial_temperature,
     )
     if provider is None:
@@ -543,7 +573,7 @@ def reference_transient(
         k = assembler.stiffness(coords=coords, temps=temps)
         if update_thermal_mass:
             # at the element means K's conductivity was just evaluated at
-            mass = _oracle_lumped_mass(material, assembler.element_means, lumping)
+            mass = assembler.lumped_mass(assembler.element_means)
 
         if scheme == "forward":
             rhs = load - k @ temps - state.perfusion_diag * temps
@@ -580,45 +610,3 @@ def reference_transient(
     record.finish(temps)
     return record
 
-
-def _reference_lumping(mesh: Mesh) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
-    """The node count and, per element family, the connectivity and each
-    element's reference volume split equally over its nodes, from
-    first-principles geometry."""
-    families = []
-    if mesh.tets.size:
-        x = mesh.nodes[mesh.tets]
-        det = np.einsum(
-            "ei,ei->e", x[:, 1] - x[:, 0], np.cross(x[:, 2] - x[:, 0], x[:, 3] - x[:, 0])
-        )
-        families.append((mesh.tets, (det / 6.0) / 4.0))
-    if mesh.hexes.size:
-        x = mesh.nodes[mesh.hexes]
-        jac = np.einsum("eaj,ak->ejk", x, HEX_DN_CENTER)
-        families.append((mesh.hexes, np.linalg.det(jac)))  # 8 det / 8
-    return mesh.n_nodes, families
-
-
-def _nodal_sums(lumping, values) -> np.ndarray:
-    """Each node's sum of share times value over its elements, in ascending
-    element order; values holds one per-element array per family."""
-    n_nodes, families = lumping
-    out = np.zeros(n_nodes)
-    for (conn, share), value in zip(families, values):
-        out += np.bincount(conn.ravel(), weights=np.repeat(share * value, conn.shape[1]),
-                           minlength=n_nodes)
-    return out
-
-
-def _reference_node_volumes(lumping) -> np.ndarray:
-    """Nodal volumes: the nodal sums of the shares in _reference_lumping."""
-    return _nodal_sums(lumping, itertools.repeat(1.0))
-
-
-def _oracle_lumped_mass(material: MaterialModel, element_means, lumping) -> np.ndarray:
-    """Independent equal-split lumping of rho c(T̄) over the reference
-    volumes of _reference_lumping; element_means holds each family's T̄
-    (:meth:`OracleAssembler.mean_temperatures`)."""
-    return _nodal_sums(lumping, [material.density.evaluate(tmean)
-                                 * material.specific_heat.evaluate(tmean)
-                                 for tmean in element_means])

@@ -12,8 +12,7 @@ from fedbht.integrator import BoundaryConditions, build_thermal_state
 from fedbht.kernels import ConductionOperator, Variant
 from fedbht.material import MaterialModel, PerfusionParams, PropertyTable, TensorPropertyTable
 from fedbht.mesh import Mesh, precompute
-from fedbht.oracle import (OracleAssembler, brute_force_element_load, _oracle_lumped_mass,
-                           _reference_lumping)
+from fedbht.oracle import OracleAssembler, brute_force_element_load
 from fedbht.stability import estimate_critical_dt
 
 from conftest import anisotropic_material, make_material, mixed_block, random_tet_mesh
@@ -503,8 +502,8 @@ def test_fused_mass_matches_lumped_thermal_mass(variant, tissue_material):
         op = ConductionOperator(mesh, pre, tissue_material, variant)
         mass = np.full(mesh.n_nodes, np.nan)
         loads = op.apply(temps, deformation=moved, mass=mass)
-        means = OracleAssembler(mesh, tissue_material).mean_temperatures(temps)
-        reference = _oracle_lumped_mass(tissue_material, means, _reference_lumping(mesh))
+        assembler = OracleAssembler(mesh, tissue_material)
+        reference = assembler.lumped_mass(assembler.mean_temperatures(temps))
         np.testing.assert_allclose(mass, reference, rtol=MASS_RTOL, atol=0.0)
         assert np.array_equal(loads, op.apply(temps, deformation=moved))
 

@@ -8,11 +8,17 @@ import pytest
 import fedbht.integrator
 import fedbht.oracle
 from fedbht.blockmesh import make_block_mesh
-from fedbht.deformation import DeformationState, IdentityDeformation, TrajectoryDeformation
+from fedbht.deformation import (
+    AffineDeformation,
+    DeformationState,
+    IdentityDeformation,
+    TrajectoryDeformation,
+)
 from fedbht.errors import GeometryError
 from fedbht.integrator import (
     BoundaryConditions,
     DirichletBC,
+    FilmBC,
     FluxBC,
     Schedule,
     build_thermal_state,
@@ -20,8 +26,9 @@ from fedbht.integrator import (
     run,
 )
 from fedbht.kernels import ConductionOperator, Variant
-from fedbht.material import PerfusionParams
-from fedbht.mesh import HEX_DN_CENTER, Mesh, precompute
+from fedbht.material import MaterialModel, PerfusionParams, PropertyTable
+from fedbht.mesh import Mesh, precompute
+from fedbht.metrics import normalized_error
 from fedbht.oracle import (
     SOLVER_RTOL,
     OracleAssembler,
@@ -30,9 +37,6 @@ from fedbht.oracle import (
     hex_gauss_rule,
     quadrature_volume,
     reference_transient,
-    _oracle_lumped_mass,
-    _reference_lumping,
-    _reference_node_volumes,
 )
 
 from conftest import (
@@ -306,7 +310,7 @@ def test_geometry_is_derived_once_while_the_mesh_holds(monkeypatch, hold):
         provider = TrajectoryDeformation([0.0, hold], [np.zeros_like(moved), moved])
     reference_transient(mesh, temperature_dependent_material(), PerfusionParams(), NO_BC,
                         provider, Schedule(dt=1.0, total_time=6.0), scheme="backward")
-    derivations = 1 if not hold else 3  # t = 1, 2 and 3 s; 4 to 6 s hold
+    derivations = 1 if not hold else 4  # the reference, t = 1, 2 and 3 s; 4 to 6 s hold
     assert calls == {"cross": 3 * derivations, "hex": derivations}
 
 
@@ -318,12 +322,13 @@ def test_mass_from_shared_means_is_the_equal_split(mesh):
     temps = 37.0 + 20.0 * np.random.default_rng(59).random(mesh.n_nodes)
     assembler = OracleAssembler(mesh, mat)
     assembler.stiffness(temps=temps)
-    lumping = _reference_lumping(mesh)
+    families = [conn for conn in (mesh.tets, mesh.hexes) if conn.size]
 
     mass = np.zeros(mesh.n_nodes)
     volumes = np.zeros(mesh.n_nodes)
     # share: V / k of each element of the family
-    for (conn, share), tmean in zip(lumping[1], assembler.element_means, strict=True):
+    for conn, share, tmean in zip(families, assembler._shares, assembler.element_means,
+                                  strict=True):
         if conn.shape[1] == 4:  # four terms sum in the same order either way
             assert_bitwise(tmean, temps[conn].mean(axis=1))
         rho_c = mat.density.evaluate(tmean) * mat.specific_heat.evaluate(tmean)
@@ -331,8 +336,8 @@ def test_mass_from_shared_means_is_the_equal_split(mesh):
                             minlength=mesh.n_nodes)
         volumes += np.bincount(conn.ravel(), weights=np.repeat(share, conn.shape[1]),
                                minlength=mesh.n_nodes)
-    assert_bitwise(_oracle_lumped_mass(mat, assembler.element_means, lumping), mass)
-    assert_bitwise(_reference_node_volumes(lumping), volumes)
+    assert_bitwise(assembler.lumped_mass(assembler.element_means), mass)
+    assert_bitwise(assembler.node_volumes(), volumes)
 
 
 def _mirrored(mesh, entries):
@@ -429,7 +434,7 @@ def _reduced_system(dirichlet):
     temps = 37.0 + 20.0 * rng.random(mesh.n_nodes)
     assembler = OracleAssembler(mesh, mat)
     k = assembler.stiffness(temps=temps)
-    mass = _oracle_lumped_mass(mat, assembler.element_means, _reference_lumping(mesh))
+    mass = assembler.lumped_mass(assembler.element_means)
     return mesh, assembler, k, temps, mass, mask
 
 
@@ -499,7 +504,9 @@ def test_dense_lambda_max_matches_generalized_eigh():
 def test_oracle_imports_no_production_element_code():
     """The oracle derives its element matrices itself: it may not import the
     production kernels, the pullback's batched inverse, the production
-    precompute, lumping and thermal state, or the explicit update."""
+    precompute, element table and shape derivatives, lumping and thermal
+    state, or the explicit update. Of the mesh module it shares only the
+    Mesh and the hex corner order of the mesh format."""
     tree = ast.parse(Path(fedbht.oracle.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -516,7 +523,8 @@ def test_oracle_imports_no_production_element_code():
             if module == "fedbht.deformation":
                 assert not names & {"inverse_and_det", "*"}, names
             if module == "fedbht.mesh":
-                assert not names & {"precompute", "*"}, names
+                assert not names & {"precompute", "HEX_DN_CENTER", "TET_DN",
+                                    "ELEMENT_TYPES", "*"}, names
             if module == "fedbht.integrator":
                 # the time line and the balance's bookkeeping are shared;
                 # the lumping and the update are the oracle's own
@@ -567,14 +575,12 @@ def test_independent_lumped_mass_agrees(tissue_material):
     mesh = random_tet_mesh(n_cells=3, seed=21, jitter=0.2)
     pre = precompute(mesh)
     temps = np.full(mesh.n_nodes, 48.0)
-    lumping = _reference_lumping(mesh)
     ours = build_thermal_state(mesh, pre, tissue_material, PerfusionParams(), NO_BC,
                                48.0).lumped_mass
-    means = OracleAssembler(mesh, tissue_material).mean_temperatures(temps)
-    theirs = _oracle_lumped_mass(tissue_material, means, lumping)
+    assembler = OracleAssembler(mesh, tissue_material)
+    theirs = assembler.lumped_mass(assembler.mean_temperatures(temps))
     np.testing.assert_allclose(ours, theirs, rtol=1e-12)
-    np.testing.assert_allclose(node_volumes(mesh, pre), _reference_node_volumes(lumping),
-                               rtol=1e-12)
+    np.testing.assert_allclose(node_volumes(mesh, pre), assembler.node_volumes(), rtol=1e-12)
 
 
 def test_oracle_thermal_mass_default_follows_tables(tissue_material):
@@ -617,6 +623,107 @@ def test_forward_replay_matches_production():
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-11)
     np.testing.assert_allclose(ours.probe_values, theirs.probe_values,
                                rtol=1e-10, atol=1e-11)
+
+
+# The physics switches of the forward-replay scenes and their levels.
+REPLAY_SWITCHES = {
+    "element": ("tet4", "hex8"),
+    "conductivity": ("constant", "kT", "tensor_kT"),
+    "mass": ("frozen", "updated"),
+    "deformation": ("identity", "affine", "ramp_hold"),
+    "perfusion": ("none", "wb_Qmet"),
+    "boundary": ("dirichlet", "flux_off_on", "film"),
+}
+# A pairwise covering array over REPLAY_SWITCHES: any two levels of any two
+# switches meet in at least one scene (12 scenes instead of the 216 of the
+# full product). Each element also meets constant k at rest, where the
+# frozen-conductivity variants iii and v apply, and a ramp with k(T).
+REPLAY_SCENES = [
+    ("hex8", "constant", "frozen", "identity", "none", "flux_off_on"),
+    ("hex8", "kT", "frozen", "affine", "none", "film"),
+    ("hex8", "kT", "updated", "identity", "wb_Qmet", "flux_off_on"),
+    ("hex8", "tensor_kT", "frozen", "ramp_hold", "none", "flux_off_on"),
+    ("hex8", "tensor_kT", "updated", "affine", "wb_Qmet", "dirichlet"),
+    ("hex8", "constant", "updated", "ramp_hold", "wb_Qmet", "dirichlet"),
+    ("hex8", "kT", "updated", "ramp_hold", "wb_Qmet", "film"),
+    ("tet4", "constant", "frozen", "identity", "none", "dirichlet"),
+    ("tet4", "constant", "frozen", "ramp_hold", "wb_Qmet", "film"),
+    ("tet4", "constant", "updated", "affine", "wb_Qmet", "flux_off_on"),
+    ("tet4", "kT", "updated", "ramp_hold", "none", "dirichlet"),
+    ("tet4", "tensor_kT", "updated", "identity", "wb_Qmet", "film"),
+]
+# relative to the field's range: the replay sums nothing in production's
+# order, so it agrees to round-off, and a slip in any term shows far above it
+REPLAY_RTOL = 1e-12
+
+
+def test_replay_scenes_cover_every_pair():
+    names = list(REPLAY_SWITCHES)
+    for (i, a), (j, b) in itertools.combinations(enumerate(names), 2):
+        met = {(scene[i], scene[j]) for scene in REPLAY_SCENES}
+        assert met == set(itertools.product(REPLAY_SWITCHES[a], REPLAY_SWITCHES[b])), (a, b)
+
+
+def _replay_scene(seed, element, conductivity, mass, deformation, perfusion, boundary):
+    """A jittered 3^3-cell block at 40 C with one level of every switch,
+    and its 50-step schedule: keyword arguments shared by run and
+    reference_transient."""
+    side = 0.03
+    mesh = make_block_mesh(3, 3, 3, (side,) * 3, element=element, jitter=0.15, seed=seed)
+    tables = temperature_dependent_material()
+    k = {"constant": PropertyTable.constant(0.5), "kT": tables.conductivity,
+         "tensor_kT": anisotropic_material().conductivity}[conductivity]
+    material = MaterialModel(density=tables.density, specific_heat=tables.specific_heat,
+                             conductivity=k)
+    dt, total = 2.0, 100.0
+    rng = np.random.default_rng(seed)
+    if deformation == "identity":
+        provider = IdentityDeformation()
+    elif deformation == "affine":
+        provider = AffineDeformation([[1.08, 0.04, 0.0], [0.0, 0.94, 0.03], [0.02, 0.0, 1.05]],
+                                     offset=(0.002, 0.0, -0.001))
+    else:  # a shear and a random field ramp in over half the run and hold
+        moved = mesh.nodes @ np.array([[0.0, 0.0, 0.1], [0.0, -0.05, 0.0], [0.0, 0.0, 0.0]]).T
+        moved += rng.uniform(-5e-4, 5e-4, size=moved.shape)
+        provider = TrajectoryDeformation([0.0, total / 2], [np.zeros_like(moved), moved])
+    perf = (PerfusionParams(w_b=2.0, c_b=3617.0, T_a=37.0, Q_met=5000.0)
+            if perfusion == "wb_Qmet" else PerfusionParams())
+    x, z = mesh.nodes[:, 0], mesh.nodes[:, 2]
+    events = ()
+    if boundary == "dirichlet":
+        bc = BoundaryConditions(dirichlet=(DirichletBC(np.flatnonzero(x == 0.0), 37.0),))
+    elif boundary == "flux_off_on":
+        heater = np.flatnonzero((x > 0.0) & (x < side) & (z > 0.0) & (z < side))
+        bc = BoundaryConditions(fluxes=(FluxBC(heater, watts_per_node=0.05),))
+        events = ((0.5 * total, "source_off"), (0.75 * total, "source_on"))
+    else:
+        bc = BoundaryConditions(films=(FilmBC(np.flatnonzero(z == side), coefficient=100.0,
+                                              sink_temperature=55.0, area_per_node=1e-4),))
+    # no snapshot at t = 0: a flux or film scene starts from a uniform field
+    schedule = Schedule(dt=dt, total_time=total, snapshot_times=(20.0, 50.0, 80.0), events=events)
+    return mesh, dict(material=material, perfusion=perf, bc=bc, provider=provider,
+                      schedule=schedule, initial_temperature=40.0,
+                      update_thermal_mass=mass == "updated")
+
+
+@pytest.mark.parametrize("scene", REPLAY_SCENES, ids="-".join)
+def test_every_switch_matches_the_forward_replay(scene):
+    """run agrees with the oracle's forward replay to round-off at every
+    snapshot and at the end: variant i on every scene, and the frozen
+    conductivity variants iii and v where k is constant and the mesh at
+    rest."""
+    mesh, kwargs = _replay_scene(70 + REPLAY_SCENES.index(scene), *scene)
+    theirs = reference_transient(mesh, scheme="forward", **kwargs)
+    variants = [Variant.DEFORMED_ANISO_TEMP_DEP]
+    if scene[1] == "constant" and scene[3] == "identity":
+        variants += [Variant.CLASSICAL_ANISO_TEMP_INDEP, Variant.CLASSICAL_ISO_TEMP_INDEP]
+    for variant in variants:
+        ours = run(mesh, precompute(mesh), variant=variant, **kwargs)
+        assert ours.outcome is None, ours.outcome
+        assert ours.snapshot_times == theirs.snapshot_times
+        for a, b in zip(ours.snapshots + [ours.final_temps],
+                        theirs.snapshots + [theirs.final_temps], strict=True):
+            assert normalized_error(a, b).max() <= REPLAY_RTOL, variant
 
 
 def test_backward_scheme_against_hand_iteration():
