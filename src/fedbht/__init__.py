@@ -47,7 +47,7 @@ from .material import (
     PropertyTable,
     TensorPropertyTable,
 )
-from .mesh import Mesh, load_mesh, load_node_set, precompute, write_mesh
+from .mesh import Mesh, load_node_set, precompute, write_mesh
 from .metrics import (
     MetricsReport,
     compare_snapshots,
@@ -93,7 +93,6 @@ __all__ = [
     "compare_snapshots",
     "estimate_critical_dt",
     "lanczos_lambda_max",
-    "load_mesh",
     "load_node_set",
     "load_scenario",
     "load_trajectory",

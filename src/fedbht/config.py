@@ -320,6 +320,9 @@ def load_scenario(path: str) -> ScenarioConfig:
         variant = Variant.from_string(top.get("variant", str, "i"))
     except ValueError as exc:
         raise ConfigError("variant", str(exc)) from None
+    refusal = variant.refusal(deformation, material)
+    if refusal:
+        raise ConfigError("variant", refusal)
 
     probes = top.section("probes", list, [])
     for i, node in enumerate(probes.items(int)):

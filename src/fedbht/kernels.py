@@ -79,7 +79,7 @@ from enum import Enum
 
 import numpy as np
 
-from .deformation import DET_FLOOR, DeformationState
+from .deformation import DET_FLOOR, DeformationState, IdentityDeformation
 from .errors import SingularDeformationError
 from .material import MaterialModel
 from .mesh import ElementFamily, Mesh
@@ -122,6 +122,23 @@ class Variant(Enum):
     @property
     def full_precompute(self) -> bool:
         return self in (Variant.CLASSICAL_ANISO_TEMP_INDEP, Variant.CLASSICAL_ISO_TEMP_INDEP)
+
+    def refusal(self, deformation, material: MaterialModel) -> str | None:
+        """Why this variant would drop physics a scenario states, or None.
+        A deformation other than identity needs variant i, a
+        temperature-dependent conductivity i, ii or iv, a tensor
+        conductivity i, ii or iii."""
+        name = f"{self.value} ({self.roman})"
+        if not (self.uses_deformation or isinstance(deformation, IdentityDeformation)):
+            return (f"{name} ignores the deformation; a deformation other than "
+                    "identity needs variant i")
+        if self.full_precompute and not material.conductivity.is_constant:
+            return (f"{name} freezes the conductivity at the initial temperature; a "
+                    "temperature-dependent conductivity needs variant i, ii or iv")
+        if self.requires_isotropic and not material.isotropic:
+            return (f"{name} requires isotropic conductivity; a tensor "
+                    "conductivity needs variant i, ii or iii")
+        return None
 
 
 _ROMAN = {

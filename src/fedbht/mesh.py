@@ -20,12 +20,12 @@ A Mesh checks on construction that coordinates are finite and indices in
 range. :func:`precompute` returns one ElementFamily per non-empty family,
 holding its Jacobians J and weights, and checks that every element has
 positive measure (signed tet volume, centre-point Jacobian determinant for
-hexes); :func:`load_mesh` calls it, other meshes are checked when first
-precomputed. :func:`parse_mesh` reads a file without that check, for
-callers that precompute the mesh next and keep the families
-(``config.load_scenario``). Its sections, node-set files and
-the keyframes of ``deformation.load_trajectory`` share one row reader,
-:func:`read_rows`, which converts a section with one numpy call.
+hexes), so a mesh is checked when first precomputed. :func:`parse_mesh`
+reads a file; parse_mesh then precompute, keeping the families, is the one
+way to read and check a mesh (``config.load_scenario``). Its sections,
+node-set files and the keyframes of ``deformation.load_trajectory`` share
+one row reader, :func:`read_rows`, whose numbers np.loadtxt converts, a
+plain section in one call.
 
 What differs between element families (nodes per element, derivatives at
 the integration point, weight, degenerate check, file keyword, VTK cell
@@ -191,7 +191,7 @@ def precompute(mesh: Mesh) -> tuple[ElementFamily, ...]:
     """
     families = []
     for etype, conn in mesh.element_blocks():
-        jac = np.einsum("eaj,ak->ejk", mesh.nodes[conn], etype.dn)  # (n, 3, 3)
+        jac = np.matmul(mesh.nodes[conn].transpose(0, 2, 1), etype.dn)  # (n, 3, 3)
         measure = np.linalg.det(jac) / etype.det_divisor
         bad = measure <= DEGENERATE_MEASURE
         if np.any(bad):
@@ -203,15 +203,6 @@ def precompute(mesh: Mesh) -> tuple[ElementFamily, ...]:
         families.append(ElementFamily(
             etype.kind, conn, etype.dn, jac, etype.weight_factor * measure))
     return tuple(families)
-
-
-def load_mesh(path) -> Mesh:
-    """Parse a mesh file and reject inverted or degenerate elements with
-    GeometryError. See the module docstring for the format."""
-    mesh = parse_mesh(path)
-    # fail fast on inverted geometry so downstream never sees it
-    precompute(mesh)
-    return mesh
 
 
 def parse_mesh(path) -> Mesh:
@@ -275,19 +266,22 @@ def read_rows(lines, start, count, width, dtype, entry, values, header=None):
     MeshFormatError "expected <width> <values>, got <n>", a value that does
     not parse "invalid <entry> '<row>'", each with the row's line number.
 
-    The common case, ``count`` plain rows in a row, is split once and
-    converted by one np.array call; only a comment, a blank line, a header
-    or a failed conversion makes it scan the lines one by one.
+    np.loadtxt converts every number: ``count`` plain rows in a row in one
+    call, which a comment, a blank line, a header or a faulty row makes
+    raise or return another shape; the lines are then scanned one by one
+    and the rows kept converted alike. No rows never reach it (it warns).
     """
-    stop = start + count
-    block = lines[start:stop]
-    text = "".join(block)
-    if (len(block) == count and "#" not in text
-            and set(map(len, map(str.split, block))) <= {width}):
+    def convert(rows):
+        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+
+    block = lines[start:start + count]
+    if count and len(block) == count and not block[0].isspace():
         try:
-            return np.array(text.split(), dtype=dtype).reshape(count, width), stop
-        except (ValueError, OverflowError):
-            pass  # a header or an invalid value: the scan below finds it
+            array = convert(block)
+            if array.shape == (count, width):
+                return array, start + count
+        except ValueError:
+            pass  # the scan below finds the fault
     rows, linenos = [], []
     stop = start
     misfit = None  # raised after the rows before it, which may hold an earlier fault
@@ -305,12 +299,12 @@ def read_rows(lines, start, count, width, dtype, entry, values, header=None):
         rows.append(row)
         linenos.append(stop)
     try:
-        array = np.array(" ".join(rows).split(), dtype=dtype).reshape(len(rows), width)
-    except (ValueError, OverflowError):
+        array = convert(rows) if rows else np.empty((0, width), dtype=dtype)
+    except ValueError:
         for row, lineno in zip(rows, linenos):
             try:
-                np.array(row.split(), dtype=dtype)
-            except (ValueError, OverflowError):
+                convert([row])
+            except ValueError:
                 raise MeshFormatError(f"invalid {entry} {row!r}", lineno) from None
         raise
     if misfit is not None:

@@ -246,6 +246,9 @@ class OracleAssembler:
         ]
         if not self._families:
             raise GeometryError("mesh has no elements to assemble")
+        # each family's (e, k) node indices, the mesh's own contiguous
+        # arrays: ravel gives the lumping's element-major order without a copy
+        self._conn = [conn for conn in (mesh.tets, mesh.hexes) if conn.size]
         # the upper-triangle slot of every entry, entry-major, numbered in
         # the order of its row * n + col
         upper, self._slot = np.unique(np.concatenate([
@@ -345,9 +348,9 @@ class OracleAssembler:
         """Each node's sum of its elements' values, one array per family,
         in ascending element order."""
         out = np.zeros(self.n)
-        for (conn_t, _), values in zip(self._families, per_element):
-            out += np.bincount(conn_t.ravel(order="F"),  # element-major
-                               weights=np.repeat(values, conn_t.shape[0]), minlength=self.n)
+        for conn, values in zip(self._conn, per_element):
+            out += np.bincount(conn.ravel(), weights=np.repeat(values, conn.shape[1]),
+                               minlength=self.n)
         return out
 
     def _derive_geometry(self, coords) -> list[np.ndarray]:

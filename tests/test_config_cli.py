@@ -102,6 +102,58 @@ def test_unknown_variant(scenario_path, tmp_path):
         load_scenario(path)
 
 
+_IDENTITY = {"kind": "identity"}
+_AFFINE = {"kind": "affine", "matrix": [[1.01, 0, 0], [0, 1, 0], [0, 0, 1]]}
+_CONSTANT_K = [[37.0, 0.53]]
+_TENSOR_K = {"xx": 0.53, "yy": 0.47, "zz": 0.58}
+_TENSOR_K_OF_T = {"xx": [[37.0, 0.53], [65.0, 0.61]], "yy": 0.47, "zz": 0.58}
+
+
+def with_physics(variant, deformation=None, conductivity=None):
+    """A mutate for rewrite: the variant, and the deformation and
+    conductivity when given (the desk scene moves along a trajectory and
+    its scalar conductivity rises with temperature)."""
+    def mutate(doc):
+        doc["variant"] = variant
+        if deformation is not None:
+            doc["deformation"] = deformation
+        if conductivity is not None:
+            doc["material"]["conductivity"] = conductivity
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, fact", [
+    (with_physics("ii"), "a deformation other than identity needs variant i"),
+    (with_physics("v", _AFFINE, _CONSTANT_K), "a deformation other than identity needs variant i"),
+    (with_physics("iii", _IDENTITY),
+     "a temperature-dependent conductivity needs variant i, ii or iv"),
+    (with_physics("iv", _IDENTITY, _TENSOR_K), "a tensor conductivity needs variant i, ii or iii"),
+], ids=["trajectory", "affine", "k_of_T", "tensor"])
+def test_variant_that_drops_stated_physics_is_refused(scenario_path, tmp_path, capsys,
+                                                      mutate, fact):
+    path = rewrite(scenario_path, tmp_path, mutate)
+    with pytest.raises(ConfigError, match=re.escape(fact)) as err:
+        load_scenario(path)
+    assert err.value.field == "variant"
+    out = tmp_path / "o"
+    assert cli_main(["run", path, "--out", str(out)]) == 2
+    assert "error: variant: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant, deformation, conductivity", [
+    ("v", _IDENTITY, _CONSTANT_K),  # the benchmark's hex block
+    ("iii", _IDENTITY, _TENSOR_K),
+    ("iv", _IDENTITY, None),
+    ("ii", _IDENTITY, _TENSOR_K_OF_T),
+    ("i", _AFFINE, _TENSOR_K_OF_T),
+])
+def test_variant_that_keeps_stated_physics_loads(scenario_path, tmp_path, variant,
+                                                 deformation, conductivity):
+    path = rewrite(scenario_path, tmp_path, with_physics(variant, deformation, conductivity))
+    assert load_scenario(path).variant.roman == variant
+
+
 def test_unknown_boundary_kind(scenario_path, tmp_path):
     def mutate(d):
         d["boundary"]["vessel_wall"] = {"kind": "robin", "temperature": 37.0}
@@ -209,6 +261,38 @@ def test_bad_node_set_exits_2_naming_its_set(scenario_path, tmp_path, capsys, te
     out = tmp_path / "o"
     assert cli_main(["run", path, "--out", str(out)]) == 2
     assert f"error: node_sets.vessel_wall: line {line}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _node_set_with_underscore(scenario_path, tmp_path):
+    bad = tmp_path / "bad.nodes"
+    bad.write_text("0\n1_000\n", encoding="utf-8")
+    path = rewrite(scenario_path, tmp_path,
+                   lambda doc: doc["node_sets"].update(vessel_wall=str(bad)))
+    return path, "node_sets.vessel_wall: line 2: invalid node index '1_000'"
+
+
+def _tet_row_in_arabic_indic_digits(scenario_path, tmp_path):
+    with open(os.path.join(os.path.dirname(scenario_path), "block.mesh")) as fh:
+        lines = fh.readlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("TET4"))
+    at = next(i for i in range(first + 1, len(lines)) if "12" in lines[i].split())
+    row = " ".join("١٢" if f == "12" else f for f in lines[at].split())
+    lines[at] = row + "\n"
+    bad = tmp_path / "bad.mesh"
+    bad.write_text("".join(lines), encoding="utf-8")
+    path = rewrite(scenario_path, tmp_path, lambda doc: doc.update(mesh_path=str(bad)))
+    return path, f"mesh_path: line {at + 1}: invalid TET4 entry {row!r}"
+
+
+@pytest.mark.parametrize("make", [_node_set_with_underscore, _tet_row_in_arabic_indic_digits])
+def test_numbers_numpy_refuses_exit_2_naming_their_line(scenario_path, tmp_path, capsys, make):
+    # Python's int() reads 1_000 and the Arabic-Indic digits of 12; numpy's
+    # text reader, the one that converts scenario files, does not
+    path, message = make(scenario_path, tmp_path)
+    out = tmp_path / "o"
+    assert cli_main(["run", path, "--out", str(out)]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 

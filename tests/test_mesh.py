@@ -1,17 +1,19 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from fedbht.blockmesh import make_block_mesh
 from fedbht.errors import GeometryError, MeshFormatError, TopologyError
+from fedbht.formatting import text_blocks
 from fedbht.mesh import (
     DEGENERATE_MEASURE,
     Mesh,
-    load_mesh,
     load_node_set,
     parse_mesh,
     precompute,
+    read_rows,
     write_mesh,
     write_node_set,
 )
@@ -113,7 +115,8 @@ def test_roundtrip(tmp_path):
     mesh = random_tet_mesh(n_cells=2, seed=5, jitter=0.15)
     path = tmp_path / "block.mesh"
     write_mesh(path, mesh)
-    back = load_mesh(path)
+    back = parse_mesh(path)
+    precompute(back)
     np.testing.assert_allclose(back.nodes, mesh.nodes, rtol=0, atol=0)
     np.testing.assert_array_equal(back.tets, mesh.tets)
 
@@ -225,7 +228,7 @@ def test_parse_error_carries_line_number(tmp_path):
     path = tmp_path / "bad.mesh"
     path.write_text("NODES 2\n0 0 0\n0 0 nonsense\n")
     with pytest.raises(MeshFormatError, match="line 3") as err:
-        load_mesh(path)
+        precompute(parse_mesh(path))
     assert err.value.line == 3
 
 
@@ -233,7 +236,7 @@ def test_parse_rejects_duplicate_section(tmp_path):
     path = tmp_path / "bad.mesh"
     path.write_text("NODES 1\n0 0 0\nNODES 1\n0 0 0\n")
     with pytest.raises(MeshFormatError):
-        load_mesh(path)
+        precompute(parse_mesh(path))
 
 
 def test_parse_comments_and_section_order(tmp_path):
@@ -243,7 +246,8 @@ def test_parse_comments_and_section_order(tmp_path):
         "TET4 1\n0 1 2 3\n"
         "NODES 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
     )
-    mesh = load_mesh(path)
+    mesh = parse_mesh(path)
+    precompute(mesh)
     assert mesh.n_nodes == 4 and mesh.tets.shape == (1, 4)
 
 
@@ -280,12 +284,10 @@ def test_parse_errors_name_the_line(tmp_path, text, line, message):
     assert str(err.value) == f"line {line}: {message}"
 
 
-def test_load_mesh_rejects_inverted_geometry(tmp_path):
-    # parse_mesh leaves the measure check to precompute; load_mesh makes it
+def test_precompute_rejects_inverted_geometry_that_parse_mesh_reads(tmp_path):
+    # parse_mesh leaves the measure check to precompute, which makes it
     path = tmp_path / "inverted.mesh"
     path.write_text("NODES 4\n0 0 0\n1 0 0\n0 1 0\n0 0 -1\nTET4 1\n0 1 2 3\n")
-    with pytest.raises(GeometryError, match="tet4 element 0"):
-        load_mesh(path)
     mesh = parse_mesh(path)
     with pytest.raises(GeometryError, match="tet4 element 0"):
         precompute(mesh)
@@ -323,11 +325,65 @@ def test_node_set_comments_blanks_and_duplicates(tmp_path):
     # the row's real line, not its index + 1, nor a line whose text reads 12
     ("5\n\n# 12\n012\n", 4, "node index 12 outside [0, 10)"),
     ("0\n# 10\n\n10\n", 4, "node index 10 outside [0, 10)"),
+    # Python's int() reads both; numpy's text reader refuses them
+    ("0\n1_000\n", 2, "invalid node index '1_000'"),
+    ("0\n\u0661\u0662\n", 2, "invalid node index '\u0661\u0662'"),
 ])
 def test_node_set_faults_name_their_line(tmp_path, text, line, message):
     path = tmp_path / "set.nodes"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(MeshFormatError) as info:
         load_node_set(path, 10)
     assert str(info.value) == f"line {line}: {message}"
     assert info.value.line == line
+
+
+@pytest.mark.parametrize("element", ["tet4", "hex8"])
+def test_jacobian_is_the_einsum_form_bitwise(element):
+    for jitter, seed in itertools.product((0.0, 0.1, 0.25), range(3)):
+        mesh = make_block_mesh(7, 5, 4, (0.07, 0.05, 0.04), element=element,
+                               jitter=jitter, seed=seed)
+        (family,) = precompute(mesh)
+        reference = np.einsum("eaj,ak->ejk", mesh.nodes[family.conn], family.dn)
+        assert family.jac.tobytes() == reference.tobytes()
+
+
+def read_block(text, count, width, dtype):
+    """read_rows on a whole text, as a mesh section after its header."""
+    return read_rows(text.splitlines(keepends=True), 0, count, width, dtype,
+                     "entry", "values in entry")
+
+
+@pytest.mark.parametrize("plain, noisy, width, dtype", [
+    ("0.5 -1e-3 2\n1 2 3\n4 5 6.25\n",
+     "# head\n0.5 -1e-3 2\n1 2 3  # trailing\n\n4 5 6.25\n", 3, np.float64),
+    ("0 1 2 3\n4 5 6 7\n", "0 1 2 3\n   \n4 5 6 7 # last\n", 4, np.intp),
+])
+def test_comments_and_blank_lines_change_no_value(plain, noisy, width, dtype):
+    # the plain block takes the one-call path, the noisy one the scan
+    fast, stop = read_block(plain, plain.count("\n"), width, dtype)
+    scanned, _ = read_block(noisy, plain.count("\n"), width, dtype)
+    assert stop == plain.count("\n")
+    assert fast.dtype == scanned.dtype == dtype
+    assert fast.tobytes() == scanned.tobytes()
+
+
+def test_written_values_read_back_bitwise_on_both_paths():
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((3334, 3)) * 10.0 ** rng.integers(-300, 300, (3334, 3))
+    values[0] = [0.0, -0.0, 5e-324]
+    values[1] = [np.finfo(float).max, -np.finfo(float).tiny, 1 / 3]
+    text = b"".join(text_blocks(values)).decode()
+    fast, _ = read_block(text, len(values), 3, np.float64)
+    scanned, _ = read_block("# forces the scan\n" + text, len(values), 3, np.float64)
+    assert fast.tobytes() == scanned.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\n", "# only a comment\n\n"])
+def test_blocks_without_rows_raise_no_warning(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, _ = read_block(text, 2, 3, np.float64)
+        assert rows.shape == (0, 3) and rows.dtype == np.float64
+        assert read_block(text, 0, 3, np.float64)[0].shape == (0, 3)
+
