@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshFormatError, SingularDeformationError
-from .mesh import Mesh, read_rows
+from .mesh import Mesh, read_number, read_rows
 
 # Deformation gradients with det F at or below this (or NaN) are treated
 # as inverted/collapsed elements rather than valid compressions.
@@ -146,7 +146,7 @@ def load_trajectory(path, n_nodes: int) -> TrajectoryDeformation:
         if len(parts) != 2:
             raise MeshFormatError("KEYFRAME header needs a time", idx)
         try:
-            times.append(float(parts[1]))
+            times.append(read_number(parts[1], np.float64))
         except ValueError:
             times.append(np.nan)
         if not np.isfinite(times[-1]):

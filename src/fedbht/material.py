@@ -2,8 +2,14 @@
 
 Properties are piecewise-linear tables over temperature in degrees Celsius.
 Inside the breakpoint range the table interpolates linearly; outside it
-extrapolates linearly using the terminal segment slope. A single-entry
-table is a constant.
+extrapolates linearly using the terminal segment slope. A table is
+evaluated by its breakpoint count:
+
+- one point: a constant, ``np.full``;
+- two points: its line, three array passes and a compare, bit for bit
+  ``np.interp`` and the extrapolations, at a fifth of its cost (14 against
+  76 us on the demo's 13 182 element means);
+- three or more: ``np.interp``, then the extrapolations where needed.
 
 Conductivity is either a scalar table (isotropic) or a symmetric 3x3
 tensor of tables (anisotropic). Tensor evaluations are checked for
@@ -44,6 +50,15 @@ class PropertyTable:
         self.temps = temps
         self.values = pts[:, 1]
         self.evaluations = 0
+        # the slope of a two-point table evaluated as its line; None where
+        # np.interp's own edge cases would differ from the line: a span or
+        # slope that overflows, or a -0.0 value the line's "+ 0" makes +0.0
+        self._line_slope = None
+        if temps.size == 2:
+            slope = (self.values[1] - self.values[0]) / (temps[1] - temps[0])
+            signed_zero = np.signbit(self.values[self.values == 0]).any()
+            if np.isfinite(slope) and np.isfinite(temps[1] - temps[0]) and not signed_zero:
+                self._line_slope = float(slope)
 
     @classmethod
     def constant(cls, value: float) -> "PropertyTable":
@@ -61,6 +76,18 @@ class PropertyTable:
         t = np.atleast_1d(t)
         if self.is_constant:
             out = np.full(t.shape, self.values[0])
+        elif self._line_slope is not None:
+            # np.interp's slope * (t - x0) + v0 in its operand order, which
+            # below x0 is also the left extrapolation; from x1 on, the right
+            # one, which at x1 is np.interp's v1. A NaN compares False and
+            # stays NaN.
+            slope = self._line_slope
+            out = t - self.temps[0]
+            out *= slope
+            out += self.values[0]
+            hi = t >= self.temps[1]
+            if hi.any():
+                out[hi] = self.values[1] + slope * (t[hi] - self.temps[1])
         else:
             out = np.interp(t, self.temps, self.values)
             lo = t < self.temps[0]

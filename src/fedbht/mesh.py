@@ -25,7 +25,8 @@ reads a file; parse_mesh then precompute, keeping the families, is the one
 way to read and check a mesh (``config.load_scenario``). Its sections,
 node-set files and the keyframes of ``deformation.load_trajectory`` share
 one row reader, :func:`read_rows`, whose numbers np.loadtxt converts, a
-plain section in one call.
+plain section in one call; :func:`read_number` converts a section's count
+and a keyframe's time by the same rule.
 
 What differs between element families (nodes per element, derivatives at
 the integration point, weight, degenerate check, file keyword, VTK cell
@@ -231,7 +232,7 @@ def parse_mesh(path) -> Mesh:
         if len(parts) != 2:
             raise MeshFormatError(f"{keyword} header needs exactly one count", lineno)
         try:
-            count = int(parts[1])
+            count = read_number(parts[1], np.intp)
         except ValueError:
             raise MeshFormatError(f"invalid {keyword} count {parts[1]!r}", lineno) from None
         if count < 0:
@@ -271,13 +272,10 @@ def read_rows(lines, start, count, width, dtype, entry, values, header=None):
     raise or return another shape; the lines are then scanned one by one
     and the rows kept converted alike. No rows never reach it (it warns).
     """
-    def convert(rows):
-        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
-
     block = lines[start:start + count]
     if count and len(block) == count and not block[0].isspace():
         try:
-            array = convert(block)
+            array = _convert(block, dtype)
             if array.shape == (count, width):
                 return array, start + count
         except ValueError:
@@ -299,17 +297,27 @@ def read_rows(lines, start, count, width, dtype, entry, values, header=None):
         rows.append(row)
         linenos.append(stop)
     try:
-        array = convert(rows) if rows else np.empty((0, width), dtype=dtype)
+        array = _convert(rows, dtype) if rows else np.empty((0, width), dtype=dtype)
     except ValueError:
         for row, lineno in zip(rows, linenos):
             try:
-                convert([row])
+                _convert([row], dtype)
             except ValueError:
                 raise MeshFormatError(f"invalid {entry} {row!r}", lineno) from None
         raise
     if misfit is not None:
         raise misfit
     return array, stop
+
+
+def read_number(text, dtype):
+    """One header number (a section count, a keyframe time), converted by
+    the rule that converts the rows; raises ValueError as a row would."""
+    return _convert([text], dtype).item()
+
+
+def _convert(rows, dtype):
+    return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
 
 
 def write_mesh(path, mesh: Mesh):

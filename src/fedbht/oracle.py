@@ -511,6 +511,34 @@ def _free_block(k: Stiffness, free: np.ndarray):
     return product
 
 
+def _dirichlet_coupling(assembler: OracleAssembler, fixed: np.ndarray, free: np.ndarray):
+    """The product (K @ v)[free] for v that is 0 off the nodes ``fixed``,
+    for every K the assembler builds, from the Dirichlet columns only. Each
+    free row sums those columns' terms in column order from 0.0; the terms
+    of its other columns are +-0, which change no such sum (it never holds
+    -0), so the result is bitwise the full product's."""
+    n = assembler.n
+    is_fixed = np.zeros(n + 1, dtype=bool)  # n: the padding's column
+    is_fixed[fixed] = True
+    on = is_fixed[assembler._cols[:, free]]
+    coupled = np.flatnonzero(on.any(axis=0))
+    on, rows = on[:, coupled], free[coupled]
+    # each coupled row's Dirichlet places first, in column order, then padding
+    places = np.argsort(~on, axis=0, kind="stable")[:on.sum(axis=0).max(initial=0)]
+    pad = ~np.take_along_axis(on, places, axis=0)
+    cols, at = assembler._cols[places, rows], assembler._at[places, rows]
+    cols[pad], at[pad] = n, assembler._n_upper  # they read 0 and K's trailing 0
+    out = np.zeros(free.size)
+
+    def product(k: Stiffness, v: np.ndarray) -> np.ndarray:
+        terms = k._values.take(at)
+        terms *= np.append(v, 0.0).take(cols)
+        out[coupled] = np.add.reduce(terms, axis=0, initial=0.0)
+        return out
+
+    return product
+
+
 def reference_transient(
     mesh: Mesh,
     material: MaterialModel,
@@ -551,6 +579,7 @@ def reference_transient(
     fixed = np.flatnonzero(state.dirichlet_mask)
     fixed_temps = fixed_vals[fixed]
     free = np.flatnonzero(~state.dirichlet_mask)
+    coupling = _dirichlet_coupling(assembler, fixed, free)
     record = SimulationRecord(
         dt=schedule.dt, n_steps=schedule.n_steps, probe_indices=probes,
         n_elements=mesh.n_elements, update_thermal_mass=update_thermal_mass,
@@ -584,9 +613,8 @@ def reference_transient(
             temps[fixed] = fixed_temps
         else:
             # the free rows of (K + D) T = C/dt T_n + load, D = C/dt + K_b,
-            # with the Dirichlet values moved to the right-hand side: K's
-            # product with them is 0 off the Dirichlet nodes, so each free
-            # row sums its Dirichlet columns' terms and +-0s
+            # with the Dirichlet values moved to the right-hand side, each
+            # free row's coupling summed over its Dirichlet columns only
             mass_dt = mass / dt
             diag = (mass_dt + state.perfusion_diag)[free]
             free_block = _free_block(k, free)
@@ -596,7 +624,7 @@ def reference_transient(
                 y += diag * x
                 return y
 
-            b = (mass_dt * temps + load)[free] - (k @ fixed_vals)[free]
+            b = (mass_dt * temps + load)[free] - coupling(k, fixed_vals)
             solution, info = conjugate_gradients(
                 matvec, b, temps[free], k.diagonal()[free] + diag, SOLVER_RTOL,
             )

@@ -1,8 +1,14 @@
-import numpy as np
-import pytest
+import os
 
-from fedbht.material import MaterialModel, PerfusionParams, PropertyTable, TensorPropertyTable
-from fedbht.mesh import Mesh, precompute
+# one BLAS thread, set before numpy loads: gate 4's dense eigvalsh takes
+# about three times as long with a thread per core on a small host
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from fedbht.material import MaterialModel, PerfusionParams, PropertyTable, TensorPropertyTable  # noqa: E402
+from fedbht.mesh import Mesh, precompute  # noqa: E402
 
 
 @pytest.fixture

@@ -285,10 +285,41 @@ def _tet_row_in_arabic_indic_digits(scenario_path, tmp_path):
     return path, f"mesh_path: line {at + 1}: invalid TET4 entry {row!r}"
 
 
-@pytest.mark.parametrize("make", [_node_set_with_underscore, _tet_row_in_arabic_indic_digits])
+def _header_number(field, name, keyword, number, message):
+    """A maker whose scenario's ``name`` asset (the file ``field`` names)
+    has ``number`` in its last ``keyword`` header."""
+    def make(scenario_path, tmp_path):
+        with open(os.path.join(os.path.dirname(scenario_path), name)) as fh:
+            lines = fh.readlines()
+        at = max(i for i, line in enumerate(lines) if line.startswith(keyword + " "))
+        lines[at] = f"{keyword} {number}\n"
+        bad = tmp_path / ("bad" + os.path.splitext(name)[1])
+        bad.write_text("".join(lines), encoding="utf-8")
+
+        def point(doc):
+            if field == "mesh_path":
+                doc["mesh_path"] = str(bad)
+            else:
+                doc["deformation"]["path"] = str(bad)
+        path = rewrite(scenario_path, tmp_path, point)
+        return path, f"{field}: line {at + 1}: {message} '{number}'"
+    return make
+
+
+@pytest.mark.parametrize("make", [
+    _node_set_with_underscore,
+    _tet_row_in_arabic_indic_digits,
+    pytest.param(_header_number("mesh_path", "block.mesh", "NODES", "\u0664",
+                                "invalid NODES count"), id="nodes_count_arabic_indic"),
+    pytest.param(_header_number("mesh_path", "block.mesh", "TET4", "1_0",
+                                "invalid TET4 count"), id="tet4_count_underscore"),
+    pytest.param(_header_number("deformation.path", "ramp.traj", "KEYFRAME", "1_0",
+                                "invalid keyframe time"), id="keyframe_time_underscore"),
+])
 def test_numbers_numpy_refuses_exit_2_naming_their_line(scenario_path, tmp_path, capsys, make):
-    # Python's int() reads 1_000 and the Arabic-Indic digits of 12; numpy's
-    # text reader, the one that converts scenario files, does not
+    # Python's int() and float() read 1_000 and the Arabic-Indic digits of
+    # 12; numpy's text reader, the one that converts scenario files, rows
+    # and headers alike, does not
     path, message = make(scenario_path, tmp_path)
     out = tmp_path / "o"
     assert cli_main(["run", path, "--out", str(out)]) == 2
@@ -722,7 +753,8 @@ def test_cli_metrics_compare(scenario_path, tmp_path, capsys):
     assert cli_main(["metrics", snap, snap, "--node-tol", "0.0"]) == 0
     assert "max normalized 0.000000e+00" in capsys.readouterr().out
 
-    lines = open(snap).read().splitlines()
+    with open(snap) as fh:
+        lines = fh.read().splitlines()
     head, fields = lines[0], lines[-1].split(",")
     fields[4] = str(float(fields[4]) + 0.5)
     bumped = tmp_path / "bumped.csv"
@@ -735,7 +767,8 @@ def test_cli_metrics_refuses_snapshots_of_different_sizes(scenario_path, tmp_pat
     out = tmp_path / "m"
     cli_main(["run", scenario_path, "--out", str(out)])
     snap = str(out / "snapshot_5000.csv")
-    lines = open(snap).read().splitlines()
+    with open(snap) as fh:
+        lines = fh.read().splitlines()
     shorter = tmp_path / "shorter.csv"
     shorter.write_text("\n".join(lines[:-1]) + "\n")
     capsys.readouterr()
@@ -750,7 +783,8 @@ def corrupt_snapshot(scenario_path, tmp_path, field):
     out = tmp_path / "m"
     cli_main(["run", scenario_path, "--out", str(out)])
     snap = str(out / "snapshot_5000.csv")
-    lines = open(snap).read().splitlines()
+    with open(snap) as fh:
+        lines = fh.read().splitlines()
     fields = lines[5].split(",")
     fields[4] = field
     corrupt = tmp_path / "corrupt.csv"

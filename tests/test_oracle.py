@@ -440,8 +440,9 @@ def _reduced_system(dirichlet):
 
 def test_reduced_system_is_bitwise_scipy():
     """The backward replay's free x free product and its coupling to the
-    Dirichlet values equal scipy's CSR products of K's blocks: the terms
-    of the other columns are +-0 and change no sum."""
+    Dirichlet values, from the Dirichlet columns only, equal scipy's CSR
+    products of K's blocks: the terms of the other columns are +-0 and
+    change no sum."""
     sparse = pytest.importorskip("scipy.sparse")
     mesh, assembler, k, _, _, mask = _reduced_system([0, 5, 30, 41, 50])
     free = np.flatnonzero(~mask)
@@ -449,9 +450,17 @@ def test_reduced_system_is_bitwise_scipy():
     rng = np.random.default_rng(65)
     x = rng.normal(size=free.size) * 10.0 ** rng.uniform(-8, 8, size=free.size)
     assert_bitwise(fedbht.oracle._free_block(k, free)(x), csr[free][:, free] @ x)
-    dirichlet_values = np.where(mask, 40.0 + rng.random(mesh.n_nodes), 0.0)
-    assert_bitwise((k @ dirichlet_values)[free],
-                   csr[free][:, mask] @ dirichlet_values[mask])
+    coupling = fedbht.oracle._dirichlet_coupling(assembler, np.flatnonzero(mask), free)
+    # 0 C values give -0.0 terms, which a sum from 0.0 must drop alike
+    for values in (40.0 + rng.random(mesh.n_nodes), np.zeros(mesh.n_nodes),
+                   rng.choice([0.0, 40.0], mesh.n_nodes)):
+        dirichlet_values = np.where(mask, values, 0.0)
+        expected = csr[free][:, mask] @ dirichlet_values[mask]
+        assert_bitwise((k @ dirichlet_values)[free], expected)
+        assert_bitwise(coupling(k, dirichlet_values), expected)
+    # built once, the coupling serves each K the assembler builds
+    k = assembler.stiffness(temps=37.0 + 20.0 * rng.random(mesh.n_nodes))
+    assert_bitwise(coupling(k, dirichlet_values), (k @ dirichlet_values)[free])
 
 
 @pytest.mark.parametrize("start", ["previous", "zero"])
