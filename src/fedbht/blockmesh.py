@@ -4,8 +4,7 @@ A rectangular block is meshed with a structured grid: one hex per cell,
 its corners in :data:`mesh.HEX_SIGNS` order, or the six Kuhn tets of each
 cell from one constant corner table, all cells at once by broadcasting.
 Node sets mark a cylindrical vessel wall (held at body temperature), a
-spherical heated region next to it, the perfused bulk, the displaced top
-surface and the mechanically fixed vessel. A two-keyframe
+spherical heated region next to it and the perfused bulk. A two-keyframe
 trajectory applies a smooth vertical compression ramp, standing in for a
 mechanical solve: the top surface moves down by the full amplitude while
 the bottom stays put, with a mild lateral taper so the deformation
@@ -124,8 +123,7 @@ class BlockSceneParams:
 
 
 def block_node_sets(mesh: Mesh, params: BlockSceneParams) -> dict[str, np.ndarray]:
-    """Geometric node sets: vessel_wall, heat_source, perfused, displaced,
-    fixed."""
+    """Geometric node sets: vessel_wall, heat_source, perfused."""
     nodes = mesh.nodes
     cx, cz = params.vessel_center_xz
     vessel = np.flatnonzero(
@@ -136,9 +134,6 @@ def block_node_sets(mesh: Mesh, params: BlockSceneParams) -> dict[str, np.ndarra
         (nodes[:, 0] - sx) ** 2 + (nodes[:, 1] - sy) ** 2 + (nodes[:, 2] - sz) ** 2
         <= params.source_radius ** 2
     )
-    lz = params.lengths[2]
-    hz = lz / params.nz
-    displaced = np.flatnonzero(nodes[:, 2] >= lz - hz / 4)
     in_vessel = np.zeros(mesh.n_nodes, dtype=bool)
     in_vessel[vessel] = True
     perfused = np.flatnonzero(~in_vessel)
@@ -153,8 +148,6 @@ def block_node_sets(mesh: Mesh, params: BlockSceneParams) -> dict[str, np.ndarra
         "vessel_wall": vessel.astype(np.intp),
         "heat_source": source.astype(np.intp),
         "perfused": perfused.astype(np.intp),
-        "displaced": displaced.astype(np.intp),
-        "fixed": vessel.astype(np.intp).copy(),
     }
 
 
@@ -176,7 +169,7 @@ def scenario_config_dict(params: BlockSceneParams, probes) -> dict:
         "mesh_path": "block.mesh",
         "node_sets": {
             name: f"sets/{name}.nodes"
-            for name in ("vessel_wall", "heat_source", "perfused", "displaced", "fixed")
+            for name in ("vessel_wall", "heat_source", "perfused")
         },
         "material": params.material,
         "perfusion": {**asdict(PerfusionParams()), "T_a": params.body_temperature},

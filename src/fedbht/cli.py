@@ -55,21 +55,21 @@ def _resolve_out_dir(cfg: ScenarioConfig, scenario_path: str, override) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(scenario_path)), cfg.output_dir)
 
 
-def _run_production(cfg: ScenarioConfig, dt_override: bool):
+def _run_production(cfg: ScenarioConfig):
     return run(
         cfg.mesh, cfg.precomp, cfg.material, cfg.perfusion, cfg.boundary,
         cfg.deformation, cfg.schedule, cfg.variant,
         initial_temperature=cfg.initial_temperature,
         probes=cfg.probes,
         update_thermal_mass=cfg.update_thermal_mass,
-        dt_override=dt_override or cfg.dt_override,
+        dt_override=cfg.dt_override,
     )
 
 
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.scenario)
     out_dir = _resolve_out_dir(cfg, args.scenario, args.out)
-    record = _run_production(cfg, args.dt_override)
+    record = _run_production(cfg)
     t0 = time.perf_counter()
     names = output.write_record_outputs(out_dir, cfg.mesh, record)
     record.timings["output"] = time.perf_counter() - t0
@@ -89,7 +89,7 @@ def _cmd_verify(args) -> int:
     from . import oracle
 
     cfg = load_scenario(args.scenario)
-    record = _run_production(cfg, dt_override=False)
+    record = _run_production(cfg)
     if record.outcome is not None:
         return _stop(record.outcome.kind, record.outcome.message)
     reference = oracle.reference_transient(
@@ -216,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("scenario")
     p_run.add_argument("--out", help="output directory (default from the scenario)")
-    p_run.add_argument("--dt-override", action="store_true",
-                       help="run even when dt exceeds the stability estimate")
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser(

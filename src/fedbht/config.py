@@ -30,7 +30,8 @@ Top-level keys:
     variant              formulation name or roman numeral, default "i"
     probes               node indices sampled every step
     update_thermal_mass  bool or null (auto: on when tables vary)
-    dt_override          run even when dt exceeds the stability estimate
+    dt_override          run and verify even when dt exceeds the stability
+                         estimate
     output_dir           default directory for snapshots and the manifest
 """
 

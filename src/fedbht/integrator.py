@@ -358,30 +358,22 @@ def thermal_state_from_volumes(
     )
 
 
-def step(state: ThermalState, loads: np.ndarray, dt: float,
-         step_index: int = 0, time: float | None = None,
-         sources: np.ndarray | None = None,
-         dt_over_mass: np.ndarray | None = None) -> np.ndarray:
+def step(state: ThermalState, loads: np.ndarray, dt_over_mass: np.ndarray,
+         sources: np.ndarray, step_index: int = 0, time: float | None = None) -> np.ndarray:
     """One forward-Euler update; returns the new temperature vector, the
     only array it allocates.
 
-    sources is ``state.sources()``; a caller that takes many steps passes
-    it precombined, once per heater state, and passes dt_over_mass,
-    ``np.divide(dt, state.lumped_mass)``, divided again only when the mass
-    changes. The conduction loads enter with a minus sign (dissipative).
-    Dirichlet nodes are reset after the update and therefore win over any
-    exchange term. Raises DivergenceError on non-finite output, naming its
-    first non-finite node.
+    dt_over_mass is dt / C and sources is ``state.sources(on)``, as the
+    caller holds them. The conduction loads enter with a minus sign
+    (dissipative). Dirichlet nodes are reset after the update and therefore
+    win over any exchange term. Raises DivergenceError on non-finite
+    output, naming its first non-finite node.
     """
-    if sources is None:
-        sources = state.sources()
-    work = state._work
     with np.errstate(over="ignore", invalid="ignore"):
         # T + (dt / C) * ((sources - loads) - Kb T), rounded as written
         t_new = np.multiply(state.perfusion_diag, state.T)
-        np.subtract(np.subtract(sources, loads, out=work), t_new, out=t_new)
-        t_new *= (np.divide(dt, state.lumped_mass, out=work) if dt_over_mass is None
-                  else dt_over_mass)
+        np.subtract(np.subtract(sources, loads, out=state._work), t_new, out=t_new)
+        t_new *= dt_over_mass
         t_new += state.T
     t_new[state._dirichlet_nodes] = state._dirichlet_fixed
     if not np.isfinite(t_new).all():
@@ -409,9 +401,9 @@ def run(
 ) -> SimulationRecord:
     """Drive the explicit transient and collect snapshots and probes.
 
-    Unless dt_override is set, the Lanczos critical step is
-    estimated at t = 0, kept as ``record.stability`` and judged by
-    :func:`stability.guard_time_step`. The record is returned also when
+    Unless dt_override is set (from a scenario, its ``dt_override`` key),
+    the Lanczos critical step is estimated at t = 0, kept as
+    ``record.stability`` and judged by :func:`stability.guard_time_step`. The record is returned also when
     one of STOP_KINDS stops the run: ``record.outcome`` then says how,
     where and why, and a mid-run stop keeps the last good field as a
     snapshot.
@@ -470,8 +462,8 @@ def run(
             timings["conduction"] += _time.perf_counter() - t0
             if mass is not None:
                 np.divide(schedule.dt, mass, out=dt_over_mass)
-            state.T = step(state, loads, schedule.dt, step_index=n, time=t_now,
-                           sources=sources[source_on], dt_over_mass=dt_over_mass)
+            state.T = step(state, loads, dt_over_mass, sources[source_on], step_index=n,
+                           time=t_now)
             timings["thermal"] += _time.perf_counter() - t0
     except tuple(STOP_KINDS) as err:
         kind = STOP_KINDS[type(err)]

@@ -16,7 +16,12 @@ matrix-free production path can be checked against an independent route:
     gradients), re-assembling every step so lagged (Picard) property
     evaluation matches the production semantics; the element geometry is
     derived once per node position and kept while the mesh holds, so a held
-    step only re-evaluates the conductivity at the element means T̄;
+    step only re-evaluates the conductivity at the element means T̄; the
+    backward scheme couples its free rows to the Dirichlet values by
+    scattering the Dirichlet nodes' own rows of K (one bincount), which is
+    bitwise the CSR product of K's Dirichlet columns: K equals its
+    transpose bitwise, and each free row sums its terms in column order
+    from 0.0;
   * brute-force Gauss quadrature integrates single-element loads.
 
 Thermal mass and perfusion lumping always use reference-configuration
@@ -187,7 +192,9 @@ class Stiffness:
     from 0.0, as a CSR product does; the padding adds +0.0 terms, which
     change no such sum (it never holds -0.0). So products, the diagonal
     and the dense copy are bitwise those of a CSR matrix of the same
-    entries."""
+    entries. :meth:`rows_product` scatters given rows instead of reducing
+    every row; as K equals its transpose bitwise, it is bitwise the CSR
+    product of the same columns."""
 
     def __init__(self, values: np.ndarray, cols: np.ndarray, at: np.ndarray,
                  diagonal_at: np.ndarray):
@@ -200,6 +207,18 @@ class Stiffness:
         terms = np.append(np.asarray(x, dtype=np.float64), 0.0).take(self._cols)
         terms *= self._padded
         return np.add.reduce(terms, axis=0, initial=0.0)
+
+    def rows_product(self, nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """K's product with the vector that is v on the ascending nodes and
+        0 elsewhere, from those nodes' own rows: row j's terms K[j, i] v_j
+        are scattered to entry i by one bincount, node after node. K equals
+        its transpose bitwise, so entry i sums its terms K[i, j] v_j in
+        column order from 0.0, as a CSR product of K's columns ``nodes``
+        does; the padding's terms fall into a bin past the end."""
+        terms = self._padded[:, nodes] * v
+        sums = np.bincount(self._cols[:, nodes].ravel(order="F"), weights=terms.ravel(order="F"),
+                           minlength=self.shape[0] + 1)
+        return sums[:-1].astype(np.float64, copy=False)  # an empty bincount is int
 
     def diagonal(self) -> np.ndarray:
         return self._values[self._diagonal_at]
@@ -511,34 +530,6 @@ def _free_block(k: Stiffness, free: np.ndarray):
     return product
 
 
-def _dirichlet_coupling(assembler: OracleAssembler, fixed: np.ndarray, free: np.ndarray):
-    """The product (K @ v)[free] for v that is 0 off the nodes ``fixed``,
-    for every K the assembler builds, from the Dirichlet columns only. Each
-    free row sums those columns' terms in column order from 0.0; the terms
-    of its other columns are +-0, which change no such sum (it never holds
-    -0), so the result is bitwise the full product's."""
-    n = assembler.n
-    is_fixed = np.zeros(n + 1, dtype=bool)  # n: the padding's column
-    is_fixed[fixed] = True
-    on = is_fixed[assembler._cols[:, free]]
-    coupled = np.flatnonzero(on.any(axis=0))
-    on, rows = on[:, coupled], free[coupled]
-    # each coupled row's Dirichlet places first, in column order, then padding
-    places = np.argsort(~on, axis=0, kind="stable")[:on.sum(axis=0).max(initial=0)]
-    pad = ~np.take_along_axis(on, places, axis=0)
-    cols, at = assembler._cols[places, rows], assembler._at[places, rows]
-    cols[pad], at[pad] = n, assembler._n_upper  # they read 0 and K's trailing 0
-    out = np.zeros(free.size)
-
-    def product(k: Stiffness, v: np.ndarray) -> np.ndarray:
-        terms = k._values.take(at)
-        terms *= np.append(v, 0.0).take(cols)
-        out[coupled] = np.add.reduce(terms, axis=0, initial=0.0)
-        return out
-
-    return product
-
-
 def reference_transient(
     mesh: Mesh,
     material: MaterialModel,
@@ -579,7 +570,6 @@ def reference_transient(
     fixed = np.flatnonzero(state.dirichlet_mask)
     fixed_temps = fixed_vals[fixed]
     free = np.flatnonzero(~state.dirichlet_mask)
-    coupling = _dirichlet_coupling(assembler, fixed, free)
     record = SimulationRecord(
         dt=schedule.dt, n_steps=schedule.n_steps, probe_indices=probes,
         n_elements=mesh.n_elements, update_thermal_mass=update_thermal_mass,
@@ -613,8 +603,8 @@ def reference_transient(
             temps[fixed] = fixed_temps
         else:
             # the free rows of (K + D) T = C/dt T_n + load, D = C/dt + K_b,
-            # with the Dirichlet values moved to the right-hand side, each
-            # free row's coupling summed over its Dirichlet columns only
+            # with the Dirichlet values moved to the right-hand side through
+            # the Dirichlet nodes' own rows of K
             mass_dt = mass / dt
             diag = (mass_dt + state.perfusion_diag)[free]
             free_block = _free_block(k, free)
@@ -624,7 +614,7 @@ def reference_transient(
                 y += diag * x
                 return y
 
-            b = (mass_dt * temps + load)[free] - coupling(k, fixed_vals)
+            b = (mass_dt * temps + load)[free] - k.rows_product(fixed, fixed_temps)[free]
             solution, info = conjugate_gradients(
                 matvec, b, temps[free], k.diagonal()[free] + diag, SOLVER_RTOL,
             )

@@ -166,7 +166,7 @@ def guard_time_step(dt: float, estimate: StabilityEstimate) -> None:
     if not estimate.admits(dt):
         raise StabilityError(
             f"dt = {dt:g} s exceeds estimated critical step "
-            f"{estimate.dt_critical:g} s; shrink dt or override explicitly"
+            f"{estimate.dt_critical:g} s; shrink dt or set dt_override in the scenario"
         )
     if dt > 0.9 * estimate.dt_critical:
         log.warning(

@@ -198,10 +198,11 @@ def test_spectral_estimate_matches_dense_and_brackets_stability(verdict):
         state_run = build_thermal_state(mesh, pre, mat, NO_PERFUSION, NO_BC, 37.0)
         state_run.T = initial.copy()
         peak = initial_amplitude
+        dt_over_mass, sources = dt / state_run.lumped_mass, state_run.sources()
         for n in range(n_steps):
             loads = op.apply(state_run.T)
             try:
-                state_run.T = step(state_run, loads, dt, step_index=n)
+                state_run.T = step(state_run, loads, dt_over_mass, sources, step_index=n)
             except DivergenceError:
                 return n, np.inf
             peak = max(peak, float(np.abs(state_run.T).max()))
@@ -313,8 +314,9 @@ def test_kernel_invariants_hold(verdict):
     lo, hi = flat_state.T.min(), flat_state.T.max()
     dt = 0.9 / est.lambda_max
     violated = False
+    dt_over_mass, sources = dt / flat_state.lumped_mass, flat_state.sources()
     for n in range(200):
-        flat_state.T = step(flat_state, flat_op.apply(flat_state.T), dt,
+        flat_state.T = step(flat_state, flat_op.apply(flat_state.T), dt_over_mass, sources,
                             step_index=n)
         if flat_state.T.min() < lo - 1e-12 or flat_state.T.max() > hi + 1e-12:
             violated = True

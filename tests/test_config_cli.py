@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import logging
@@ -13,6 +14,7 @@ import fedbht
 from fedbht import mesh as mesh_module
 from fedbht import stability
 from fedbht.blockmesh import BlockSceneParams, write_desk_scenario
+from fedbht.cli import build_parser
 from fedbht.cli import main as cli_main
 from fedbht.config import load_scenario
 from fedbht.errors import ConfigError, DivergenceError
@@ -520,6 +522,31 @@ def test_cli_rerun_is_byte_identical(scenario_path, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("override", [False, True])
+def test_manifest_config_echo_reproduces_the_run(tmp_path, override):
+    """Re-running the manifest's config echo, written next to the scenario,
+    writes the same snapshots and probes byte for byte: guarded, and with
+    dt_override at a dt the estimate refuses."""
+    params = (small_params(dt=200.0, total_time=2000.0, snapshot_times=(1000.0, 2000.0),
+                           source_off_time=1000.0) if override else small_params())
+    scene = write_desk_scenario(tmp_path / "scene", params)
+    if override:
+        scene = rewrite(scene, tmp_path / "scene", lambda d: d.update(dt_override=True))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli_main(["run", scene, "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert (manifest["dt_critical"] is None) is override
+    echo = tmp_path / "scene" / "echo.json"
+    echo.write_text(json.dumps(manifest["config"]))
+    assert cli_main(["run", str(echo), "--out", str(second)]) == 0
+    assert json.loads((second / "manifest.json").read_text())["config"] == manifest["config"]
+    names = sorted(path.name for path in first.iterdir() if path.name != "manifest.json")
+    assert names == sorted(path.name for path in second.iterdir() if path.name != "manifest.json")
+    assert len(names) == 5 and "probes.csv" in names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def test_cli_stability_report(scenario_path, capsys):
     assert cli_main(["stability", scenario_path]) == 0
     stdout = capsys.readouterr().out
@@ -655,8 +682,9 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
         tmp_path / "wild",
         small_params(dt=1e9, total_time=1e11, snapshot_times=(1e10,),
                      source_off_time=1e9))
+    scene = rewrite(scene, tmp_path, lambda d: d.update(dt_override=True))
     out = tmp_path / "partial"
-    code = cli_main(["run", scene, "--out", str(out), "--dt-override"])
+    code = cli_main(["run", scene, "--out", str(out)])
     stdout, stderr = capsys.readouterr()
     assert code == 3, stdout
     assert "diverged at step" in stdout
@@ -840,3 +868,23 @@ def test_cli_make_mesh_refuses_non_positive_values(tmp_path, capsys, flag, value
 def test_cli_missing_scenario(tmp_path, capsys):
     assert cli_main(["run", str(tmp_path / "absent.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_readme_synopsis_lists_every_flag_of_the_parser():
+    """README's "Command line" synopsis and the parser name the same
+    subcommands and, for each, the same --flags."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        synopsis = re.search(r"## Command line\n\n```\n(.*?)```", fh.read(), re.S).group(1)
+    documented = {}
+    for line in synopsis.splitlines():
+        if line.startswith("fedbht "):
+            command = documented.setdefault(line.split()[1], set())
+        command.update(re.findall(r"--[a-z][a-z-]*", line))
+    (commands,) = (action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    parsed = {name: {flag for action in sub._actions for flag in action.option_strings
+                     if flag.startswith("--") and flag != "--help"}
+              for name, sub in commands.choices.items()}
+    assert documented == parsed

@@ -51,20 +51,21 @@ def test_single_node_relaxation_step():
     # T' = T + dt * (G - K_b T) / C = 38 + 0.1 * (18.5 - 19) = 37.95
     state = make_state(perfusion_diag=np.array([0.5]),
                        perfusion_source=np.array([18.5]))
-    t_new = step(state, loads=np.zeros(1), dt=0.1)
+    t_new = step(state, np.zeros(1), 0.1 / state.lumped_mass, state.sources())
     assert t_new[0] == pytest.approx(37.95, abs=1e-14)
 
 
 def test_step_subtracts_conduction_loads():
     state = make_state()
-    t_new = step(state, loads=np.array([2.0]), dt=0.25)
+    t_new = step(state, np.array([2.0]), 0.25 / state.lumped_mass, state.sources())
     assert t_new[0] == pytest.approx(38.0 - 0.5, abs=1e-14)
 
 
 def test_step_flags_divergence():
     state = make_state(T=np.array([1e308]))
     with pytest.raises(DivergenceError):
-        step(state, loads=np.array([-1e308]), dt=10.0, step_index=7, time=3.5)
+        step(state, np.array([-1e308]), 10.0 / state.lumped_mass, state.sources(),
+             step_index=7, time=3.5)
 
 
 def test_divergence_names_first_non_finite_node():
@@ -77,7 +78,7 @@ def test_divergence_names_first_non_finite_node():
     loads = np.array([0.0, -1e308, 0.0, np.nan])
     with pytest.raises(DivergenceError, match=r"step 7 \(t = 3\.5 s\): node 1, "
                                               r"last finite temperature 1e\+308") as err:
-        step(state, loads, dt=10.0, step_index=7, time=3.5)
+        step(state, loads, 10.0 / state.lumped_mass, state.sources(), step_index=7, time=3.5)
     assert err.value.node == 1 and err.value.last_finite == 1e308
 
 
@@ -137,8 +138,9 @@ def test_perfusion_equilibrium_is_exact():
     perf = PerfusionParams(w_b=1.5, c_b=3617.0, T_a=37.0, Q_met=0.0)
     state = build_thermal_state(mesh, pre, make_material(), perf, NO_BC, 37.0)
     t = state.T
+    dt_over_mass, sources = 5.0 / state.lumped_mass, state.sources()
     for n in range(50):
-        state.T = step(state, loads=np.zeros(mesh.n_nodes), dt=5.0, step_index=n)
+        state.T = step(state, np.zeros(mesh.n_nodes), dt_over_mass, sources, step_index=n)
     np.testing.assert_array_equal(state.T, t)
 
 
