@@ -17,11 +17,10 @@ matrix-free production path can be checked against an independent route:
     evaluation matches the production semantics; the element geometry is
     derived once per node position and kept while the mesh holds, so a held
     step only re-evaluates the conductivity at the element means T̄; the
-    backward scheme couples its free rows to the Dirichlet values by
-    scattering the Dirichlet nodes' own rows of K (one bincount), which is
-    bitwise the CSR product of K's Dirichlet columns: K equals its
-    transpose bitwise, and each free row sums its terms in column order
-    from 0.0;
+    backward scheme couples its free rows to the Dirichlet values through
+    K's own product with the Dirichlet field, which is zero off the
+    Dirichlet nodes, so each free row sums its Dirichlet terms in column
+    order from 0.0 and its other terms add only +-0;
   * brute-force Gauss quadrature integrates single-element loads.
 
 Thermal mass and perfusion lumping always use reference-configuration
@@ -192,9 +191,7 @@ class Stiffness:
     from 0.0, as a CSR product does; the padding adds +0.0 terms, which
     change no such sum (it never holds -0.0). So products, the diagonal
     and the dense copy are bitwise those of a CSR matrix of the same
-    entries. :meth:`rows_product` scatters given rows instead of reducing
-    every row; as K equals its transpose bitwise, it is bitwise the CSR
-    product of the same columns."""
+    entries."""
 
     def __init__(self, values: np.ndarray, cols: np.ndarray, at: np.ndarray,
                  diagonal_at: np.ndarray):
@@ -207,18 +204,6 @@ class Stiffness:
         terms = np.append(np.asarray(x, dtype=np.float64), 0.0).take(self._cols)
         terms *= self._padded
         return np.add.reduce(terms, axis=0, initial=0.0)
-
-    def rows_product(self, nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """K's product with the vector that is v on the ascending nodes and
-        0 elsewhere, from those nodes' own rows: row j's terms K[j, i] v_j
-        are scattered to entry i by one bincount, node after node. K equals
-        its transpose bitwise, so entry i sums its terms K[i, j] v_j in
-        column order from 0.0, as a CSR product of K's columns ``nodes``
-        does; the padding's terms fall into a bin past the end."""
-        terms = self._padded[:, nodes] * v
-        sums = np.bincount(self._cols[:, nodes].ravel(order="F"), weights=terms.ravel(order="F"),
-                           minlength=self.shape[0] + 1)
-        return sums[:-1].astype(np.float64, copy=False)  # an empty bincount is int
 
     def diagonal(self) -> np.ndarray:
         return self._values[self._diagonal_at]
@@ -603,8 +588,7 @@ def reference_transient(
             temps[fixed] = fixed_temps
         else:
             # the free rows of (K + D) T = C/dt T_n + load, D = C/dt + K_b,
-            # with the Dirichlet values moved to the right-hand side through
-            # the Dirichlet nodes' own rows of K
+            # with the Dirichlet values moved to the right-hand side
             mass_dt = mass / dt
             diag = (mass_dt + state.perfusion_diag)[free]
             free_block = _free_block(k, free)
@@ -614,7 +598,7 @@ def reference_transient(
                 y += diag * x
                 return y
 
-            b = (mass_dt * temps + load)[free] - k.rows_product(fixed, fixed_temps)[free]
+            b = (mass_dt * temps + load)[free] - (k @ fixed_vals)[free]
             solution, info = conjugate_gradients(
                 matvec, b, temps[free], k.diagonal()[free] + diag, SOLVER_RTOL,
             )

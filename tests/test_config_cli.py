@@ -771,6 +771,12 @@ def test_cli_verify_refuses_like_run(tmp_path, capsys):
                                              source_off_time=1000.0))
     assert cli_main(["verify", scene]) == 2
     assert "refusing to run: dt = 1000 s exceeds" in capsys.readouterr().err
+    # the scenario's dt_override lets verify run past the guard, as it does run
+    scene = rewrite(scene, tmp_path, lambda d: d.update(dt_override=True))
+    code = cli_main(["verify", scene])
+    stdout, stderr = capsys.readouterr()
+    assert code == 4, stdout  # the fields exceed the tolerance, but it ran
+    assert "refusing to run" not in stderr
 
 
 def test_cli_metrics_compare(scenario_path, tmp_path, capsys):

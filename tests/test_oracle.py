@@ -440,13 +440,12 @@ def _reduced_system(dirichlet):
 
 def test_reduced_system_is_bitwise_scipy():
     """The backward replay's free x free product, and its coupling to the
-    Dirichlet values through the Dirichlet nodes' own rows, equal scipy's
-    CSR products of K's blocks: K is its own transpose bitwise, and each
-    free row sums its Dirichlet terms in column order from 0.0."""
+    Dirichlet values through K's product with the Dirichlet field, equal
+    scipy's CSR products of K's blocks: each free row sums its Dirichlet
+    terms in column order from 0.0, and its other terms add only +-0."""
     sparse = pytest.importorskip("scipy.sparse")
     mesh, assembler, k, _, _, mask = _reduced_system([0, 5, 30, 41, 50])
     free = np.flatnonzero(~mask)
-    fixed = np.flatnonzero(mask)
     csr = sparse.csr_matrix(_mirrored(mesh, assembler._entries))
     rng = np.random.default_rng(65)
     x = rng.normal(size=free.size) * 10.0 ** rng.uniform(-8, 8, size=free.size)
@@ -454,30 +453,13 @@ def test_reduced_system_is_bitwise_scipy():
     # 0 C values give -0.0 terms, which a sum from 0.0 must drop alike
     for values in (40.0 + rng.random(mesh.n_nodes), np.zeros(mesh.n_nodes),
                    rng.choice([0.0, 40.0], mesh.n_nodes)):
-        expected = csr[free][:, mask] @ values[mask]
-        assert_bitwise((k @ np.where(mask, values, 0.0))[free], expected)
-        assert_bitwise(k.rows_product(fixed, values[fixed])[free], expected)
+        assert_bitwise((k @ np.where(mask, values, 0.0))[free],
+                       csr[free][:, mask] @ values[mask])
     # a second K from the same assembler
     k = assembler.stiffness(temps=37.0 + 20.0 * rng.random(mesh.n_nodes))
     csr = sparse.csr_matrix(_mirrored(mesh, assembler._entries))
-    assert_bitwise(k.rows_product(fixed, values[fixed])[free],
+    assert_bitwise((k @ np.where(mask, values, 0.0))[free],
                    csr[free][:, mask] @ values[mask])
-
-
-def test_rows_product_of_no_nodes_and_of_a_node_with_no_free_neighbour():
-    sparse = pytest.importorskip("scipy.sparse")
-    mesh, assembler, k, _, _, _ = _reduced_system([])
-    none = np.array([], dtype=np.intp)
-    assert_bitwise(k.rows_product(none, np.array([])), np.zeros(mesh.n_nodes))
-    # node 0 and all its neighbours are Dirichlet: node 0 couples to no free row
-    dense = _mirrored(mesh, assembler._entries)
-    mask = dense[0] != 0.0
-    mask[[0, 30]] = True
-    free, fixed = np.flatnonzero(~mask), np.flatnonzero(mask)
-    values = np.where(mask, 40.0, 0.0)
-    assert_bitwise(k.rows_product(np.array([0]), values[:1])[free], np.zeros(free.size))
-    assert_bitwise(k.rows_product(fixed, values[fixed])[free],
-                   sparse.csr_matrix(dense)[free][:, mask] @ values[mask])
 
 
 @pytest.mark.parametrize("start", ["previous", "zero"])
