@@ -85,13 +85,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # only verify needs the oracle; run and stability never load it
-    from . import oracle
-
     cfg = load_scenario(args.scenario)
     record = _run_production(cfg)
     if record.outcome is not None:
         return _stop(record.outcome.kind, record.outcome.message)
+    # only a verify whose production run finished loads the oracle
+    from . import oracle
+
     reference = oracle.reference_transient(
         cfg.mesh, cfg.material, cfg.perfusion, cfg.boundary,
         cfg.deformation, cfg.schedule,

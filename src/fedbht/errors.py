@@ -34,7 +34,8 @@ class NotSPDError(FedbhtError):
 
 
 class SingularDeformationError(FedbhtError):
-    """Deformation gradient is singular or inverted (det F below floor)."""
+    """The deformation inverts an element mid-run: det F below its floor,
+    or a non-positive measure of the oracle's moved geometry."""
 
 
 class ConflictError(FedbhtError):

@@ -16,11 +16,17 @@ matrix-free production path can be checked against an independent route:
     gradients), re-assembling every step so lagged (Picard) property
     evaluation matches the production semantics; the element geometry is
     derived once per node position and kept while the mesh holds, so a held
-    step only re-evaluates the conductivity at the element means T̄; the
-    backward scheme couples its free rows to the Dirichlet values through
-    K's own product with the Dirichlet field, which is zero off the
-    Dirichlet nodes, so each free row sums its Dirichlet terms in column
-    order from 0.0 and its other terms add only +-0;
+    step only re-evaluates the conductivity at the element means T̄; only
+    what K is scaled from is kept (for isotropic tables the gradients pass
+    through the entries' buffer), and a step's K is released before the
+    next is assembled; the backward scheme couples its free rows to the
+    Dirichlet values through K's own product with the Dirichlet field,
+    which is zero off the Dirichlet nodes, so each free row sums its
+    Dirichlet terms in column order from 0.0 and its other terms add only
+    +-0; it assembles at t_{n+1}, so its last step stands on the end
+    time's coordinates, where the production run never moves the mesh,
+    and an element inverted on a step's coordinates stops the replay as
+    an inverted element of that step;
   * brute-force Gauss quadrature integrates single-element loads.
 
 Thermal mass and perfusion lumping always use reference-configuration
@@ -52,7 +58,7 @@ import math
 import numpy as np
 
 from .deformation import IdentityDeformation
-from .errors import DivergenceError, GeometryError
+from .errors import DivergenceError, GeometryError, SingularDeformationError
 from .integrator import (
     BoundaryConditions,
     Schedule,
@@ -232,10 +238,13 @@ class OracleAssembler:
     for :meth:`node_volumes` and :meth:`lumped_mass`. The geometry is kept,
     with a private copy of those coordinates, until a call brings
     different ones: for isotropic tables the weight and the g_a . g_b, for
-    tensor tables the weight and g. A call on the same coordinates (a held
-    mesh, or the reference nodes) only gathers the element means T̄,
-    evaluates k(T̄), scales and sums. The T̄ of the last call stay in
-    :attr:`element_means` for the thermal mass.
+    tensor tables the weight and g. An isotropic derivation keeps no g: it
+    writes each family's g in turn into the buffer of the entries, makes
+    its pair products, and the call then overwrites the buffer with the
+    entries. A call on the same coordinates (a held mesh, or the reference
+    nodes) only gathers the element means T̄, evaluates k(T̄), scales and
+    sums. The T̄ of the last call stay in :attr:`element_means` for the
+    thermal mass.
     """
 
     def __init__(self, mesh: Mesh, material: MaterialModel):
@@ -254,12 +263,26 @@ class OracleAssembler:
         # arrays: ravel gives the lumping's element-major order without a copy
         self._conn = [conn for conn in (mesh.tets, mesh.hexes) if conn.size]
         # the upper-triangle slot of every entry, entry-major, numbered in
-        # the order of its row * n + col
-        upper, self._slot = np.unique(np.concatenate([
+        # the order of its row * n + col: np.unique's inverse from one
+        # argsort, each entry-sized array freed once it is used
+        keys = np.concatenate([
             _upper_keys(conn_t, a, b, n)
             for conn_t, _ in self._families
             for a, b in itertools.combinations_with_replacement(range(conn_t.shape[0]), 2)
-        ]), return_inverse=True)
+        ])
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)  # the first entry of each slot
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        upper = keys[first]
+        del keys
+        numbers = np.cumsum(first)
+        del first
+        numbers -= 1
+        self._slot = np.empty_like(order)
+        self._slot[order] = numbers
+        del order, numbers
         self._n_upper = upper.size
         # K's slots: each upper slot and, off the diagonal, its mirror
         # image, in row-major order; slot j of row i goes to place j of
@@ -282,18 +305,22 @@ class OracleAssembler:
         # leave enough free heap on top for malloc to return it to the
         # system and page it in again on the next call. Per family: the
         # block of entries, the gradients g (3, k, e) and the geometry the
-        # entries are scaled from, the g_a . g_b for isotropic tables and g
-        # itself for tensor tables
-        self._entries = np.empty(self._slot.size)
-        self._blocks, self._gradients = [], []
-        begin = 0
-        for conn_t, _ in self._families:
-            k, e = conn_t.shape
+        # entries are scaled from. Tensor tables keep g as their geometry;
+        # isotropic ones keep the g_a . g_b and derive each family's g in
+        # turn into the entries' buffer, which stiffness rewrites after the
+        # pair products are made (so the buffer also fits the largest g)
+        shapes = [conn_t.shape for conn_t, _ in self._families]
+        buffer = np.empty(max(self._slot.size, *(3 * k * e for k, e in shapes)))
+        self._entries = buffer[:self._slot.size]
+        self._blocks, begin = [], 0
+        for k, e in shapes:
             self._blocks.append(self._entries[begin:begin + k * (k + 1) // 2 * e].reshape(-1, e))
             begin += self._blocks[-1].size
-            self._gradients.append(np.empty((3, k, e)))
-        self._geometry = ([np.empty_like(block) for block in self._blocks]
-                          if material.isotropic else self._gradients)
+        if material.isotropic:
+            self._gradients = [buffer[:3 * k * e].reshape(3, k, e) for k, e in shapes]
+            self._geometry = [np.empty_like(block) for block in self._blocks]
+        else:
+            self._gradients = self._geometry = [np.empty((3, k, e)) for k, e in shapes]
         self._weights = [None] * len(self._families)
         del upper, rows, cols, on, key, order, counts, place  # alive, they raise the peak RSS
         self._shares = self._derive_geometry(mesh.nodes)
@@ -398,8 +425,15 @@ def _tet_geometry(coords_t, conn_t, g) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled gradients g = 6 V grad N_a (3, 4, e), written into g; the
     weight 1 / 6V, so that V grad^T D grad = weight * g^T D g, and each
     node's share V / 4."""
-    x0 = np.take(coords_t, conn_t[0], axis=1)  # (3, e)
-    e1, e2, e3 = (np.take(coords_t, conn_t[a], axis=1) - x0 for a in (1, 2, 3))
+    # node 0's position and then the third edge in g's node-0 rows, which
+    # are free until g_0 is formed
+    x0 = g[:, 0]
+    x0[...] = np.take(coords_t, conn_t[0], axis=1)
+    e1 = np.take(coords_t, conn_t[1], axis=1)
+    e1 -= x0
+    e2 = np.take(coords_t, conn_t[2], axis=1)
+    e2 -= x0
+    e3 = np.subtract(np.take(coords_t, conn_t[3], axis=1), x0, out=x0)
     _cross(e2, e3, g[:, 1])
     _cross(e3, e1, g[:, 2])
     _cross(e1, e2, g[:, 3])
@@ -410,7 +444,9 @@ def _tet_geometry(coords_t, conn_t, g) -> tuple[np.ndarray, np.ndarray]:
             f"tet4 element {int(np.argmax(bad))} has non-positive or non-finite "
             "volume on the given coordinates"
         )
-    g[:, 0] = -(g[:, 1] + g[:, 2] + g[:, 3])
+    g0 = np.add(g[:, 1], g[:, 2], out=g[:, 0])  # -((g_1 + g_2) + g_3)
+    g0 += g[:, 3]
+    np.negative(g0, out=g0)
     return 1.0 / (6.0 * det), det / 24.0  # bitwise (det / 6) / 4
 
 
@@ -515,6 +551,31 @@ def _free_block(k: Stiffness, free: np.ndarray):
     return product
 
 
+def _backward_step(k: Stiffness, temps, mass_dt, load, state, free, where) -> np.ndarray:
+    """Backward Euler's next field: the free rows of (K + D) T = C/dt T_n +
+    load, D = C/dt + K_b, with the Dirichlet values moved to the
+    right-hand side; where names the step in an error."""
+    diag = (mass_dt + state.perfusion_diag)[free]
+    free_block = _free_block(k, free)
+
+    def matvec(x):
+        y = free_block(x)
+        y += diag * x
+        return y
+
+    fixed_vals = state.dirichlet_values  # zero off the Dirichlet nodes
+    b = (mass_dt * temps + load)[free] - (k @ fixed_vals)[free]
+    solution, info = conjugate_gradients(
+        matvec, b, temps[free], k.diagonal()[free] + diag, SOLVER_RTOL,
+    )
+    if info != 0:
+        raise DivergenceError(
+            f"{where}: the implicit solve did not converge in {info} iterations")
+    temps = fixed_vals.copy()
+    temps[free] = solution
+    return temps
+
+
 def reference_transient(
     mesh: Mesh,
     material: MaterialModel,
@@ -551,17 +612,18 @@ def reference_transient(
     if provider is None:
         provider = IdentityDeformation()
 
-    fixed_vals = state.dirichlet_values  # zero off the Dirichlet nodes
     fixed = np.flatnonzero(state.dirichlet_mask)
-    fixed_temps = fixed_vals[fixed]
+    fixed_temps = state.dirichlet_values[fixed]
     free = np.flatnonzero(~state.dirichlet_mask)
+    sources = {on: state.sources(on) for on in (False, True)}
     record = SimulationRecord(
         dt=schedule.dt, n_steps=schedule.n_steps, probe_indices=probes,
         n_elements=mesh.n_elements, update_thermal_mass=update_thermal_mass,
     )
 
     moving = provider.time_varying
-    coords = mesh.nodes + provider.displacements_at(0.0, mesh).displacements
+    t_geom = 0.0
+    coords = mesh.nodes + provider.displacements_at(t_geom, mesh).displacements
 
     temps = state.T.copy()
     mass = state.lumped_mass
@@ -571,13 +633,17 @@ def reference_transient(
         record.capture(t_now, temps, snapshots_due)
         if step_index == record.n_steps:
             break
-        load = state.sources(source_on)
+        load = sources[source_on]
+        where = f"reference step {step_index} (t = {t_now:.6g} s)"
 
         if moving:
             t_geom = t_now if scheme == "forward" else t_now + dt
             coords = mesh.nodes + provider.displacements_at(t_geom, mesh).displacements
 
-        k = assembler.stiffness(coords=coords, temps=temps)
+        try:
+            k = assembler.stiffness(coords=coords, temps=temps)
+        except GeometryError as err:  # the backward scheme's last K is at total_time
+            raise SingularDeformationError(f"{where}: {err} of t = {t_geom:.6g} s") from err
         if update_thermal_mass:
             # at the element means K's conductivity was just evaluated at
             mass = assembler.lumped_mass(assembler.element_means)
@@ -587,30 +653,11 @@ def reference_transient(
             temps = temps + (dt / mass) * rhs
             temps[fixed] = fixed_temps
         else:
-            # the free rows of (K + D) T = C/dt T_n + load, D = C/dt + K_b,
-            # with the Dirichlet values moved to the right-hand side
-            mass_dt = mass / dt
-            diag = (mass_dt + state.perfusion_diag)[free]
-            free_block = _free_block(k, free)
-
-            def matvec(x):
-                y = free_block(x)
-                y += diag * x
-                return y
-
-            b = (mass_dt * temps + load)[free] - (k @ fixed_vals)[free]
-            solution, info = conjugate_gradients(
-                matvec, b, temps[free], k.diagonal()[free] + diag, SOLVER_RTOL,
-            )
-            if info != 0:
-                raise DivergenceError(
-                    f"reference step {step_index} (t = {t_now:.6g} s): the implicit solve "
-                    f"did not converge in {info} iterations")
-            temps = fixed_vals.copy()
-            temps[free] = solution
+            temps = _backward_step(k, temps, mass / dt, load, state, free, where)
+        del k  # the next step's K is assembled without this one alive
 
         if not np.all(np.isfinite(temps)):
-            raise DivergenceError(f"reference step {step_index} (t = {t_now:.6g} s) is non-finite")
+            raise DivergenceError(f"{where} is non-finite")
 
     record.finish(temps)
     return record

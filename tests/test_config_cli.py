@@ -17,6 +17,7 @@ from fedbht.blockmesh import BlockSceneParams, write_desk_scenario
 from fedbht.cli import build_parser
 from fedbht.cli import main as cli_main
 from fedbht.config import load_scenario
+from fedbht.deformation import write_trajectory
 from fedbht.errors import ConfigError, DivergenceError
 from fedbht.integrator import Schedule, build_thermal_state, run
 from fedbht.kernels import ConductionOperator, Variant
@@ -502,6 +503,16 @@ def test_cli_never_loads_scipy(scenario_path, tmp_path, command):
     assert probe["loaded"] == (["fedbht.oracle"] if command == "verify" else [])
 
 
+@pytest.mark.parametrize("params, expected", [
+    (dict(dt=1000.0, total_time=5000.0, snapshot_times=(5000.0,), source_off_time=1000.0), 2),
+    (dict(ramp_amplitude=-0.09, total_time=20.0, snapshot_times=(20.0,)), 3),
+], ids=["refused", "inverted"])
+def test_oracle_is_compiled_only_by_a_verify_whose_run_finished(tmp_path, params, expected):
+    scene = write_desk_scenario(tmp_path / "scene", small_params(**params))
+    done = _python(_IMPORT_PROBE, "verify", scene)
+    assert json.loads(done.stdout.splitlines()[-1]) == {"code": expected, "loaded": []}
+
+
 @pytest.mark.parametrize("code", [
     "import fedbht.blockmesh",
     "from fedbht.cli import main; assert main(['stability', sys.argv[1]]) == 0",
@@ -762,6 +773,25 @@ def test_cli_verify_unconverged_implicit_solve_exit_code(scenario_path, monkeypa
     assert cli_main(["verify", scenario_path]) == 3
     assert ("diverged: reference step 0 (t = 0 s): the implicit solve did not converge "
             "in 99 iterations") in capsys.readouterr().err
+
+
+def test_cli_verify_stops_on_an_element_only_the_replay_inverts(tmp_path, capsys):
+    # the last keyframe, at total_time, flattens the 6^3 block to z = 0: the
+    # run's last step moves the mesh to t = 0.04 s, while the backward
+    # replay's last step derives K on the coordinates of t = 0.05 s
+    scene = write_desk_scenario(tmp_path / "flat", small_params(
+        dt=0.01, total_time=0.05, snapshot_times=(0.05,), source_off_time=0.025,
+        ramp_time=0.05))
+    nodes = load_scenario(scene).mesh.nodes
+    flat = np.zeros_like(nodes)
+    flat[:, 2] = -nodes[:, 2]
+    write_trajectory(tmp_path / "flat" / "ramp.traj", [0.0, 0.05], [np.zeros_like(flat), flat])
+    assert cli_main(["verify", scene, "--scheme", "forward"]) == 0
+    capsys.readouterr()
+    assert cli_main(["verify", scene]) == 3
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("inverted element: reference step 4 (t = 0.04 s): tet4 element ")
+    assert stderr.endswith(" on the given coordinates of t = 0.05 s\n")
 
 
 def test_cli_verify_refuses_like_run(tmp_path, capsys):
